@@ -2,13 +2,15 @@
 path-set generation (paths) and post-hoc reporting (report).
 
 Exit codes: 0 success, 1 usage, 2 parse, 3 validation, 4 runtime failure.
+Warnings go to stderr once per command: a time step longer than the
+shortest free-flow time, and the count of path/departure cells of the
+final loading that do not finish within the horizon.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
-import json
 import logging
 import math
 import os
@@ -28,8 +30,6 @@ EXIT_USAGE = 1
 EXIT_PARSE = 2
 EXIT_VALIDATION = 3
 EXIT_RUNTIME = 4
-
-logger = logging.getLogger("dtaflow")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -61,8 +61,6 @@ def _build_parser() -> _Parser:
     def add_common(sp):
         sp.add_argument("--network", required=True, help="network data file")
         sp.add_argument("--out", required=True, help="output directory")
-        sp.add_argument("--threads", type=int, default=1,
-                        help="worker cap (loading currently runs serially)")
 
     sp = sub.add_parser("dnl", help="replay a fixed departure profile")
     add_common(sp)
@@ -104,18 +102,15 @@ def _build_parser() -> _Parser:
     return p
 
 
-def _load_bundle(args, need_paths=True):
+def _load_bundle(args):
     nodes, links = fileio.load_network(args.network)
     od_pairs = fileio.load_demand(args.demand)
-    if need_paths:
-        if getattr(args, "auto_paths", None):
-            paths = fileio.enumerate_paths(nodes, links, od_pairs, args.auto_paths)
-        elif args.paths:
-            paths = fileio.load_paths(args.paths)
-        else:
-            raise SystemExit(_usage_error("one of --paths or --auto-paths required"))
+    if getattr(args, "auto_paths", None):
+        paths = fileio.enumerate_paths(nodes, links, od_pairs, args.auto_paths)
+    elif args.paths:
+        paths = fileio.load_paths(args.paths)
     else:
-        paths = []
+        raise SystemExit(_usage_error("one of --paths or --auto-paths required"))
     return validate_network(nodes, links, paths, od_pairs)
 
 
@@ -136,12 +131,24 @@ def _warn_dt(net, grid):
         )
 
 
+def _warn_truncated(result):
+    n_bad = int(result.truncated.sum())
+    if n_bad:
+        rows = np.flatnonzero(result.truncated.any(axis=1))[:5]
+        print(
+            f"warning: {n_bad} path/departure cells not completed within the "
+            f"horizon (first affected paths: {[result.path_order[r] for r in rows]})",
+            file=sys.stderr,
+        )
+
+
 def cmd_dnl(args) -> int:
     net = _load_bundle(args)
     grid = _make_grid(args)
     _warn_dt(net, grid)
     h = fileio.load_departures(args.departures, tuple(net.paths), grid.n_steps)
     result = run_dnl(net, h, grid)
+    _warn_truncated(result)
     fileio.write_dnl_results(result, args.out)
     print(f"dnl complete: {len(net.paths)} paths, {grid.n_steps} steps, "
           f"outputs in {args.out}")
@@ -170,6 +177,7 @@ def cmd_due(args) -> int:
         initial_window_s=window,
     )
     report = solve_due(net, grid, config)
+    _warn_truncated(report.final_dnl)
     for i, g in enumerate(report.relative_gap_history, start=1):
         print(f"iter {i:4d}  log10(relative gap) = "
               f"{math.log10(g) if g > 0 else float('-inf'):8.3f}")
@@ -250,8 +258,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as e:
         return int(e.code or 0)
-    if getattr(args, "threads", 1) is not None and getattr(args, "threads", 1) < 1:
-        return _usage_error("--threads must be >= 1")
     try:
         return _COMMANDS[args.command](args)
     except SystemExit as e:

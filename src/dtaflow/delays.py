@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Sequence
+from typing import Dict
 
 import numpy as np
 
@@ -32,16 +32,18 @@ class DelayProfile:
     path_order: tuple
 
 
-def arrival_penalty(arrival_s: float, target_s: float, params: PenaltyParams) -> float:
-    """Cost of arriving off-target: early and late sides weighted separately."""
-    return params.early_weight * max(0.0, target_s - arrival_s) + \
-        params.late_weight * max(0.0, arrival_s - target_s)
+def arrival_penalty(arrival_s, target_s, params: PenaltyParams):
+    """Cost of arriving off-target: early and late sides weighted separately.
+    Works elementwise on arrays."""
+    return params.early_weight * np.maximum(0.0, target_s - arrival_s) + \
+        params.late_weight * np.maximum(0.0, arrival_s - target_s)
 
 
-def truncation_sentinel(grid_t0: float, grid_tf: float, dep_t: float,
-                        params: PenaltyParams) -> float:
+def truncation_sentinel(grid_t0: float, grid_tf: float, dep_t,
+                        params: PenaltyParams):
     """Large finite cost for trips that do not finish within the horizon,
-    dominating any completed trip's cost."""
+    dominating any completed trip's cost. Works elementwise on arrays of
+    departure times."""
     horizon = grid_tf - grid_t0
     return (grid_tf - dep_t) + max(params.early_weight, params.late_weight) * horizon
 
@@ -57,24 +59,16 @@ def effective_delay(result: DNLResult, network: Network,
     for od in network.od_pairs:
         for pid in od.paths:
             target[pid] = od.target_arrival_s
+    missing = [pid for pid in result.path_order if pid not in target]
+    if missing:
+        raise ValueError(f"path {missing[0]} belongs to no O-D pair")
 
     grid = result.grid
     dep_times = grid.times()[: grid.n_steps]
-    psi = np.empty_like(result.travel_time)
-    for p, pid in enumerate(result.path_order):
-        tt = result.travel_time[p]
-        arr = dep_times + tt
-        t_a = target.get(pid)
-        if t_a is None:
-            raise ValueError(f"path {pid} belongs to no O-D pair")
-        pen = params.early_weight * np.maximum(0.0, t_a - arr) + \
-            params.late_weight * np.maximum(0.0, arr - t_a)
-        row = tt + pen
-        bad = result.truncated[p]
-        if bad.any():
-            row[bad] = [
-                truncation_sentinel(grid.t0_s, grid.tf_s, t, params)
-                for t in dep_times[bad]
-            ]
-        psi[p] = row
+    t_a = np.array([target[pid] for pid in result.path_order])[:, None]
+    tt = result.travel_time
+    psi = tt + arrival_penalty(dep_times + tt, t_a, params)
+    bad = result.truncated
+    psi[bad] = truncation_sentinel(
+        grid.t0_s, grid.tf_s, np.broadcast_to(dep_times, bad.shape)[bad], params)
     return DelayProfile(psi, result.path_order)

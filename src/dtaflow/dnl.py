@@ -9,17 +9,14 @@ curves (origin queue first, then links in path order).
 
 from __future__ import annotations
 
-import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .junctions import DistributionMatrix, JunctionIO, get_junction_model
 from .network import Link, Network, TimeGrid
-
-logger = logging.getLogger(__name__)
 
 COUNT_TOL = 1e-9  # veh; equality tolerance on cumulative counts
 _FLOW_EPS = 1e-12  # veh/s; below this a rate is treated as "no flow to label"
@@ -41,7 +38,9 @@ class LinkState:
 
     n_up/n_dn live on the N+1 grid knots; inflow/outflow/entry_composition
     are per step (length N). entry_composition[k] is None when the step had
-    no inflow.
+    no inflow. During a loading the arrays are row views of the loader's
+    per-link tables and fill in step by step; the same objects are returned
+    in DNLResult.link_states.
     """
 
     link: Link
@@ -106,31 +105,39 @@ def _inverse_cum(times: np.ndarray, curve: np.ndarray, y) -> np.ndarray:
     return out
 
 
-def entry_time(state: LinkState, grid: TimeGrid, t: float,
-               count_tol: float = COUNT_TOL) -> float:
+def _exit_times(times: np.ndarray, n_in: np.ndarray, n_out: np.ndarray,
+                a: np.ndarray, min_delay_s: float, tf_s: float) -> np.ndarray:
+    """Exit times of the vehicles entering a FIFO element (link or origin
+    queue) at times `a`: n_out(lambda) = n_in(a), never sooner than
+    a + min_delay_s. NaN where `a` is NaN or the exit falls past tf_s."""
+    y = np.full(a.shape, np.nan)
+    ok = ~np.isnan(a)
+    y[ok] = np.interp(a[ok], times, n_in)
+    lam = _inverse_cum(times, n_out, y - COUNT_TOL)
+    lam = np.maximum(lam, a + min_delay_s)
+    lam[lam > tf_s + 1e-9] = np.nan
+    return lam
+
+
+def entry_time(state: LinkState, grid: TimeGrid, t: float) -> float:
     """Entry time tau(t) of the vehicle exiting at t: N_up(tau) = N_dn(t)."""
     times = grid.times()
     y = _interp(times, state.n_dn, t)
-    tau = float(_inverse_cum(times, state.n_up, y - count_tol)[0])
+    tau = float(_inverse_cum(times, state.n_up, y - COUNT_TOL)[0])
     return min(tau, t)
 
 
-def exit_time(state: LinkState, grid: TimeGrid, t: float,
-              count_tol: float = COUNT_TOL) -> float:
+def exit_time(state: LinkState, grid: TimeGrid, t: float) -> float:
     """Exit time lambda(t) of the vehicle entering at t: N_dn(lambda) = N_up(t).
 
-    Returns NaN (unresolved exit) when the vehicle has not left by the end
-    of the horizon. Degenerates to the free-flow continuation t + L/v on an
-    empty link.
+    Scalar form of the exit-time map the loader chains into path travel
+    times. Returns NaN (unresolved exit) when the vehicle has not left by
+    the end of the horizon. Degenerates to the free-flow continuation
+    t + L/v on an empty link.
     """
-    times = grid.times()
-    y = _interp(times, state.n_up, t)
-    lam = float(_inverse_cum(times, state.n_dn, y - count_tol)[0])
-    ff = t + state.link.free_flow_time_s
-    if math.isnan(lam):
-        return math.nan
-    lam = max(lam, ff)
-    return lam if lam <= grid.tf_s + 1e-9 else math.nan
+    return float(_exit_times(grid.times(), state.n_up, state.n_dn,
+                             np.array([t], dtype=float),
+                             state.link.free_flow_time_s, grid.tf_s)[0])
 
 
 def _lagged_rate(times: np.ndarray, curve: np.ndarray, s: float, t: float,
@@ -147,8 +154,7 @@ def _lagged_rate(times: np.ndarray, curve: np.ndarray, s: float, t: float,
     return (_interp(times, curve, s1) - _interp(times, curve, s)) / (s1 - s)
 
 
-def link_demand(link: Link, state: LinkState, grid: TimeGrid, t: float,
-                count_tol: float = COUNT_TOL) -> float:
+def link_demand(link: Link, state: LinkState, grid: TimeGrid, t: float) -> float:
     """Boundary demand: inflow lagged by the free-flow time while the exit is
     uncongested, the capacity otherwise."""
     times = grid.times()
@@ -158,13 +164,12 @@ def link_demand(link: Link, state: LinkState, grid: TimeGrid, t: float,
         return 0.0
     n_up_lag = _interp(times, state.n_up, s)
     n_dn_now = state.n_dn[k]
-    if n_up_lag <= n_dn_now + count_tol:
+    if n_up_lag <= n_dn_now + COUNT_TOL:
         return _lagged_rate(times, state.n_up, s, t, grid.dt_s)
     return link.capacity_vps
 
 
-def link_supply(link: Link, state: LinkState, grid: TimeGrid, t: float,
-                count_tol: float = COUNT_TOL) -> float:
+def link_supply(link: Link, state: LinkState, grid: TimeGrid, t: float) -> float:
     """Boundary supply: capacity until the storage bound binds, then the
     outflow lagged by the backward-wave time."""
     times = grid.times()
@@ -172,7 +177,7 @@ def link_supply(link: Link, state: LinkState, grid: TimeGrid, t: float,
     s = t - link.length_m / link.backward_speed_mps
     n_dn_lag = _interp(times, state.n_dn, s) if s >= grid.t0_s else 0.0
     bound = n_dn_lag + link.storage_veh
-    if state.n_up[k] >= bound - count_tol:
+    if state.n_up[k] >= bound - COUNT_TOL:
         return _lagged_rate(times, state.n_dn, s, t, grid.dt_s)
     return link.capacity_vps
 
@@ -233,11 +238,9 @@ class _Junction:
 
 class _Loader:
     def __init__(self, network: Network, departures: np.ndarray, grid: TimeGrid,
-                 junction_model: str = "fifo_priority",
-                 count_tol: float = COUNT_TOL):
+                 junction_model: str = "fifo_priority"):
         self.net = network
         self.grid = grid
-        self.count_tol = count_tol
         self.model = get_junction_model(junction_model)
 
         self.path_ids = tuple(network.paths)
@@ -253,16 +256,9 @@ class _Loader:
                 f"departure matrix shape {h.shape} does not match "
                 f"(paths, steps) = ({nP}, {N})"
             )
-        if np.any(h < 0):
-            raise DNLError("departure rates must be nonnegative")
+        if not np.all(np.isfinite(h) & (h >= 0)):
+            raise DNLError("departure rates must be finite and nonnegative")
         self.h = h
-
-        if grid.dt_s > network.min_free_flow_time_s:
-            logger.warning(
-                "time step %.3g s exceeds the minimum link free-flow time %.3g s; "
-                "results degrade to one-step resolution on short links",
-                grid.dt_s, network.min_free_flow_time_s,
-            )
 
         # next-hop table: next_of[link][path] = next link index, SINK, or NO_HOP
         self.next_of = np.full((nL, nP), NO_HOP, dtype=np.int64)
@@ -295,8 +291,11 @@ class _Loader:
         self.inflow = np.zeros((nL, N))
         self.outflow = np.zeros((nL, N))
         self.comp: List[List[Optional[Composition]]] = [[None] * N for _ in range(nL)]
-        # prev_comp[l][k]: latest step <= k with a recorded composition, -1 if none
-        self.prev_comp = np.full((nL, N), -1, dtype=np.int64)
+        self.states = [
+            LinkState(link, self.n_up[li], self.n_dn[li], self.inflow[li],
+                      self.outflow[li], self.comp[li])
+            for li, link in enumerate(self.links)
+        ]
 
         self.queue = np.zeros((len(self.origin_ids), N + 1))
         self.cum_srv = np.zeros((len(self.origin_ids), N + 1))
@@ -359,56 +358,40 @@ class _Loader:
 
     # -- per-step machinery ---------------------------------------------------
 
-    def _comp_at_count(self, curve: np.ndarray, comps: List[Optional[Composition]],
-                       prev: Optional[np.ndarray], value: float, k: int
-                       ) -> Optional[Composition]:
-        idx = int(np.searchsorted(curve[: k + 1], value + self.count_tol,
-                                  side="right")) - 1
-        idx = min(idx, k - 1)
-        if idx < 0:
-            return None
-        if comps[idx] is not None:
-            return comps[idx]
-        if prev is not None:
-            j = prev[idx]
-            return comps[j] if j >= 0 else None
-        for j in range(idx - 1, -1, -1):
+    def _comp_at_count(self, li: int, k: int) -> Optional[Composition]:
+        """Composition of the vehicles now at the exit of link li: the entry
+        composition of the step in which they entered (at most k - 1), or
+        of the latest earlier step that has one."""
+        comps = self.comp[li]
+        idx = int(np.searchsorted(self.n_up[li, : k + 1],
+                                  self.n_dn[li, k] + COUNT_TOL, side="right")) - 1
+        for j in range(min(idx, k - 1), -1, -1):
             if comps[j] is not None:
                 return comps[j]
         return None
 
-    def _link_exit_comp(self, li: int, k: int) -> Optional[Composition]:
-        return self._comp_at_count(
-            self.n_up[li], self.comp[li], self.prev_comp[li], self.n_dn[li, k], k
-        )
-
     def _source_comp(self, oi: int, k: int) -> Optional[Composition]:
-        o = self.origin_ids[oi]
-        opaths = self.origin_paths[o]
-        if self.queue[oi, k] > self.count_tol:
+        opaths = self.origin_paths[self.origin_ids[oi]]
+        if self.queue[oi, k] > COUNT_TOL:
             # queue head: departure composition where the service count sits
             idx = int(np.searchsorted(
                 self.cum_dep[oi, : k + 1],
-                self.cum_srv[oi, k] + self.count_tol, side="right")) - 1
-            idx = max(0, min(idx, k - 1))
-            for j in range(idx, -1, -1):
-                rates = self.h[opaths, j]
-                tot = rates.sum()
-                if tot > _FLOW_EPS:
-                    nz = rates > 0
-                    return opaths[nz], rates[nz] / tot
-            return None
-        rates = self.h[opaths, k]
-        tot = rates.sum()
-        if tot <= _FLOW_EPS:
-            return None
-        nz = rates > 0
-        return opaths[nz], rates[nz] / tot
+                self.cum_srv[oi, k] + COUNT_TOL, side="right")) - 1
+            steps = range(max(0, min(idx, k - 1)), -1, -1)
+        else:
+            steps = (k,)
+        for j in steps:
+            rates = self.h[opaths, j]
+            tot = rates.sum()
+            if tot > _FLOW_EPS:
+                nz = rates > 0
+                return opaths[nz], rates[nz] / tot
+        return None
 
     def _effective_demand(self, li: int, k: int) -> float:
         link = self.links[li]
         t = self.times[k]
-        d = link_demand(link, self._state_view(li), self.grid, t, self.count_tol)
+        d = link_demand(link, self.states[li], self.grid, t)
         s = min(t + self.grid.dt_s - link.free_flow_time_s, t)
         avail = max(0.0, _interp(self.times, self.n_up[li], s) - self.n_dn[li, k])
         return min(d, avail / self.grid.dt_s)
@@ -416,22 +399,17 @@ class _Loader:
     def _effective_supply(self, li: int, k: int) -> float:
         link = self.links[li]
         t = self.times[k]
-        s_rate = link_supply(link, self._state_view(li), self.grid, t, self.count_tol)
+        s_rate = link_supply(link, self.states[li], self.grid, t)
         s = min(t + self.grid.dt_s - link.length_m / link.backward_speed_mps, t)
         n_dn_lag = _interp(self.times, self.n_dn[li], s) if s >= self.grid.t0_s else 0.0
         space = max(0.0, n_dn_lag + link.storage_veh - self.n_up[li, k])
         return min(s_rate, space / self.grid.dt_s)
-
-    def _state_view(self, li: int) -> LinkState:
-        return LinkState(self.links[li], self.n_up[li], self.n_dn[li],
-                         self.inflow[li], self.outflow[li], self.comp[li])
 
     def run(self) -> DNLResult:
         grid = self.grid
         N = grid.n_steps
         dt = grid.dt_s
         nL = len(self.links)
-        nP = len(self.path_ids)
 
         for k in range(N):
             D_eff = np.array([self._effective_demand(li, k) for li in range(nL)])
@@ -456,7 +434,7 @@ class _Loader:
                 for si, li in enumerate(J.in_links):
                     demands[si] = D_eff[li]
                     if demands[si] > _FLOW_EPS:
-                        comps[si] = self._link_exit_comp(li, k)
+                        comps[si] = self._comp_at_count(li, k)
                         if comps[si] is None:
                             raise DNLError(
                                 f"link {self.link_ids[li]} demands flow at step {k} "
@@ -539,11 +517,6 @@ class _Loader:
 
             for lj, mixed in new_comps:
                 self.comp[lj][k] = mixed
-            for li in range(nL):
-                if self.comp[li][k] is not None:
-                    self.prev_comp[li, k] = k
-                else:
-                    self.prev_comp[li, k] = self.prev_comp[li, k - 1] if k > 0 else -1
 
             self.n_up[:, k + 1] = self.n_up[:, k] + dt * inflow_k
             self.n_dn[:, k + 1] = self.n_dn[:, k] + dt * outflow_k
@@ -571,61 +544,38 @@ class _Loader:
 
     # -- travel-time extraction -------------------------------------------------
 
-    def _origin_exit_times(self, oi: int, a: np.ndarray) -> np.ndarray:
-        dep = self.cum_dep[oi]
-        srv = self.cum_srv[oi]
-        y = np.interp(a, self.times, dep)
-        lam = _inverse_cum(self.times, srv, y - self.count_tol)
-        return np.maximum(lam, a)
-
-    def _link_exit_times(self, li: int, a: np.ndarray) -> np.ndarray:
-        link = self.links[li]
-        y = np.full(a.shape, np.nan)
-        ok = ~np.isnan(a)
-        y[ok] = np.interp(a[ok], self.times, self.n_up[li])
-        lam = _inverse_cum(self.times, self.n_dn[li], y - self.count_tol)
-        lam = np.maximum(lam, a + link.free_flow_time_s)
-        lam[lam > self.grid.tf_s + 1e-9] = np.nan
-        return lam
-
     def _extract_result(self) -> DNLResult:
         N = self.grid.n_steps
-        nP = len(self.path_ids)
+        tf = self.grid.tf_s
         dep_times = self.times[:N]
-        tt = np.full((nP, N), np.nan)
+        tt = np.full((len(self.path_ids), N), np.nan)
         for p, pid in enumerate(self.path_ids):
             path = self.net.paths[pid]
-            a = self._origin_exit_times(self.oidx[path.od[0]], dep_times.copy())
+            oi = self.oidx[path.od[0]]
+            a = _exit_times(self.times, self.cum_dep[oi], self.cum_srv[oi],
+                            dep_times, 0.0, tf)
             for lid in path.links:
-                a = self._link_exit_times(self.lidx[lid], a)
+                li = self.lidx[lid]
+                a = _exit_times(self.times, self.n_up[li], self.n_dn[li], a,
+                                self.links[li].free_flow_time_s, tf)
             tt[p] = a - dep_times
-        truncated = np.isnan(tt)
-        if truncated.any():
-            n_bad = int(truncated.sum())
-            rows = np.unique(np.where(truncated)[0])[:5]
-            logger.warning(
-                "%d path/departure cells not completed within the horizon "
-                "(first affected paths: %s)",
-                n_bad, [self.path_ids[r] for r in rows],
-            )
-        arrival = dep_times[None, :] + tt
-        link_states = {
-            lid: self._state_view(self.lidx[lid]) for lid in self.link_ids
-        }
         origin_states = {
             o: OriginState(o, self.queue[oi], self.cum_dep[oi],
                            self.cum_srv[oi], self.srv_comp[oi])
             for o, oi in self.oidx.items()
         }
-        return DNLResult(self.grid, self.path_ids, tt, arrival, link_states,
-                         origin_states, self.balance, truncated)
+        return DNLResult(self.grid, self.path_ids, tt, dep_times[None, :] + tt,
+                         dict(zip(self.link_ids, self.states)), origin_states,
+                         self.balance, np.isnan(tt))
 
 
 def run_dnl(network: Network, departures: np.ndarray, grid: TimeGrid,
-            junction_model: str = "fifo_priority",
-            count_tol: float = COUNT_TOL) -> DNLResult:
+            junction_model: str = "fifo_priority") -> DNLResult:
     """Load the network with the given |P| x N departure-rate matrix.
 
     Rows of `departures` follow the iteration order of `network.paths`.
+    Raises DNLError on a wrong shape or on negative or non-finite rates.
+    Cells whose trips do not finish within the horizon are flagged in
+    `truncated`; the loader itself prints and logs nothing.
     """
-    return _Loader(network, departures, grid, junction_model, count_tol).run()
+    return _Loader(network, departures, grid, junction_model).run()

@@ -29,16 +29,14 @@ departures file: plain CSV, one row per path: path id followed by N rates.
 from __future__ import annotations
 
 import csv
-import io
 import json
 import os
-from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import networkx as nx
 import numpy as np
 
-from .network import Link, Network, NetworkError, Node, ODPair, Path, TimeGrid
+from .network import Link, NetworkError, Node, ODPair, Path
 
 
 class ParseError(ValueError):
@@ -197,8 +195,9 @@ def load_demand(path: str) -> List[ODPair]:
 
 
 def load_departures(path: str, path_order: Sequence[str], n_steps: int) -> np.ndarray:
-    """Read the |P| x N departure-rate matrix, checking dimensions and signs."""
-    rows: Dict[str, List[float]] = {}
+    """Read the |P| x N departure-rate matrix, checking dimensions, signs and
+    that every rate is finite."""
+    rows: Dict[str, np.ndarray] = {}
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         for lineno, row in enumerate(reader, start=1):
@@ -215,14 +214,16 @@ def load_departures(path: str, path_order: Sequence[str], n_steps: int) -> np.nd
                     f"expected N = {n_steps}"
                 )
             try:
-                vals = [float(v) for v in values]
+                vals = np.array([float(v) for v in values])
             except ValueError:
                 raise ParseError(f"{path}:{lineno}: non-numeric rate") from None
-            for j, v in enumerate(vals):
-                if v < 0:
-                    raise ParseError(
-                        f"{path}:{lineno}: negative rate at (path {pid}, step {j})"
-                    )
+            bad = np.flatnonzero(~(np.isfinite(vals) & (vals >= 0)))
+            if bad.size:
+                j = int(bad[0])
+                kind = "non-finite" if not np.isfinite(vals[j]) else "negative"
+                raise ParseError(
+                    f"{path}:{lineno}: {kind} rate at (path {pid}, step {j})"
+                )
             rows[pid] = vals
     missing = [p for p in path_order if p not in rows]
     if missing:
@@ -291,23 +292,28 @@ def _matrix_rows(path_order, matrix):
         yield [pid] + [_fmt(v) for v in row]
 
 
-def write_dnl_results(result, out_dir: str) -> None:
-    """Tabular outputs of a loading run: travel times plus the four per-link
-    display metrics (density, relative density, relative in/outflow)."""
-    os.makedirs(out_dir, exist_ok=True)
-    grid = result.grid
-    N = grid.n_steps
-    times = grid.times()
+def _time_header(grid) -> List[str]:
+    return ["path_id"] + [_fmt(t) for t in grid.times()[: grid.n_steps]]
 
-    header = ["path_id"] + [_fmt(t) for t in times[:N]]
-    _write_csv(os.path.join(out_dir, "travel_times.csv"), header,
+
+def _write_summary(out_dir: str, summary: dict) -> None:
+    with open(os.path.join(out_dir, "summary.json"), "w") as fh:
+        json.dump(summary, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+
+
+def _write_loading_tables(result, out_dir: str) -> None:
+    """travel_times.csv and link_timeseries.csv of one loading run."""
+    grid = result.grid
+    times = grid.times()
+    _write_csv(os.path.join(out_dir, "travel_times.csv"), _time_header(grid),
                _matrix_rows(result.path_order, result.travel_time))
 
     rows = []
     for lid in sorted(result.link_states):
         st = result.link_states[lid]
         L = st.link.length_m
-        for k in range(N):
+        for k in range(grid.n_steps):
             n_veh = st.n_up[k] - st.n_dn[k]
             dens = n_veh / L
             rows.append([
@@ -323,30 +329,33 @@ def write_dnl_results(result, out_dir: str) -> None:
         rows,
     )
 
-    summary = {
+
+def write_dnl_results(result, out_dir: str) -> None:
+    """Tabular outputs of a loading run: travel times plus the four per-link
+    display metrics (density, relative density, relative in/outflow),
+    summary and plot script."""
+    os.makedirs(out_dir, exist_ok=True)
+    grid = result.grid
+    _write_loading_tables(result, out_dir)
+    _write_summary(out_dir, {
         "mode": "dnl",
         "n_paths": len(result.path_order),
-        "n_steps": N,
+        "n_steps": grid.n_steps,
         "dt_s": grid.dt_s,
         "t0_s": grid.t0_s,
         "tf_s": grid.tf_s,
         "truncated_cells": int(result.truncated.sum()),
         "max_balance_residual": float(result.diagnostics.max()),
-    }
-    with open(os.path.join(out_dir, "summary.json"), "w") as fh:
-        json.dump(summary, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    _write_plot_script(out_dir, mode="dnl")
+    })
+    _write_plot_script(out_dir)
 
 
 def write_due_results(report, result, out_dir: str) -> None:
     """SolveReport artifacts: final rates and delays, O-D gaps, convergence
-    trace, link time series, summary and plot script."""
+    trace, the final loading's tables, summary and plot script."""
     os.makedirs(out_dir, exist_ok=True)
     grid = result.grid
-    N = grid.n_steps
-    times = grid.times()
-    header = ["path_id"] + [_fmt(t) for t in times[:N]]
+    header = _time_header(grid)
 
     _write_csv(os.path.join(out_dir, "h_final.csv"), header,
                _matrix_rows(report.path_order, report.h_final))
@@ -358,9 +367,8 @@ def write_due_results(report, result, out_dir: str) -> None:
     _write_csv(os.path.join(out_dir, "convergence.csv"),
                ["iteration", "relative_gap"],
                [[i + 1, _fmt(g)] for i, g in enumerate(report.relative_gap_history)])
-    write_dnl_results(result, out_dir)
-
-    summary = {
+    _write_loading_tables(result, out_dir)
+    _write_summary(out_dir, {
         "mode": "due",
         "converged": bool(report.converged),
         "status": "CONVERGED" if report.converged else "NOT-CONVERGED",
@@ -369,14 +377,11 @@ def write_due_results(report, result, out_dir: str) -> None:
         "dnl_time_s": report.dnl_time_s,
         "update_time_s": report.update_time_s,
         "n_paths": len(report.path_order),
-        "n_steps": N,
+        "n_steps": grid.n_steps,
         "dt_s": grid.dt_s,
         "max_od_gap_s": max(report.od_gaps.values()) if report.od_gaps else 0.0,
-    }
-    with open(os.path.join(out_dir, "summary.json"), "w") as fh:
-        json.dump(summary, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    _write_plot_script(out_dir, mode="due")
+    })
+    _write_plot_script(out_dir)
 
 
 _PLOT_SCRIPT = '''\
@@ -425,7 +430,7 @@ print("wrote plots to", here)
 '''
 
 
-def _write_plot_script(out_dir: str, mode: str) -> None:
+def _write_plot_script(out_dir: str) -> None:
     with open(os.path.join(out_dir, "plot_results.py"), "w") as fh:
         fh.write(_PLOT_SCRIPT)
 

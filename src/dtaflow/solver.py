@@ -15,11 +15,13 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from .delays import DelayProfile, PenaltyParams, effective_delay
+from .delays import PenaltyParams, effective_delay
 from .dnl import DNLResult, run_dnl
 from .network import Network, TimeGrid
 
 logger = logging.getLogger(__name__)
+
+USED_FLOW_FRACTION = 1e-6  # a cell is "used" above this share of its O-D peak
 
 
 @dataclass(frozen=True)
@@ -29,8 +31,6 @@ class SolverConfig:
     max_iters: int = 100
     br_tolerance: float = 0.0  # indifference band, cost-seconds
     bisect_tol: float = 1e-8  # dual residual tolerance, relative to Q
-    used_flow_threshold: float = 1e-6  # fraction of row max defining "used"
-    junction_model: str = "fifo_priority"
     penalty: PenaltyParams = field(default_factory=PenaltyParams)
     initial_window_s: Optional[Tuple[float, float]] = None  # default: full horizon
 
@@ -188,8 +188,8 @@ def relative_gap(h_new: np.ndarray, h_old: np.ndarray, dt_s: float) -> float:
     return num / den
 
 
-def od_gap(h: np.ndarray, psi: np.ndarray, network: Network, path_order: tuple,
-           used_threshold: float = 1e-6) -> Dict[Tuple[str, str], float]:
+def od_gap(h: np.ndarray, psi: np.ndarray, network: Network,
+           path_order: tuple) -> Dict[Tuple[str, str], float]:
     """Per O-D spread (max - min) of cost over used departure cells."""
     blocks = _od_blocks(network, path_order)
     gaps: Dict[Tuple[str, str], float] = {}
@@ -199,7 +199,7 @@ def od_gap(h: np.ndarray, psi: np.ndarray, network: Network, path_order: tuple,
             continue
         hb = h[rows]
         peak = hb.max()
-        used = hb > used_threshold * peak if peak > 0 else np.zeros_like(hb, bool)
+        used = hb > USED_FLOW_FRACTION * peak if peak > 0 else np.zeros_like(hb, bool)
         if not used.any():
             logger.warning("O-D %s has no used departure cells", key)
             gaps[key] = 0.0
@@ -238,7 +238,7 @@ def solve_due(network: Network, grid: TimeGrid, config: SolverConfig,
     psi = None
     for it in range(config.max_iters):
         t0 = time.perf_counter()
-        result = run_dnl(network, h, grid, config.junction_model)
+        result = run_dnl(network, h, grid)
         profile = effective_delay(result, network, config.penalty)
         psi = profile.psi
         dnl_time += time.perf_counter() - t0
@@ -262,10 +262,10 @@ def solve_due(network: Network, grid: TimeGrid, config: SolverConfig,
 
     # one extra loading to report delays and gaps consistent with h_final
     t0 = time.perf_counter()
-    result = run_dnl(network, h, grid, config.junction_model)
+    result = run_dnl(network, h, grid)
     psi_final = effective_delay(result, network, config.penalty).psi
     dnl_time += time.perf_counter() - t0
-    gaps = od_gap(h, psi_final, network, path_order, config.used_flow_threshold)
+    gaps = od_gap(h, psi_final, network, path_order)
 
     return SolveReport(
         converged=converged,

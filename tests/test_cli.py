@@ -79,11 +79,6 @@ class TestUsageErrors:
         assert main(argv) == 1
         assert "LO:HI" in capsys.readouterr().err
 
-    def test_bad_thread_count(self, tiny):
-        files, tmp = tiny
-        argv = due_args(files, str(tmp / "out")) + ["--threads", "0"]
-        assert main(argv) == 1
-
 
 class TestExitCodes:
     def test_parse_error_is_2(self, tiny, capsys):
@@ -115,20 +110,36 @@ class TestExitCodes:
         assert "expected N" in capsys.readouterr().err
 
 
+def braess_replay_args(out, departures=os.path.join(DATA, "departures.csv")):
+    return ["dnl", "--network", os.path.join(DATA, "network.txt"),
+            "--paths", os.path.join(DATA, "paths.txt"),
+            "--demand", os.path.join(DATA, "demand.txt"),
+            "--departures", departures,
+            "--out", out, "--dt", "30", "--horizon", "2400"]
+
+
 class TestDnlCommand:
     def test_braess_fixture_replay(self, tmp_path, capsys):
         out = str(tmp_path / "out")
-        argv = ["dnl", "--network", os.path.join(DATA, "network.txt"),
-                "--paths", os.path.join(DATA, "paths.txt"),
-                "--demand", os.path.join(DATA, "demand.txt"),
-                "--departures", os.path.join(DATA, "departures.csv"),
-                "--out", out, "--dt", "30", "--horizon", "2400"]
-        assert main(argv) == 0
+        assert main(braess_replay_args(out)) == 0
         assert "dnl complete" in capsys.readouterr().out
         for name in ("travel_times.csv", "link_timeseries.csv", "summary.json"):
             assert os.path.exists(os.path.join(out, name))
         with open(os.path.join(out, "summary.json")) as fh:
             assert json.load(fh)["mode"] == "dnl"
+
+    def test_nan_departure_is_parse_error(self, tmp_path, capsys):
+        with open(os.path.join(DATA, "departures.csv")) as fh:
+            lines = fh.read().splitlines()
+        cells = lines[0].split(",")
+        cells[3] = "nan"
+        lines[0] = ",".join(cells)
+        bad = tmp_path / "departures.csv"
+        bad.write_text("\n".join(lines) + "\n")
+        assert main(braess_replay_args(str(tmp_path / "out"), str(bad))) == 2
+        err = capsys.readouterr().err
+        assert "parse error" in err
+        assert ":1: non-finite rate at (path p1, step 2)" in err
 
     def test_coarse_dt_prints_warning(self, tiny, capsys):
         files, tmp = tiny
@@ -156,6 +167,14 @@ class TestDueCommand:
         for name in ("h_final.csv", "eff_delay.csv", "od_gaps.csv",
                      "convergence.csv", "travel_times.csv"):
             assert os.path.exists(os.path.join(out, name))
+
+    def test_truncation_warned_once(self, tiny, capsys):
+        files, tmp = tiny
+        # a 100 s link and a 700 s horizon: cells departing after 600 s
+        # cannot finish, in every one of the solve's loadings
+        assert main(due_args(files, str(tmp / "out"))) == 0
+        err = capsys.readouterr().err
+        assert err.count("not completed within the horizon") == 1
 
     def test_auto_paths(self, tiny):
         files, tmp = tiny

@@ -92,6 +92,19 @@ class TestEffectiveDelay:
         assert prof.psi[0, trunc].min() > completed_max
         assert np.all(np.isfinite(prof.psi))
 
+    def test_matches_per_cell_formulas(self, loaded):
+        # the array evaluation gives exactly the scalar per-cell costs
+        net, grid, res = loaded
+        prof = effective_delay(res, net, PARAMS)
+        dep = grid.times()[: grid.n_steps]
+        for k, t in enumerate(dep):
+            tt = res.travel_time[0, k]
+            if res.truncated[0, k]:
+                want = truncation_sentinel(grid.t0_s, grid.tf_s, t, PARAMS)
+            else:
+                want = tt + arrival_penalty(t + tt, 600.0, PARAMS)
+            assert prof.psi[0, k] == want
+
     def test_sentinel_formula(self):
         # remaining horizon plus the worst-case schedule penalty
         val = truncation_sentinel(0.0, 900.0, 750.0, PARAMS)

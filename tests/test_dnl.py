@@ -11,6 +11,7 @@ from dtaflow import Link, TimeGrid, run_dnl
 from dtaflow.dnl import (
     DNLError,
     LinkState,
+    _exit_times,
     entry_time,
     exit_time,
     link_demand,
@@ -356,19 +357,29 @@ def test_wrong_departure_shape_rejected():
 def test_negative_departures_rejected():
     net = single_link_network()
     grid = TimeGrid(0.0, 600.0, 10.0)
-    h = np.zeros((1, grid.n_steps))
-    h[0, 0] = -1.0
-    with pytest.raises(DNLError, match="nonnegative"):
-        run_dnl(net, h, grid)
+    for bad in (-1.0, math.nan, math.inf):
+        h = np.zeros((1, grid.n_steps))
+        h[0, 0] = bad
+        with pytest.raises(DNLError, match="nonnegative"):
+            run_dnl(net, h, grid)
 
 
-def test_coarse_grid_warns(caplog):
-    net = single_link_network()  # free-flow time 100 s
-    grid = TimeGrid(0.0, 600.0, 150.0)
-    h = path_matrix(net, grid, {"p1": 0.1}, until_s=300.0)
-    with caplog.at_level("WARNING", logger="dtaflow.dnl"):
-        run_dnl(net, h, grid)
-    assert any("free-flow time" in r.message for r in caplog.records)
+def test_chained_exit_times_give_travel_time():
+    # capacity 0.5 veh/s below the 0.8 veh/s departures: an origin queue forms
+    net = single_link_network(1200.0, 12.0, 0.5)
+    grid = TimeGrid(0.0, 1500.0, 5.0)
+    h = path_matrix(net, grid, {"p1": 0.8}, until_s=400.0)
+    res = run_dnl(net, h, grid)
+    origin = next(iter(res.origin_states.values()))
+    assert origin.queue_veh.max() > 10.0
+    times = grid.times()
+    dep = times[: grid.n_steps]
+    entered = _exit_times(times, origin.cum_departures, origin.cum_served,
+                          dep, 0.0, grid.tf_s)
+    state = next(iter(res.link_states.values()))
+    arrived = np.array([exit_time(state, grid, t) for t in entered])
+    np.testing.assert_array_equal(arrived - dep, res.travel_time[0])
+    assert np.nanmax(res.travel_time[0]) > 150.0  # the queue delay counts
 
 
 def test_truncation_flagged_near_horizon():
