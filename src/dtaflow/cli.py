@@ -45,17 +45,28 @@ def _setup_logging():
                         format="%(levelname)s %(name)s: %(message)s")
 
 
+def _finite(text: str) -> float:
+    """argparse type of the float flags: a finite number."""
+    try:
+        x = float(text)
+    except ValueError:
+        x = math.nan
+    if not math.isfinite(x):
+        raise argparse.ArgumentTypeError(f"not a finite number: {text!r}")
+    return x
+
+
 def _build_parser() -> _Parser:
     p = _Parser(prog="dtaflow",
                 description="Dynamic network loading and user-equilibrium solver")
     sub = p.add_subparsers(dest="command", required=True)
 
     def add_grid(sp):
-        sp.add_argument("--dt", type=float, required=True,
+        sp.add_argument("--dt", type=_finite, required=True,
                         help="time step (seconds)")
-        sp.add_argument("--horizon", type=float, required=True,
+        sp.add_argument("--horizon", type=_finite, required=True,
                         help="horizon length tf - t0 (seconds)")
-        sp.add_argument("--t0", type=float, default=0.0,
+        sp.add_argument("--t0", type=_finite, default=0.0,
                         help="horizon start (seconds, default 0)")
 
     def add_common(sp):
@@ -78,14 +89,14 @@ def _build_parser() -> _Parser:
                     help="generate up to K shortest paths per O-D instead")
     sp.add_argument("--demand", required=True, help="O-D demand file")
     add_grid(sp)
-    sp.add_argument("--alpha", type=float, required=True, help="step size > 0")
-    sp.add_argument("--epsilon", type=float, default=1e-4,
+    sp.add_argument("--alpha", type=_finite, required=True, help="step size > 0")
+    sp.add_argument("--epsilon", type=_finite, default=1e-4,
                     help="relative-gap threshold")
     sp.add_argument("--max-iters", type=int, default=100)
-    sp.add_argument("--br-tolerance", type=float, default=0.0,
+    sp.add_argument("--br-tolerance", type=_finite, default=0.0,
                     help="bounded-rationality indifference band (seconds)")
-    sp.add_argument("--early-weight", type=float, default=0.5)
-    sp.add_argument("--late-weight", type=float, default=2.0)
+    sp.add_argument("--early-weight", type=_finite, default=0.5)
+    sp.add_argument("--late-weight", type=_finite, default=2.0)
     sp.add_argument("--init-window", type=str, default=None,
                     metavar="LO:HI", help="initial departure window (seconds)")
 
@@ -164,8 +175,8 @@ def cmd_due(args) -> int:
     window = None
     if args.init_window:
         try:
-            lo, hi = (float(x) for x in args.init_window.split(":"))
-        except ValueError:
+            lo, hi = (_finite(x) for x in args.init_window.split(":"))
+        except (ValueError, argparse.ArgumentTypeError):
             return _usage_error("--init-window must look like LO:HI")
         window = (lo, hi)
     config = SolverConfig(

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Dict
 
@@ -20,8 +21,9 @@ class PenaltyParams:
     late_weight: float = 2.0
 
     def __post_init__(self):
-        if self.early_weight < 0 or self.late_weight < 0:
-            raise ValueError("penalty weights must be nonnegative")
+        if not all(math.isfinite(w) and w >= 0
+                   for w in (self.early_weight, self.late_weight)):
+            raise ValueError("penalty weights must be nonnegative and finite")
 
 
 @dataclass

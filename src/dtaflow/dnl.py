@@ -77,14 +77,6 @@ class DNLResult:
 # -- elementary curve operations ----------------------------------------------
 
 
-def _interp(times: np.ndarray, curve: np.ndarray, t: float) -> float:
-    if t <= times[0]:
-        return float(curve[0])
-    if t >= times[-1]:
-        return float(curve[-1])
-    return float(np.interp(t, times, curve))
-
-
 def _inverse_cum(times: np.ndarray, curve: np.ndarray, y) -> np.ndarray:
     """Earliest time at which the nondecreasing piecewise-linear `curve`
     reaches `y`; NaN where y exceeds the recorded maximum."""
@@ -122,7 +114,7 @@ def _exit_times(times: np.ndarray, n_in: np.ndarray, n_out: np.ndarray,
 def entry_time(state: LinkState, grid: TimeGrid, t: float) -> float:
     """Entry time tau(t) of the vehicle exiting at t: N_up(tau) = N_dn(t)."""
     times = grid.times()
-    y = _interp(times, state.n_dn, t)
+    y = np.interp(t, times, state.n_dn)
     tau = float(_inverse_cum(times, state.n_up, y - COUNT_TOL)[0])
     return min(tau, t)
 
@@ -140,58 +132,81 @@ def exit_time(state: LinkState, grid: TimeGrid, t: float) -> float:
                              state.link.free_flow_time_s, grid.tf_s)[0])
 
 
-def _lagged_rate(times: np.ndarray, curve: np.ndarray, s: float, t: float,
-                 dt_s: float) -> float:
-    """Average slope of a cumulative curve over [s, min(s + dt, t)].
+def _read(times: np.ndarray, curves: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """Row i of `curves` read at the times s[..., i], with np.interp's
+    arithmetic: exact at knots, held at the end values outside the grid."""
+    j = np.minimum(np.maximum(np.searchsorted(times, s, side="right") - 1, 0),
+                   len(times) - 2)
+    rows = np.arange(len(curves))
+    c0 = curves[rows, j]
+    tj = times[j]
+    v = (curves[rows, j + 1] - c0) / (times[j + 1] - tj) * (s - tj) + c0
+    return np.where(s <= tj, c0, np.where(s >= times[-1], curves[:, -1], v))
 
-    This is the discrete stand-in for the instantaneous boundary rate at the
-    lagged time s; when s falls on a grid knot it reduces to the recorded
-    per-step rate, and when it falls mid-step it blends the two neighbouring
-    steps instead of snapping to one of them (which can stall flow by a full
-    step whenever a lag is not a multiple of dt).
+
+def _link_params(links: Sequence[Link]) -> np.ndarray:
+    """Per-link rows of (free-flow time, backward-wave time, capacity,
+    storage), as a 4 x L array."""
+    return np.array([(l.free_flow_time_s, l.length_m / l.backward_speed_mps,
+                      l.capacity_vps, l.storage_veh) for l in links]).T
+
+
+def _boundary_flows(times: np.ndarray, dt_s: float, n_up: np.ndarray,
+                    n_dn: np.ndarray, t: float, params: np.ndarray):
+    """(demand, supply, capped demand, capped supply) at time t of the links
+    whose counts are the rows of n_up/n_dn; params as from _link_params.
+
+    A boundary rate at the lagged time s is the average slope of its curve
+    over [s, s1], s1 = min(s + dt, t): on a knot the recorded per-step rate,
+    mid-step a blend of the two neighbouring steps (snapping to one can stall
+    flow by a full step when a lag is not a multiple of dt), and never past
+    the knots written so far. The caps are what one step can pass: vehicles
+    at the exit by s1, room under the storage bound at s1.
     """
-    s1 = min(s + dt_s, t)  # never read knots the loader has not written yet
-    return (_interp(times, curve, s1) - _interp(times, curve, s)) / (s1 - s)
+    capacity, storage = params[2:]
+    k = int(round((t - times[0]) / dt_s))
+    s = t - params[:2]  # lagged times of the upstream and downstream curves
+    s1 = np.minimum(s + dt_s, t)
+    lagged = np.stack([s, s1], axis=1)
+    up, up1 = _read(times, n_up, lagged[0])
+    dn, dn1 = _read(times, n_dn, lagged[1])
+    up_k, dn_k = n_up[:, k], n_dn[:, k]
+    demand = np.where(s[0] < times[0], 0.0,
+                      np.where(up <= dn_k + COUNT_TOL,
+                               (up1 - up) / (s1[0] - s[0]), capacity))
+    supply = np.where(up_k >= dn + storage - COUNT_TOL,
+                      (dn1 - dn) / (s1[1] - s[1]), capacity)
+    return (demand, supply,
+            np.minimum(demand, np.maximum(0.0, up1 - dn_k) / dt_s),
+            np.minimum(supply, np.maximum(0.0, dn1 + storage - up_k) / dt_s))
+
+
+def _one_link(link: Link, state: LinkState, grid: TimeGrid, t: float):
+    return _boundary_flows(grid.times(), grid.dt_s, state.n_up[None],
+                           state.n_dn[None], t, _link_params([link]))
 
 
 def link_demand(link: Link, state: LinkState, grid: TimeGrid, t: float) -> float:
     """Boundary demand: inflow lagged by the free-flow time while the exit is
     uncongested, the capacity otherwise."""
-    times = grid.times()
-    k = int(round((t - grid.t0_s) / grid.dt_s))
-    s = t - link.free_flow_time_s
-    if s < grid.t0_s:
-        return 0.0
-    n_up_lag = _interp(times, state.n_up, s)
-    n_dn_now = state.n_dn[k]
-    if n_up_lag <= n_dn_now + COUNT_TOL:
-        return _lagged_rate(times, state.n_up, s, t, grid.dt_s)
-    return link.capacity_vps
+    return _one_link(link, state, grid, t)[0].item()
 
 
 def link_supply(link: Link, state: LinkState, grid: TimeGrid, t: float) -> float:
     """Boundary supply: capacity until the storage bound binds, then the
     outflow lagged by the backward-wave time."""
-    times = grid.times()
-    k = int(round((t - grid.t0_s) / grid.dt_s))
-    s = t - link.length_m / link.backward_speed_mps
-    n_dn_lag = _interp(times, state.n_dn, s) if s >= grid.t0_s else 0.0
-    bound = n_dn_lag + link.storage_veh
-    if state.n_up[k] >= bound - COUNT_TOL:
-        return _lagged_rate(times, state.n_dn, s, t, grid.dt_s)
-    return link.capacity_vps
+    return _one_link(link, state, grid, t)[1].item()
 
 
-def origin_demand(queue_veh: float, departure_rate_vps: float, big_m: float) -> float:
+def origin_demand(queue_veh, departure_rate_vps, big_m):
     """Origin boundary demand: effectively unbounded while a queue persists,
-    the instantaneous departure rate otherwise."""
-    return big_m if queue_veh > 0 else departure_rate_vps
+    the instantaneous departure rate otherwise. Works elementwise on arrays."""
+    return np.where(queue_veh > 0, big_m, departure_rate_vps)
 
 
-def step_origin_queue(queue_veh: float, departure_rate_vps: float,
-                      served_rate_vps: float, dt_s: float) -> float:
-    """Forward-Euler point-queue update, clamped at zero."""
-    return max(0.0, queue_veh + dt_s * (departure_rate_vps - served_rate_vps))
+def step_origin_queue(queue_veh, departure_rate_vps, served_rate_vps, dt_s: float):
+    """Forward-Euler point-queue update, clamped at zero; elementwise."""
+    return np.maximum(0.0, queue_veh + dt_s * (departure_rate_vps - served_rate_vps))
 
 
 def propagate_composition(
@@ -237,17 +252,17 @@ class _Junction:
 
 
 class _Loader:
-    def __init__(self, network: Network, departures: np.ndarray, grid: TimeGrid,
-                 junction_model: str = "fifo_priority"):
+    def __init__(self, network: Network, departures: np.ndarray, grid: TimeGrid):
         self.net = network
         self.grid = grid
-        self.model = get_junction_model(junction_model)
+        self.model = get_junction_model("fifo_priority")
 
         self.path_ids = tuple(network.paths)
         self.pidx = {p: i for i, p in enumerate(self.path_ids)}
         self.link_ids = tuple(network.links)
         self.lidx = {l: i for i, l in enumerate(self.link_ids)}
         self.links = [network.links[l] for l in self.link_ids]
+        self.link_params = _link_params(self.links)
         nP, nL, N = len(self.path_ids), len(self.link_ids), grid.n_steps
 
         h = np.asarray(departures, dtype=float)
@@ -305,12 +320,10 @@ class _Loader:
         self.cum_dep = np.zeros((len(self.origin_ids), N + 1))
         self.cum_dep[:, 1:] = np.cumsum(self.dep_rate, axis=1) * grid.dt_s
         self.oidx = {o: i for i, o in enumerate(self.origin_ids)}
-        self.big_m = {
-            o: 10.0 * max(
-                network.links[l].capacity_vps for l in network.outgoing[o]
-            )
+        self.big_m = np.array([
+            10.0 * max(network.links[l].capacity_vps for l in network.outgoing[o])
             for o in self.origin_ids
-        }
+        ])
 
         self.exited = np.zeros(N + 1)
         self.balance = np.zeros(N + 1)
@@ -388,23 +401,6 @@ class _Loader:
                 return opaths[nz], rates[nz] / tot
         return None
 
-    def _effective_demand(self, li: int, k: int) -> float:
-        link = self.links[li]
-        t = self.times[k]
-        d = link_demand(link, self.states[li], self.grid, t)
-        s = min(t + self.grid.dt_s - link.free_flow_time_s, t)
-        avail = max(0.0, _interp(self.times, self.n_up[li], s) - self.n_dn[li, k])
-        return min(d, avail / self.grid.dt_s)
-
-    def _effective_supply(self, li: int, k: int) -> float:
-        link = self.links[li]
-        t = self.times[k]
-        s_rate = link_supply(link, self.states[li], self.grid, t)
-        s = min(t + self.grid.dt_s - link.length_m / link.backward_speed_mps, t)
-        n_dn_lag = _interp(self.times, self.n_dn[li], s) if s >= self.grid.t0_s else 0.0
-        space = max(0.0, n_dn_lag + link.storage_veh - self.n_up[li, k])
-        return min(s_rate, space / self.grid.dt_s)
-
     def run(self) -> DNLResult:
         grid = self.grid
         N = grid.n_steps
@@ -412,13 +408,11 @@ class _Loader:
         nL = len(self.links)
 
         for k in range(N):
-            D_eff = np.array([self._effective_demand(li, k) for li in range(nL)])
-            S_eff = np.array([self._effective_supply(li, k) for li in range(nL)])
+            D_eff, S_eff = _boundary_flows(self.times, dt, self.n_up, self.n_dn,
+                                           self.times[k], self.link_params)[2:]
             q_k = self.queue[:, k]
-            D_org = np.zeros(len(self.origin_ids))
-            for oi, o in enumerate(self.origin_ids):
-                d_raw = origin_demand(q_k[oi], self.dep_rate[oi, k], self.big_m[o])
-                D_org[oi] = min(d_raw, q_k[oi] / dt + self.dep_rate[oi, k])
+            dep_k = self.dep_rate[:, k]
+            D_org = np.minimum(origin_demand(q_k, dep_k, self.big_m), q_k / dt + dep_k)
 
             inflow_k = np.zeros(nL)
             outflow_k = np.zeros(nL)
@@ -522,11 +516,8 @@ class _Loader:
             self.n_dn[:, k + 1] = self.n_dn[:, k] + dt * outflow_k
             self.inflow[:, k] = inflow_k
             self.outflow[:, k] = outflow_k
-            for oi in range(len(self.origin_ids)):
-                self.queue[oi, k + 1] = step_origin_queue(
-                    self.queue[oi, k], self.dep_rate[oi, k], served[oi], dt
-                )
-                self.cum_srv[oi, k + 1] = self.cum_srv[oi, k] + dt * served[oi]
+            self.queue[:, k + 1] = step_origin_queue(q_k, dep_k, served, dt)
+            self.cum_srv[:, k + 1] = self.cum_srv[:, k] + dt * served
             self.exited[k + 1] = self.exited[k] + dt * sink_rate
 
             departed = self.cum_dep[:, k + 1].sum()
@@ -569,8 +560,7 @@ class _Loader:
                          self.balance, np.isnan(tt))
 
 
-def run_dnl(network: Network, departures: np.ndarray, grid: TimeGrid,
-            junction_model: str = "fifo_priority") -> DNLResult:
+def run_dnl(network: Network, departures: np.ndarray, grid: TimeGrid) -> DNLResult:
     """Load the network with the given |P| x N departure-rate matrix.
 
     Rows of `departures` follow the iteration order of `network.paths`.
@@ -578,4 +568,4 @@ def run_dnl(network: Network, departures: np.ndarray, grid: TimeGrid,
     Cells whose trips do not finish within the horizon are flagged in
     `truncated`; the loader itself prints and logs nothing.
     """
-    return _Loader(network, departures, grid, junction_model).run()
+    return _Loader(network, departures, grid).run()

@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import os
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -96,9 +97,12 @@ def _to_float(path: str, name: str, value: str, allow_empty=False,
     if value == "" and allow_empty:
         return default
     try:
-        return float(value)
+        x = float(value)
     except ValueError:
         raise ParseError(f"{path}: field {name} is not numeric: {value!r}") from None
+    if not math.isfinite(x):
+        raise ParseError(f"{path}: field {name} is not finite: {value!r}")
+    return x
 
 
 def _to_bool(path: str, name: str, value: str) -> bool:

@@ -113,15 +113,16 @@ def resolve_junction(
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         beta = np.where(oriented > _EPS, np.minimum(1.0, S / oriented), 1.0)
 
-    congested = beta < 1.0 - _EPS
+    # ration by priority only at a congested merge: an exit short of supply
+    # whose feeders (movements into it above 1e-12 of the largest) differ in
+    # priority
     pri = io.priorities
-    active = D > _EPS
-    equal_pri = (
-        not active.any()
-        or np.ptp(pri[active]) <= 1e-12
-    )
+    equal_pri = True
+    for j in np.flatnonzero(beta < 1.0 - _EPS):
+        move = alpha[:, j] * D
+        equal_pri &= np.ptp(pri[move > 1e-12 * move.max()]) <= 1e-12
 
-    if not congested.any() or equal_pri:
+    if equal_pri:
         gamma = np.ones(m)
         for i in range(m):
             used = alpha[i] > _EPS

@@ -21,6 +21,11 @@ class NetworkError(ValueError):
 DEFAULT_SOURCE_PRIORITY = 0.5
 
 
+def _positive(x: float) -> bool:
+    """x is a finite number above zero (False for NaN)."""
+    return math.isfinite(x) and x > 0
+
+
 def derive_fd(
     length_m: float,
     free_speed_mps: float,
@@ -32,18 +37,17 @@ def derive_fd(
     When the backward wave speed is not given it defaults to v/3, the
     convention used for single-parameter link tables.
     """
-    if length_m <= 0 or free_speed_mps <= 0 or capacity_vps <= 0:
+    if not all(_positive(x) for x in (length_m, free_speed_mps, capacity_vps)):
         raise NetworkError(
-            "nonpositive physical parameter: "
+            "nonpositive or non-finite physical parameter: "
             f"L={length_m}, v={free_speed_mps}, C={capacity_vps}"
         )
     if backward_speed_mps is None:
         w = free_speed_mps / 3.0
     else:
-        if backward_speed_mps <= 0:
+        if not _positive(backward_speed_mps):
             raise NetworkError(
-                f"nonpositive physical parameter: w={backward_speed_mps}"
-            )
+                f"nonpositive or non-finite physical parameter: w={backward_speed_mps}")
         w = backward_speed_mps
     rho_c = capacity_vps / free_speed_mps
     rho_jam = rho_c * (1.0 + free_speed_mps / w)
@@ -148,9 +152,11 @@ class ODPair:
     paths: Tuple[str, ...] = ()
 
     def __post_init__(self):
-        if self.demand_veh < 0:
+        if not (math.isfinite(self.demand_veh) and self.demand_veh >= 0
+                and math.isfinite(self.target_arrival_s)):
             raise NetworkError(
-                f"negative demand for O-D ({self.origin}, {self.destination})"
+                f"negative or non-finite demand {self.demand_veh} or target "
+                f"{self.target_arrival_s} for O-D ({self.origin}, {self.destination})"
             )
 
 
@@ -163,10 +169,11 @@ class TimeGrid:
     dt_s: float
 
     def __post_init__(self):
-        if self.tf_s <= self.t0_s:
-            raise NetworkError("time horizon must satisfy tf > t0")
-        if self.dt_s <= 0:
-            raise NetworkError("time step must be positive")
+        if not (math.isfinite(self.t0_s) and _positive(self.tf_s - self.t0_s)):
+            raise NetworkError(f"time horizon [{self.t0_s}, {self.tf_s}] must be "
+                               "finite with tf > t0")
+        if not _positive(self.dt_s):
+            raise NetworkError(f"time step {self.dt_s} must be positive and finite")
 
     @property
     def n_steps(self) -> int:
@@ -193,9 +200,6 @@ class Network:
     @property
     def min_free_flow_time_s(self) -> float:
         return min(l.free_flow_time_s for l in self.links.values())
-
-    def path_free_flow_time_s(self, path_id: str) -> float:
-        return sum(self.links[l].free_flow_time_s for l in self.paths[path_id].links)
 
 
 SOURCE_KEY = ""  # priority-map key for the virtual source at an origin node

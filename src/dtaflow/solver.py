@@ -9,6 +9,7 @@ monotone piecewise-linear residual.
 from __future__ import annotations
 
 import logging
+import math
 import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
@@ -35,14 +36,14 @@ class SolverConfig:
     initial_window_s: Optional[Tuple[float, float]] = None  # default: full horizon
 
     def __post_init__(self):
-        if self.alpha <= 0:
-            raise ValueError("step size alpha must be positive")
-        if self.epsilon <= 0:
-            raise ValueError("epsilon must be positive")
+        if not (math.isfinite(self.alpha) and self.alpha > 0):
+            raise ValueError(f"step size alpha {self.alpha} must be finite and > 0")
+        if not (math.isfinite(self.epsilon) and self.epsilon > 0):
+            raise ValueError(f"epsilon {self.epsilon} must be finite and > 0")
         if self.max_iters < 1:
             raise ValueError("max_iters must be at least 1")
-        if self.br_tolerance < 0:
-            raise ValueError("br_tolerance must be nonnegative")
+        if not (math.isfinite(self.br_tolerance) and self.br_tolerance >= 0):
+            raise ValueError(f"br_tolerance {self.br_tolerance} must be finite and >= 0")
 
 
 @dataclass
@@ -209,18 +210,6 @@ def od_gap(h: np.ndarray, psi: np.ndarray, network: Network,
     return gaps
 
 
-def _alpha_heuristic_check(h: np.ndarray, psi: np.ndarray, alpha: float) -> None:
-    hm = np.median(h[h > 0]) if (h > 0).any() else 0.0
-    pm = np.median(psi[np.isfinite(psi)])
-    if hm > 0 and pm > 0:
-        ratio = alpha * pm / hm
-        if ratio > 100 or ratio < 0.01:
-            logger.warning(
-                "alpha * median(cost) = %.3g is far from median departure rate "
-                "%.3g; consider rescaling the step size", alpha * pm, hm,
-            )
-
-
 def solve_due(network: Network, grid: TimeGrid, config: SolverConfig,
               h0: Optional[np.ndarray] = None) -> SolveReport:
     """Iterate loading -> delays -> projection until the relative gap falls
@@ -242,9 +231,6 @@ def solve_due(network: Network, grid: TimeGrid, config: SolverConfig,
         profile = effective_delay(result, network, config.penalty)
         psi = profile.psi
         dnl_time += time.perf_counter() - t0
-
-        if it == 0:
-            _alpha_heuristic_check(h, psi, config.alpha)
 
         t0 = time.perf_counter()
         h_new = fixed_point_update(h, psi, network, grid, config, path_order)

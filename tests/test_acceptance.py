@@ -45,9 +45,10 @@ from test_dnl import lagged_bound_gap, newell_two_link_tt
 
 
 def audited_dnl(net, h, grid):
-    """Run the loader through a wrapped junction model that records, for every
-    junction call, the conservation residual and the distribution-matrix row
-    sums of rows with positive demand."""
+    """Run the loader through a wrapped junction model, registered in place
+    of the default for one loading, that records, for every junction call,
+    the conservation residual and the distribution-matrix row sums of rows
+    with positive demand."""
     residuals = []
     row_errors = []
 
@@ -61,8 +62,11 @@ def audited_dnl(net, h, grid):
                 row_errors.append(abs(s - 1.0))
         return f_out, f_in
 
-    register_junction_model("acceptance_audit", audit)
-    res = run_dnl(net, h, grid, junction_model="acceptance_audit")
+    register_junction_model("fifo_priority", audit)
+    try:
+        res = run_dnl(net, h, grid)
+    finally:
+        register_junction_model("fifo_priority", resolve_junction)
     return res, np.array(residuals), np.array(row_errors)
 
 

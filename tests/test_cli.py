@@ -80,6 +80,37 @@ class TestUsageErrors:
         assert "LO:HI" in capsys.readouterr().err
 
 
+FLOAT_FLAGS = ["--dt", "--horizon", "--t0", "--alpha", "--epsilon",
+               "--br-tolerance", "--early-weight", "--late-weight"]
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("flag", FLOAT_FLAGS)
+def test_nonfinite_flag_is_usage_error(tiny, capsys, flag, value):
+    files, tmp = tiny
+    argv = due_args(files, str(tmp / "out")) + [f"{flag}={value}"]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert f"error: argument {flag}: not a finite number: '{value}'" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+@pytest.mark.parametrize("name,good,bad,field", [
+    ("network.txt", "1,a,b,1200,", "1,a,b,{},", "length_m"),
+    ("demand.txt", "a,b,40,", "a,b,{},", "demand_veh"),
+])
+def test_nonfinite_file_value_is_parse_error(tiny, capsys, name, good, bad,
+                                             field, value):
+    files, tmp = tiny
+    path = tmp / name
+    path.write_text(path.read_text().replace(good, bad.format(value)))
+    assert main(due_args(files, str(tmp / "out"))) == 2
+    err = capsys.readouterr().err
+    assert f"field {field} is not finite: '{value}'" in err
+    assert len(err.strip().splitlines()) == 1
+
+
 class TestExitCodes:
     def test_parse_error_is_2(self, tiny, capsys):
         files, tmp = tiny

@@ -12,6 +12,7 @@ from dtaflow.dnl import (
     DNLError,
     LinkState,
     _exit_times,
+    _read,
     entry_time,
     exit_time,
     link_demand,
@@ -96,6 +97,19 @@ class TestLinkSupply:
         st = make_state(link, grid, np.minimum(0.3 * times, link.storage_veh - 1.0),
                         np.zeros(11))
         assert link_supply(link, st, grid, 800.0) == link.capacity_vps
+
+
+def test_curve_reads_match_np_interp():
+    # the loader reads its curves with np.interp's arithmetic, bit for bit
+    rng = np.random.default_rng(0)
+    times = 7.0 + 3.3 * np.arange(40)
+    curves = np.cumsum(rng.uniform(0.0, 2.0, size=(5, 40)), axis=1)
+    s = rng.uniform(times[0] - 10.0, times[-1] + 10.0, size=(3, 5))
+    s[0, :3] = times[[0, 17, -1]]  # on knots, the first and last included
+    s[1, :2] = times[0] - 5.0, times[-1] + 5.0  # outside the grid
+    expected = [[np.interp(s[a, i], times, curves[i]) for i in range(5)]
+                for a in range(3)]
+    np.testing.assert_array_equal(_read(times, curves, s), expected)
 
 
 class TestCurveInversion:
@@ -330,6 +344,44 @@ class TestInvariants:
             row = res.travel_time[res.path_order.index(pid)]
             sel = row[dep < 600.0]
             assert np.nanmax(np.abs(sel - ff)) < 1e-9
+
+
+def _braess_dt7():
+    net = braess_network()
+    grid = TimeGrid(0.0, 2400.0, 7.0)
+    h = path_matrix(net, grid, {"p1": 0.3, "p3": 0.3, "p4": 0.3, "p5": 0.2,
+                                "p8": 0.2}, until_s=600.0)
+    return net, grid, h
+
+
+def _random_dt5():
+    net = random_network()
+    grid = TimeGrid(0.0, 1800.0, 5.0)
+    h = np.zeros((len(net.paths), grid.n_steps))
+    h[:, grid.times()[: grid.n_steps] < 600.0] = 0.1
+    return net, grid, h
+
+
+@pytest.mark.parametrize("case", [_braess_dt7, _random_dt5])
+def test_loaded_flows_within_public_demand_and_supply(case):
+    # the loader's array boundary flows and the scalar link_demand/link_supply
+    # are one formula: loaded flows never exceed the wrappers' values read
+    # off the final curves, also where a lag falls between knots
+    net, grid, h = case()
+    res = run_dnl(net, h, grid)
+    times = grid.times()
+    excess = -np.inf
+    for st in res.link_states.values():
+        link = st.link
+        lags = np.array([link.free_flow_time_s,
+                         link.length_m / link.backward_speed_mps]) / grid.dt_s
+        assert np.any(np.abs(lags - np.round(lags)) > 1e-9)
+        # zero flows are within any bound: check the steps that carry flow
+        for k in np.flatnonzero((st.inflow > 0) | (st.outflow > 0)):
+            excess = max(excess,
+                         st.outflow[k] - link_demand(link, st, grid, times[k]),
+                         st.inflow[k] - link_supply(link, st, grid, times[k]))
+    assert excess <= 1e-12
 
 
 def test_random_network_conserves_vehicles():

@@ -102,6 +102,36 @@ class TestLoadNetwork:
             load_demand(str(f))
 
 
+NETWORK_TEMPLATE = (
+    "[nodes]\nid,x,y,origin,destination,source_priority\n"
+    "a,{x},0,1,0,{source_priority}\nb,1,0,0,1,\n[links]\n"
+    "id,tail,head,length_m,free_speed_mps,capacity_vps,backward_speed_mps\n"
+    "1,a,b,{length_m},{free_speed_mps},{capacity_vps},{backward_speed_mps}\n"
+)
+NETWORK_VALUES = {"x": "0", "source_priority": "", "length_m": "1200",
+                  "free_speed_mps": "12", "capacity_vps": "0.5",
+                  "backward_speed_mps": ""}
+DEMAND_TEMPLATE = ("[demand]\norigin,destination,demand_veh,target_arrival_s\n"
+                   "a,b,{demand_veh},{target_arrival_s}\n")
+DEMAND_VALUES = {"demand_veh": "40", "target_arrival_s": "600"}
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "NaN", "-Infinity"])
+@pytest.mark.parametrize("field", list(NETWORK_VALUES) + list(DEMAND_VALUES))
+def test_nonfinite_field_rejected(tmp_path, field, value):
+    if field in NETWORK_VALUES:
+        template, values, load = NETWORK_TEMPLATE, NETWORK_VALUES, load_network
+    else:
+        template, values, load = DEMAND_TEMPLATE, DEMAND_VALUES, load_demand
+    f = tmp_path / "data.txt"
+    f.write_text(template.format(**values))
+    load(str(f))  # the template parses with finite values
+    f.write_text(template.format(**dict(values, **{field: value})))
+    with pytest.raises(ParseError,
+                       match=rf"data.txt: field {field} is not finite: '{value}'"):
+        load(str(f))
+
+
 class TestPathsRoundTrip:
     def test_write_then_load_is_identity(self, tmp_path):
         _, _, paths, _ = braess_components()

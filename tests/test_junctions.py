@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dtaflow import DistributionMatrix, JunctionError, JunctionIO, resolve_junction
@@ -132,8 +132,15 @@ def test_junction_supply_monotonicity(case, factor, j_raw):
     assert np.all(f_out1 >= f_out0 - 1e-9)
 
 
+# link 0 carries a trace of flow to an uncongested exit; links 1 and 2
+# merge into a congested one with equal priorities
+MERGE_ALPHA = np.array([[0.0, 0.0, 1.0], [1.0, 0.0, 0.0], [1.0, 0.0, 0.0]])
+MERGE_PRI = np.array([0.5, 0.25, 0.25])
+
+
 @settings(max_examples=100, deadline=None)
 @given(junction_case(), st.floats(0.1, 10.0))
+@example((np.array([1e-12, 1.0, 2.0]), np.ones(3), MERGE_PRI, MERGE_ALPHA), 2.0)
 def test_junction_positive_homogeneity(case, scale):
     D, S, pri, alpha = case
     f_out0, f_in0 = resolve_junction(JunctionIO(D, S, pri),
@@ -142,6 +149,15 @@ def test_junction_positive_homogeneity(case, scale):
                                      DistributionMatrix(alpha))
     assert f_out1 == pytest.approx(scale * f_out0, rel=1e-9, abs=1e-9)
     assert f_in1 == pytest.approx(scale * f_in0, rel=1e-9, abs=1e-9)
+
+
+@pytest.mark.parametrize("d0", [0.0, 1e-12, 2e-12, 1e-6])
+def test_merge_rule_set_by_the_congested_exit(d0):
+    # equal priorities at the only congested exit: demand-proportional
+    # shares there, whatever runs to the uncongested one
+    io = JunctionIO(np.array([d0, 1.0, 2.0]), np.ones(3), MERGE_PRI)
+    f_out, _ = resolve_junction(io, DistributionMatrix(MERGE_ALPHA))
+    assert f_out == pytest.approx([d0, 1.0 / 3.0, 2.0 / 3.0], rel=1e-12, abs=0.0)
 
 
 def test_model_registry():

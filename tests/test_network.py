@@ -8,6 +8,8 @@ from dtaflow import (
     Node,
     ODPair,
     Path,
+    PenaltyParams,
+    SolverConfig,
     TimeGrid,
     derive_fd,
     fd_flow,
@@ -151,3 +153,29 @@ class TestTimeGrid:
     def test_times_are_uniform(self):
         g = TimeGrid(0.0, 100.0, 25.0)
         assert list(g.times()) == [0.0, 25.0, 50.0, 75.0, 100.0]
+
+
+NONFINITE_BUILDS = {
+    "derive_fd L": lambda x: derive_fd(x, 15.0, 0.5, None),
+    "derive_fd v": lambda x: derive_fd(1000.0, x, 0.5, None),
+    "derive_fd C": lambda x: derive_fd(1000.0, 15.0, x, None),
+    "derive_fd w": lambda x: derive_fd(1000.0, 15.0, 0.5, x),
+    "ODPair demand": lambda x: ODPair("a", "b", x, 600.0),
+    "ODPair target": lambda x: ODPair("a", "b", 10.0, x),
+    "TimeGrid t0": lambda x: TimeGrid(x, 600.0, 10.0),
+    "TimeGrid tf": lambda x: TimeGrid(0.0, x, 10.0),
+    "TimeGrid dt": lambda x: TimeGrid(0.0, 600.0, x),
+    "SolverConfig alpha": lambda x: SolverConfig(alpha=x),
+    "SolverConfig epsilon": lambda x: SolverConfig(epsilon=x),
+    "SolverConfig br_tolerance": lambda x: SolverConfig(br_tolerance=x),
+    "PenaltyParams early": lambda x: PenaltyParams(early_weight=x),
+    "PenaltyParams late": lambda x: PenaltyParams(late_weight=x),
+}
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("build", NONFINITE_BUILDS.values(), ids=NONFINITE_BUILDS)
+def test_constructors_reject_nonfinite(build, value):
+    # NetworkError and the solver's ValueError are both ValueErrors
+    with pytest.raises(ValueError):
+        build(value)
