@@ -385,10 +385,7 @@ def test_loaded_flows_within_public_demand_and_supply(case):
 
 
 def test_random_network_conserves_vehicles():
-    net = random_network()
-    grid = TimeGrid(0.0, 1800.0, 5.0)
-    h = np.zeros((len(net.paths), grid.n_steps))
-    h[:, grid.times()[: grid.n_steps] < 600.0] = 0.1
+    net, grid, h = _random_dt5()
     res = run_dnl(net, h, grid)
     assert res.diagnostics.max() <= 1e-6
     for state in res.link_states.values():
