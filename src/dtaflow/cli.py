@@ -2,6 +2,10 @@
 path-set generation (paths) and post-hoc reporting (report).
 
 Exit codes: 0 success, 1 usage, 2 parse, 3 validation, 4 runtime failure.
+Usage (1) covers number flags out of range: every float flag must be
+finite; --dt, --horizon, --alpha and --epsilon must be > 0; --br-tolerance,
+--early-weight and --late-weight >= 0; --max-iters, --auto-paths and
+paths --k must be integers >= 1.
 Warnings go to stderr once per command: a time step longer than the
 shortest free-flow time, and the count of path/departure cells of the
 final loading that do not finish within the horizon.
@@ -45,15 +49,31 @@ def _setup_logging():
                         format="%(levelname)s %(name)s: %(message)s")
 
 
-def _finite(text: str) -> float:
-    """argparse type of the float flags: a finite number."""
-    try:
-        x = float(text)
-    except ValueError:
-        x = math.nan
-    if not math.isfinite(x):
-        raise argparse.ArgumentTypeError(f"not a finite number: {text!r}")
-    return x
+def _number(bound: str = "finite"):
+    """argparse type of a number flag. `bound` is "finite" (any finite
+    float), "positive" (a float > 0), "nonnegative" (a float >= 0) or
+    "count" (an integer >= 1)."""
+
+    def parse(text: str):
+        if bound == "count":
+            try:
+                n = int(text)
+            except ValueError:
+                n = 0
+            if n < 1:
+                raise argparse.ArgumentTypeError(f"not a positive integer: {text!r}")
+            return n
+        try:
+            x = float(text)
+        except ValueError:
+            x = math.nan
+        if not math.isfinite(x):
+            raise argparse.ArgumentTypeError(f"not a finite number: {text!r}")
+        if (bound == "positive" and x <= 0) or (bound == "nonnegative" and x < 0):
+            raise argparse.ArgumentTypeError(f"must be {bound}: {text!r}")
+        return x
+
+    return parse
 
 
 def _build_parser() -> _Parser:
@@ -62,11 +82,11 @@ def _build_parser() -> _Parser:
     sub = p.add_subparsers(dest="command", required=True)
 
     def add_grid(sp):
-        sp.add_argument("--dt", type=_finite, required=True,
+        sp.add_argument("--dt", type=_number("positive"), required=True,
                         help="time step (seconds)")
-        sp.add_argument("--horizon", type=_finite, required=True,
+        sp.add_argument("--horizon", type=_number("positive"), required=True,
                         help="horizon length tf - t0 (seconds)")
-        sp.add_argument("--t0", type=_finite, default=0.0,
+        sp.add_argument("--t0", type=_number(), default=0.0,
                         help="horizon start (seconds, default 0)")
 
     def add_common(sp):
@@ -85,25 +105,26 @@ def _build_parser() -> _Parser:
     sp = sub.add_parser("due", help="solve for a dynamic user equilibrium")
     add_common(sp)
     sp.add_argument("--paths", help="path data file")
-    sp.add_argument("--auto-paths", type=int, metavar="K",
+    sp.add_argument("--auto-paths", type=_number("count"), metavar="K",
                     help="generate up to K shortest paths per O-D instead")
     sp.add_argument("--demand", required=True, help="O-D demand file")
     add_grid(sp)
-    sp.add_argument("--alpha", type=_finite, required=True, help="step size > 0")
-    sp.add_argument("--epsilon", type=_finite, default=1e-4,
+    sp.add_argument("--alpha", type=_number("positive"), required=True,
+                    help="step size > 0")
+    sp.add_argument("--epsilon", type=_number("positive"), default=1e-4,
                     help="relative-gap threshold")
-    sp.add_argument("--max-iters", type=int, default=100)
-    sp.add_argument("--br-tolerance", type=_finite, default=0.0,
+    sp.add_argument("--max-iters", type=_number("count"), default=100)
+    sp.add_argument("--br-tolerance", type=_number("nonnegative"), default=0.0,
                     help="bounded-rationality indifference band (seconds)")
-    sp.add_argument("--early-weight", type=_finite, default=0.5)
-    sp.add_argument("--late-weight", type=_finite, default=2.0)
+    sp.add_argument("--early-weight", type=_number("nonnegative"), default=0.5)
+    sp.add_argument("--late-weight", type=_number("nonnegative"), default=2.0)
     sp.add_argument("--init-window", type=str, default=None,
                     metavar="LO:HI", help="initial departure window (seconds)")
 
     sp = sub.add_parser("paths", help="enumerate k shortest paths per O-D")
     sp.add_argument("--network", required=True)
     sp.add_argument("--demand", required=True)
-    sp.add_argument("--k", type=int, default=5)
+    sp.add_argument("--k", type=_number("count"), default=5)
     sp.add_argument("--out", required=True, help="output paths file")
 
     sp = sub.add_parser("report", help="summarize a completed run directory")
@@ -167,15 +188,13 @@ def cmd_dnl(args) -> int:
 
 
 def cmd_due(args) -> int:
-    if args.alpha <= 0:
-        return _usage_error("--alpha must be positive")
     net = _load_bundle(args)
     grid = _make_grid(args)
     _warn_dt(net, grid)
     window = None
     if args.init_window:
         try:
-            lo, hi = (_finite(x) for x in args.init_window.split(":"))
+            lo, hi = (_number()(x) for x in args.init_window.split(":"))
         except (ValueError, argparse.ArgumentTypeError):
             return _usage_error("--init-window must look like LO:HI")
         window = (lo, hi)
@@ -216,9 +235,16 @@ def cmd_report(args) -> int:
         print(f"error: {run_dir} is not a completed DUE run directory",
               file=sys.stderr)
         return EXIT_PARSE
+    gaps = []
     with open(gaps_file) as fh:
-        rows = list(csv.reader(fh))[1:]
-    gaps = np.array([float(r[2]) for r in rows]) if rows else np.zeros(0)
+        for line, row in enumerate(csv.reader(fh), start=1):
+            if line == 1:
+                continue  # header
+            if len(row) != 3:
+                raise ParseError(f"{gaps_file}:{line}: expected 3 fields "
+                                 f"(origin,destination,gap_s), got {len(row)}")
+            gaps.append(fileio._to_float(f"{gaps_file}:{line}", "gap_s", row[2]))
+    gaps = np.array(gaps)
     pct = {
         "min": float(gaps.min()) if gaps.size else 0.0,
         "p25": float(np.percentile(gaps, 25)) if gaps.size else 0.0,

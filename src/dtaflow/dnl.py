@@ -1,10 +1,13 @@
 """Time-stepping network loading engine.
 
 Link dynamics are tracked purely through cumulative boundary counts
-(entering N_up, exiting N_dn). Demands and supplies come from lagged
-lookups on those curves, junction flows from the pluggable junction model,
-and path travel times from chained horizontal differences between the
-curves (origin queue first, then links in path order).
+(entering N_up, exiting N_dn). Each origin is a point queue whose entry
+and exit curves are the cumulative departures and service; it feeds its
+node's junction like one more incoming link. Demands and supplies come
+from lagged lookups on the link curves, junction flows from the pluggable
+junction model, path labels from FIFO compositions at every element's
+exit, and path travel times from chained horizontal differences between
+the curves (origin queue first, then links in path order).
 """
 
 from __future__ import annotations
@@ -16,13 +19,10 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .junctions import DistributionMatrix, JunctionIO, get_junction_model
-from .network import Link, Network, TimeGrid
+from .network import SOURCE_KEY, Link, Network, TimeGrid
 
 COUNT_TOL = 1e-9  # veh; equality tolerance on cumulative counts
 _FLOW_EPS = 1e-12  # veh/s; below this a rate is treated as "no flow to label"
-
-SINK = -1  # next-hop marker: path leaves the network at this node
-NO_HOP = -2  # next-hop marker: path does not traverse the link
 
 
 class DNLError(RuntimeError):
@@ -53,13 +53,13 @@ class LinkState:
 
 @dataclass
 class OriginState:
-    """Point-queue trace of one origin over the grid."""
+    """Point-queue trace of one origin over the grid, per knot: the queue, and
+    the cumulative departures and service that are its entry and exit curves."""
 
     node_id: str
-    queue_veh: np.ndarray  # per knot
-    cum_departures: np.ndarray  # per knot
-    cum_served: np.ndarray  # per knot
-    queue_composition: List[Optional[Composition]]  # served-flow composition per step
+    queue_veh: np.ndarray
+    cum_departures: np.ndarray
+    cum_served: np.ndarray
 
 
 @dataclass
@@ -243,22 +243,33 @@ def propagate_composition(
 @dataclass
 class _Junction:
     node_id: str
-    in_links: List[int]
-    out_links: List[int]
-    has_source: bool
-    has_sink: bool
-    priorities: np.ndarray  # aligned [in_links..., source?]
-    slot_of_hop: np.ndarray  # link index (or n_links for sink) -> outgoing slot
+    inputs: np.ndarray  # elements: incoming links, then the origin queue if any
+    out_links: np.ndarray  # out-slots: outgoing links, then n_links for the sink
+    priorities: np.ndarray  # merge weights aligned with inputs
 
 
 class _Loader:
+    """One loading of a network with a |P| x N departure-rate matrix.
+
+    The junction inputs are uniform elements: the links (0 .. L-1), then one
+    origin queue per origin (L + i for origin_ids[i]). Element e has an
+    entry curve up[e] (N_up, or the cumulative departures), an exit curve
+    dn[e] (N_dn, or the cumulative service) and per-step entry compositions
+    comp[e], and feeds the junction at its downstream node. A link's
+    compositions fill in as it loads; an origin's are the shares of its
+    paths in the departures, known up front.
+
+    route[e, p] is the out-slot, at e's downstream junction, of the movement
+    path p makes there (-1 where p does not use e). A node's out-slots are
+    its outgoing links in `network.outgoing` order, then the sink.
+    """
+
     def __init__(self, network: Network, departures: np.ndarray, grid: TimeGrid):
         self.net = network
         self.grid = grid
         self.model = get_junction_model("fifo_priority")
 
         self.path_ids = tuple(network.paths)
-        self.pidx = {p: i for i, p in enumerate(self.path_ids)}
         self.link_ids = tuple(network.links)
         self.lidx = {l: i for i, l in enumerate(self.link_ids)}
         self.links = [network.links[l] for l in self.link_ids]
@@ -273,138 +284,106 @@ class _Loader:
             )
         if not np.all(np.isfinite(h) & (h >= 0)):
             raise DNLError("departure rates must be finite and nonnegative")
-        self.h = h
 
-        # next-hop table: next_of[link][path] = next link index, SINK, or NO_HOP
-        self.next_of = np.full((nL, nP), NO_HOP, dtype=np.int64)
+        origin_of = [network.paths[p].od[0] for p in self.path_ids]
+        self.origin_ids = sorted(set(origin_of))
+        self.oidx = {o: i for i, o in enumerate(self.origin_ids)}
+        nO = len(self.origin_ids)
+        oi_of = np.array([self.oidx[o] for o in origin_of])
+        origin_paths = [np.flatnonzero(oi_of == oi) for oi in range(nO)]
+
+        self.route = np.full((nL + nO, nP), -1, dtype=np.int64)
+        self.path_elems: List[List[int]] = []  # origin queue, then links
         for p, pid in enumerate(self.path_ids):
-            seq = [self.lidx[l] for l in network.paths[pid].links]
-            for a, b in zip(seq, seq[1:]):
-                self.next_of[a, p] = b
-            self.next_of[seq[-1], p] = SINK
-        self.first_link = {}  # origin node -> array over paths (first link or NO_HOP)
-        self.origin_paths: Dict[str, np.ndarray] = {}
-        for p, pid in enumerate(self.path_ids):
-            o = network.paths[pid].od[0]
-            self.origin_paths.setdefault(o, [])
-            self.origin_paths[o].append(p)
-        self.origin_ids = sorted(self.origin_paths)
-        for o in self.origin_ids:
-            arr = np.array(sorted(self.origin_paths[o]), dtype=np.int64)
-            self.origin_paths[o] = arr
-            fl = np.full(nP, NO_HOP, dtype=np.int64)
-            for p in arr:
-                fl[p] = self.lidx[network.paths[self.path_ids[p]].links[0]]
-            self.first_link[o] = fl
+            path = network.paths[pid]
+            elems = [nL + self.oidx[path.od[0]]] + [self.lidx[l] for l in path.links]
+            nodes = [path.od[0]] + [network.links[l].head for l in path.links]
+            for e, node, nxt in zip(elems, nodes, path.links + (None,)):
+                self.route[e, p] = (network.outgoing[node] + (None,)).index(nxt)
+            self.path_elems.append(elems)
 
         self.junctions = self._build_junctions()
 
-        times = grid.times()
-        self.times = times
-        self.n_up = np.zeros((nL, N + 1))
-        self.n_dn = np.zeros((nL, N + 1))
+        self.times = grid.times()
+        self.up = np.zeros((nL + nO, N + 1))
+        self.dn = np.zeros((nL + nO, N + 1))
+        self.n_up, self.cum_dep = self.up[:nL], self.up[nL:]
+        self.n_dn, self.cum_srv = self.dn[:nL], self.dn[nL:]
         self.inflow = np.zeros((nL, N))
         self.outflow = np.zeros((nL, N))
-        self.comp: List[List[Optional[Composition]]] = [[None] * N for _ in range(nL)]
+        self.comp: List[List[Optional[Composition]]] = [
+            [None] * N for _ in range(nL + nO)
+        ]
         self.states = [
             LinkState(link, self.n_up[li], self.n_dn[li], self.inflow[li],
                       self.outflow[li], self.comp[li])
             for li, link in enumerate(self.links)
         ]
 
-        self.queue = np.zeros((len(self.origin_ids), N + 1))
-        self.cum_srv = np.zeros((len(self.origin_ids), N + 1))
-        self.dep_rate = np.zeros((len(self.origin_ids), N))
-        for oi, o in enumerate(self.origin_ids):
-            self.dep_rate[oi] = h[self.origin_paths[o]].sum(axis=0)
-        self.cum_dep = np.zeros((len(self.origin_ids), N + 1))
+        self.dep_rate = np.array([h[paths].sum(axis=0)
+                                  for paths in origin_paths]).reshape(nO, N)
         self.cum_dep[:, 1:] = np.cumsum(self.dep_rate, axis=1) * grid.dt_s
-        self.oidx = {o: i for i, o in enumerate(self.origin_ids)}
+        for oi, paths in enumerate(origin_paths):
+            for j in np.flatnonzero(self.dep_rate[oi] > 0):
+                rates = h[paths, j]
+                tot = rates.sum()
+                if tot > _FLOW_EPS:
+                    nz = rates > 0
+                    self.comp[nL + oi][j] = paths[nz], rates[nz] / tot
+        self.queue = np.zeros((nO, N + 1))
         self.big_m = np.array([
             10.0 * max(network.links[l].capacity_vps for l in network.outgoing[o])
             for o in self.origin_ids
         ])
+        self.min_delay = np.concatenate([self.link_params[0], np.zeros(nO)])
 
         self.exited = np.zeros(N + 1)
         self.balance = np.zeros(N + 1)
-        self.srv_comp: List[List[Optional[Composition]]] = [
-            [None] * N for _ in self.origin_ids
-        ]
 
     def _build_junctions(self) -> List[_Junction]:
         net = self.net
-        nL = len(self.link_ids)
+        nL = len(self.links)
         out: List[_Junction] = []
         for nid, node in net.nodes.items():
-            in_links = [self.lidx[l] for l in net.incoming[nid]]
+            inputs = [self.lidx[l] for l in net.incoming[nid]]
+            if nid in self.oidx:
+                inputs.append(nL + self.oidx[nid])
             out_links = [self.lidx[l] for l in net.outgoing[nid]]
-            has_source = nid in self.origin_paths
-            has_sink = node.destination
-            if not in_links and not has_source:
-                continue
-            if not out_links and not has_sink:
+            if node.destination:
+                out_links.append(nL)
+            if not inputs or not out_links:
                 continue
             pri_map = net.priorities[nid]
-            pri = [pri_map[self.link_ids[i]] for i in in_links]
+            pri = [pri_map[l] for l in net.incoming[nid]]
             if node.origin:
-                pri.append(pri_map[""])
-            elif has_source:
-                raise DNLError(f"paths depart from non-origin node {nid}")
+                pri.append(pri_map[SOURCE_KEY])
             pri = np.asarray(pri, dtype=float)
-            if pri.sum() <= 0:
-                pri = np.full(len(pri), 1.0 / len(pri))
             pri = pri / pri.sum()
-            if node.origin and not has_source:
+            if len(pri) > len(inputs):  # an origin that no path leaves
                 pri = pri[:-1]
                 total = pri.sum()
-                pri = pri / total if total > 0 else np.full(len(pri), 1.0 / max(len(pri), 1))
-            slot_of_hop = np.full(nL + 1, -9, dtype=np.int64)
-            for s, li in enumerate(out_links):
-                slot_of_hop[li] = s
-            if has_sink:
-                slot_of_hop[nL] = len(out_links)
-            out.append(
-                _Junction(nid, in_links, out_links, has_source, has_sink,
-                          pri, slot_of_hop)
-            )
+                pri = pri / total if total > 0 else np.full(len(pri), 1.0 / len(pri))
+            out.append(_Junction(nid, np.array(inputs), np.array(out_links), pri))
         return out
 
     # -- per-step machinery ---------------------------------------------------
 
-    def _comp_at_count(self, li: int, k: int) -> Optional[Composition]:
-        """Composition of the vehicles now at the exit of link li: the entry
-        composition of the step in which they entered (at most k - 1), or
-        of the latest earlier step that has one."""
-        comps = self.comp[li]
-        idx = int(np.searchsorted(self.n_up[li, : k + 1],
-                                  self.n_dn[li, k] + COUNT_TOL, side="right")) - 1
-        for j in range(min(idx, k - 1), -1, -1):
+    def _comp_at_count(self, e: int, k: int) -> Optional[Composition]:
+        """Composition of the vehicles now at the exit of element e: the entry
+        composition of the step in which they entered, or of the latest
+        earlier step that has one. A link's entry at step k is still unset
+        here, so for links the scan starts at k - 1 at the latest."""
+        comps = self.comp[e]
+        idx = int(np.searchsorted(self.up[e, : k + 1],
+                                  self.dn[e, k] + COUNT_TOL, side="right")) - 1
+        for j in range(idx, -1, -1):
             if comps[j] is not None:
                 return comps[j]
         return None
 
-    def _source_comp(self, oi: int, k: int) -> Optional[Composition]:
-        opaths = self.origin_paths[self.origin_ids[oi]]
-        if self.queue[oi, k] > COUNT_TOL:
-            # queue head: departure composition where the service count sits
-            idx = int(np.searchsorted(
-                self.cum_dep[oi, : k + 1],
-                self.cum_srv[oi, k] + COUNT_TOL, side="right")) - 1
-            steps = range(max(0, min(idx, k - 1)), -1, -1)
-        else:
-            steps = (k,)
-        for j in steps:
-            rates = self.h[opaths, j]
-            tot = rates.sum()
-            if tot > _FLOW_EPS:
-                nz = rates > 0
-                return opaths[nz], rates[nz] / tot
-        return None
-
     def run(self) -> DNLResult:
-        grid = self.grid
-        N = grid.n_steps
-        dt = grid.dt_s
+        N = self.grid.n_steps
+        dt = self.grid.dt_s
         nL = len(self.links)
 
         for k in range(N):
@@ -413,65 +392,36 @@ class _Loader:
             q_k = self.queue[:, k]
             dep_k = self.dep_rate[:, k]
             D_org = np.minimum(origin_demand(q_k, dep_k, self.big_m), q_k / dt + dep_k)
+            D = np.concatenate([D_eff, D_org])
+            S = np.append(S_eff, math.inf)  # the sink takes any flow
 
-            inflow_k = np.zeros(nL)
-            outflow_k = np.zeros(nL)
-            served = np.zeros(len(self.origin_ids))
-            sink_rate = 0.0
-            new_comps: List[Tuple[int, Composition]] = []
+            comps: List[Optional[Composition]] = [None] * len(D)
+            for e in np.flatnonzero(D > _FLOW_EPS):
+                comps[e] = self._comp_at_count(e, k)
+                if comps[e] is None:
+                    if e < nL:
+                        raise DNLError(
+                            f"link {self.link_ids[e]} demands flow at step {k} "
+                            "but carries no labeled vehicles"
+                        )
+                    D[e] = 0.0  # departures too small to label stay queued
 
+            outflow = np.zeros(len(D))  # per element: link outflow, origin service
+            inflow = np.zeros(nL + 1)  # per link, then the sinks
             for J in self.junctions:
-                m = len(J.in_links) + (1 if J.has_source else 0)
-                n = len(J.out_links) + (1 if J.has_sink else 0)
-                demands = np.zeros(m)
-                comps: List[Optional[Composition]] = [None] * m
-                for si, li in enumerate(J.in_links):
-                    demands[si] = D_eff[li]
-                    if demands[si] > _FLOW_EPS:
-                        comps[si] = self._comp_at_count(li, k)
-                        if comps[si] is None:
-                            raise DNLError(
-                                f"link {self.link_ids[li]} demands flow at step {k} "
-                                "but carries no labeled vehicles"
-                            )
-                if J.has_source:
-                    oi = self.oidx[J.node_id]
-                    demands[-1] = D_org[oi]
-                    if demands[-1] > _FLOW_EPS:
-                        comps[-1] = self._source_comp(oi, k)
-                        if comps[-1] is None:
-                            demands[-1] = 0.0
-                supplies = np.empty(n)
-                for sj, lj in enumerate(J.out_links):
-                    supplies[sj] = S_eff[lj]
-                if J.has_sink:
-                    supplies[-1] = math.inf
-
+                demands = D[J.inputs]
                 if demands.sum() <= _FLOW_EPS:
                     continue
+                n = len(J.out_links)
+                alpha = np.zeros((len(J.inputs), n))
+                slots: List[Optional[np.ndarray]] = [None] * len(J.inputs)
+                for si, e in enumerate(J.inputs):
+                    if comps[e] is not None:
+                        ids, fr = comps[e]
+                        slots[si] = self.route[e, ids]
+                        alpha[si] = np.bincount(slots[si], weights=fr, minlength=n)
 
-                alpha = np.zeros((m, n))
-                hops: List[Optional[np.ndarray]] = [None] * m
-                for si in range(m):
-                    if demands[si] <= _FLOW_EPS:
-                        continue
-                    ids, fr = comps[si]
-                    if si < len(J.in_links):
-                        hop = self.next_of[J.in_links[si]][ids]
-                    else:
-                        hop = self.first_link[J.node_id][ids]
-                    hop = np.where(hop == SINK, nL, hop)
-                    slots = J.slot_of_hop[hop]
-                    if np.any(slots < 0):
-                        bad = ids[slots < 0][0]
-                        raise DNLError(
-                            f"path {self.path_ids[bad]} has no movement at node "
-                            f"{J.node_id}"
-                        )
-                    hops[si] = slots
-                    alpha[si] = np.bincount(slots, weights=fr, minlength=n)
-
-                io = JunctionIO(demands, supplies, J.priorities)
+                io = JunctionIO(demands, S[J.out_links], J.priorities)
                 f_out, f_in = self.model(io, DistributionMatrix(alpha))
 
                 if abs(f_out.sum() - f_in.sum()) > 1e-9 * max(1.0, f_out.sum()):
@@ -479,46 +429,29 @@ class _Loader:
                         f"junction {J.node_id} conservation residual "
                         f"{abs(f_out.sum() - f_in.sum()):.3e} at step {k}"
                     )
-
-                for si, li in enumerate(J.in_links):
-                    outflow_k[li] = f_out[si]
-                if J.has_source:
-                    served[self.oidx[J.node_id]] = f_out[-1]
-                for sj, lj in enumerate(J.out_links):
-                    inflow_k[lj] = f_in[sj]
-                if J.has_sink:
-                    sink_rate += f_in[-1]
+                outflow[J.inputs] = f_out
+                inflow[J.out_links] += f_in
 
                 # entrance compositions of the outgoing links
                 for sj, lj in enumerate(J.out_links):
-                    if f_in[sj] <= _FLOW_EPS:
+                    if lj == nL or f_in[sj] <= _FLOW_EPS:
                         continue
                     contrib = []
-                    for si in range(m):
-                        if f_out[si] <= _FLOW_EPS or hops[si] is None:
+                    for si, e in enumerate(J.inputs):
+                        if f_out[si] <= _FLOW_EPS:
                             continue
-                        ids, fr = comps[si]
-                        mask = hops[si] == sj
-                        if not mask.any():
-                            continue
-                        contrib.append((f_out[si], (ids[mask], fr[mask])))
-                    mixed = propagate_composition(contrib, f_in[sj])
-                    if mixed is not None:
-                        new_comps.append((lj, mixed))
-                if J.has_source and f_out[-1] > _FLOW_EPS:
-                    oi = self.oidx[J.node_id]
-                    self.srv_comp[oi][k] = comps[-1]
+                        ids, fr = comps[e]
+                        mask = slots[si] == sj
+                        if mask.any():
+                            contrib.append((f_out[si], (ids[mask], fr[mask])))
+                    self.comp[lj][k] = propagate_composition(contrib, f_in[sj])
 
-            for lj, mixed in new_comps:
-                self.comp[lj][k] = mixed
-
-            self.n_up[:, k + 1] = self.n_up[:, k] + dt * inflow_k
-            self.n_dn[:, k + 1] = self.n_dn[:, k] + dt * outflow_k
-            self.inflow[:, k] = inflow_k
-            self.outflow[:, k] = outflow_k
-            self.queue[:, k + 1] = step_origin_queue(q_k, dep_k, served, dt)
-            self.cum_srv[:, k + 1] = self.cum_srv[:, k] + dt * served
-            self.exited[k + 1] = self.exited[k] + dt * sink_rate
+            self.n_up[:, k + 1] = self.n_up[:, k] + dt * inflow[:nL]
+            self.dn[:, k + 1] = self.dn[:, k] + dt * outflow
+            self.inflow[:, k] = inflow[:nL]
+            self.outflow[:, k] = outflow[:nL]
+            self.queue[:, k + 1] = step_origin_queue(q_k, dep_k, outflow[nL:], dt)
+            self.exited[k + 1] = self.exited[k] + dt * inflow[nL]
 
             departed = self.cum_dep[:, k + 1].sum()
             stored = (self.n_up[:, k + 1] - self.n_dn[:, k + 1]).sum()
@@ -540,19 +473,14 @@ class _Loader:
         tf = self.grid.tf_s
         dep_times = self.times[:N]
         tt = np.full((len(self.path_ids), N), np.nan)
-        for p, pid in enumerate(self.path_ids):
-            path = self.net.paths[pid]
-            oi = self.oidx[path.od[0]]
-            a = _exit_times(self.times, self.cum_dep[oi], self.cum_srv[oi],
-                            dep_times, 0.0, tf)
-            for lid in path.links:
-                li = self.lidx[lid]
-                a = _exit_times(self.times, self.n_up[li], self.n_dn[li], a,
-                                self.links[li].free_flow_time_s, tf)
+        for p, elems in enumerate(self.path_elems):
+            a = dep_times
+            for e in elems:
+                a = _exit_times(self.times, self.up[e], self.dn[e], a,
+                                self.min_delay[e], tf)
             tt[p] = a - dep_times
         origin_states = {
-            o: OriginState(o, self.queue[oi], self.cum_dep[oi],
-                           self.cum_srv[oi], self.srv_comp[oi])
+            o: OriginState(o, self.queue[oi], self.cum_dep[oi], self.cum_srv[oi])
             for o, oi in self.oidx.items()
         }
         return DNLResult(self.grid, self.path_ids, tt, dep_times[None, :] + tt,

@@ -83,15 +83,36 @@ class TestUsageErrors:
 FLOAT_FLAGS = ["--dt", "--horizon", "--t0", "--alpha", "--epsilon",
                "--br-tolerance", "--early-weight", "--late-weight"]
 
+OUT_OF_RANGE = [  # (flag, value, reason)
+    ("--dt", "0", "must be positive"),
+    ("--horizon", "-700", "must be positive"),
+    ("--alpha", "-5e-4", "must be positive"),
+    ("--epsilon", "0", "must be positive"),
+    ("--br-tolerance", "-1", "must be nonnegative"),
+    ("--early-weight", "-1", "must be nonnegative"),
+    ("--late-weight", "-0.5", "must be nonnegative"),
+    ("--max-iters", "0", "not a positive integer"),
+    ("--max-iters", "2.5", "not a positive integer"),
+    ("--auto-paths", "0", "not a positive integer"),
+    ("--k", "0", "not a positive integer"),
+]
 
-@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
-@pytest.mark.parametrize("flag", FLOAT_FLAGS)
-def test_nonfinite_flag_is_usage_error(tiny, capsys, flag, value):
+
+@pytest.mark.parametrize("flag,value,reason", [
+    pytest.param(flag, value, "not a finite number", id=f"{flag}-{value}")
+    for flag in FLOAT_FLAGS for value in ["nan", "inf", "-inf"]
+] + [pytest.param(*case, id=f"{case[0]}-{case[1]}") for case in OUT_OF_RANGE])
+def test_nonfinite_flag_is_usage_error(tiny, capsys, flag, value, reason):
+    # non-finite or out-of-range number flags are usage errors naming the flag
     files, tmp = tiny
-    argv = due_args(files, str(tmp / "out")) + [f"{flag}={value}"]
-    assert main(argv) == 1
+    if flag == "--k":
+        argv = ["paths", "--network", files["network.txt"],
+                "--demand", files["demand.txt"], "--out", str(tmp / "p.txt")]
+    else:
+        argv = due_args(files, str(tmp / "out"))
+    assert main(argv + [f"{flag}={value}"]) == 1
     err = capsys.readouterr().err
-    assert f"error: argument {flag}: not a finite number: '{value}'" in err
+    assert f"error: argument {flag}: {reason}: '{value}'" in err
     assert "Traceback" not in err
 
 
@@ -260,3 +281,16 @@ class TestReportCommand:
     def test_unknown_path_is_2(self, finished_run, capsys):
         assert main(["report", "--in", finished_run, "--paths", "zz"]) == 2
         assert "not present" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("row,message", [
+        ("1,3", "od_gaps.csv:3: expected 3 fields"),
+        ("1,3,fast", "od_gaps.csv:3: field gap_s is not numeric: 'fast'"),
+    ], ids=["short-row", "non-numeric-gap"])
+    def test_malformed_gap_row_is_parse_error(self, tmp_path, capsys, row,
+                                              message):
+        (tmp_path / "od_gaps.csv").write_text(
+            f"origin,destination,gap_s\n1,4,2.5\n{row}\n")
+        assert main(["report", "--in", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("parse error: ") and message in err
+        assert len(err.strip().splitlines()) == 1

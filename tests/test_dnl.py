@@ -23,6 +23,7 @@ from dtaflow.dnl import (
 )
 from helpers import (
     braess_network,
+    parallel_network,
     path_matrix,
     random_network,
     serial_network,
@@ -429,6 +430,30 @@ def test_chained_exit_times_give_travel_time():
     arrived = np.array([exit_time(state, grid, t) for t in entered])
     np.testing.assert_array_equal(arrived - dep, res.travel_time[0])
     assert np.nanmax(res.travel_time[0]) > 150.0  # the queue delay counts
+
+
+def test_queued_origin_serves_paths_first_in_first_out():
+    # one origin, two parallel 0.5 veh/s links: p1 departs in a burst at
+    # 1 veh/s and queues; p2 then departs onto its empty link but waits
+    # behind p1's queued vehicles at the origin
+    net = parallel_network(2, 1200.0, 12.0, 0.5)
+    grid = TimeGrid(0.0, 1500.0, 5.0)
+    times = grid.times()
+    dep = times[: grid.n_steps]
+    h = np.zeros((2, grid.n_steps))
+    h[0, dep < 200.0] = 1.0
+    h[1, (dep >= 200.0) & (dep < 400.0)] = 0.2
+    res = run_dnl(net, h, grid)
+    origin = res.origin_states["a"]
+    left = _exit_times(times, origin.cum_departures, origin.cum_served,
+                       dep, 0.0, grid.tf_s)
+    last_a, first_b = np.flatnonzero(h[0])[-1], np.flatnonzero(h[1])[0]
+    # the 200 queued p1 vehicles are served at 0.5 veh/s until t = 400 s
+    assert left[first_b] >= left[last_a]
+    assert left[first_b] == pytest.approx(400.0)
+    assert res.link_states["2"].n_up[times <= 400.0].max() == 0.0
+    # p2's first trip: 200 s at the origin, then 100 s free flow
+    assert res.travel_time[1, first_b] == pytest.approx(300.0)
 
 
 def test_truncation_flagged_near_horizon():
