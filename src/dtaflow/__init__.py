@@ -25,7 +25,6 @@ from .dnl import (
     DNLResult,
     LinkState,
     OriginState,
-    entry_time,
     exit_time,
     link_demand,
     link_supply,

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import logging
 import math
 import os
 import sys
@@ -41,12 +40,6 @@ class _Parser(argparse.ArgumentParser):
         self.print_usage(sys.stderr)
         print(f"error: {message}", file=sys.stderr)
         raise SystemExit(EXIT_USAGE)
-
-
-def _setup_logging():
-    level = os.environ.get("DTAFLOW_LOG", "INFO").upper()
-    logging.basicConfig(level=getattr(logging, level, logging.INFO),
-                        format="%(levelname)s %(name)s: %(message)s")
 
 
 def _number(bound: str = "finite"):
@@ -269,7 +262,14 @@ def cmd_report(args) -> int:
                 continue
             with open(src) as fh:
                 rows = list(csv.reader(fh))
-            header, body = rows[0], {r[0]: r for r in rows[1:]}
+            if not rows:
+                raise ParseError(f"{src}: empty file, expected a header row")
+            header = rows[0]
+            for line, row in enumerate(rows[1:], start=2):
+                if len(row) != len(header):
+                    raise ParseError(f"{src}:{line}: expected {len(header)} "
+                                     f"fields, got {len(row)}")
+            body = {r[0]: r for r in rows[1:]}
             for pid in wanted:
                 if pid not in body:
                     print(f"error: path {pid} not present in {name}",
@@ -289,7 +289,6 @@ _COMMANDS = {"dnl": cmd_dnl, "due": cmd_due, "paths": cmd_paths,
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    _setup_logging()
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)

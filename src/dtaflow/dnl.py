@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -36,11 +36,12 @@ Composition = Tuple[np.ndarray, np.ndarray]  # (path indices, fractions)
 class LinkState:
     """Cumulative-count trace of one link over the grid.
 
-    n_up/n_dn live on the N+1 grid knots; inflow/outflow/entry_composition
-    are per step (length N). entry_composition[k] is None when the step had
-    no inflow. During a loading the arrays are row views of the loader's
-    per-link tables and fill in step by step; the same objects are returned
-    in DNLResult.link_states.
+    n_up/n_dn live on the N+1 grid knots; inflow/outflow are per step
+    (length N). `paths` lists, in ascending order, the paths that use the
+    link; composition[k] holds their shares in the vehicles entering in step
+    k (all zero when the step had no labelled inflow), and entered[k] is the
+    latest step <= k that has an entry composition, -1 if none. The arrays
+    are views of the loader's tables.
     """
 
     link: Link
@@ -48,7 +49,16 @@ class LinkState:
     n_dn: np.ndarray
     inflow: np.ndarray
     outflow: np.ndarray
-    entry_composition: List[Optional[Composition]]
+    paths: np.ndarray
+    composition: np.ndarray
+    entered: np.ndarray
+
+    @property
+    def entry_composition(self) -> Iterator[Optional[Composition]]:
+        """Per step, the (path indices, fractions) of the nonzero entry
+        shares, or None when the step had no labelled inflow."""
+        for k, row in enumerate(self.composition):
+            yield (self.paths[row > 0], row[row > 0]) if self.entered[k] == k else None
 
 
 @dataclass
@@ -109,14 +119,6 @@ def _exit_times(times: np.ndarray, n_in: np.ndarray, n_out: np.ndarray,
     lam = np.maximum(lam, a + min_delay_s)
     lam[lam > tf_s + 1e-9] = np.nan
     return lam
-
-
-def entry_time(state: LinkState, grid: TimeGrid, t: float) -> float:
-    """Entry time tau(t) of the vehicle exiting at t: N_up(tau) = N_dn(t)."""
-    times = grid.times()
-    y = np.interp(t, times, state.n_dn)
-    tau = float(_inverse_cum(times, state.n_up, y - COUNT_TOL)[0])
-    return min(tau, t)
 
 
 def exit_time(state: LinkState, grid: TimeGrid, t: float) -> float:
@@ -209,32 +211,19 @@ def step_origin_queue(queue_veh, departure_rate_vps, served_rate_vps, dt_s: floa
     return np.maximum(0.0, queue_veh + dt_s * (departure_rate_vps - served_rate_vps))
 
 
-def propagate_composition(
-    contributions: Sequence[Tuple[float, Composition]], total_inflow_vps: float
-) -> Optional[Composition]:
-    """Entrance composition of a downstream link from (rate, composition)
-    contributions of its feeders. None when there is no flow to label."""
-    if total_inflow_vps <= _FLOW_EPS:
+def propagate_composition(mix: np.ndarray,
+                          total_inflow_vps: float) -> Optional[np.ndarray]:
+    """Entry shares of a link's paths from `mix`, the rate each of them
+    receives from the feeders. None when no feeder carries flow to label."""
+    carried = mix > 0
+    if not carried.any():
         return None
-    ids_parts = []
-    w_parts = []
-    for rate, (ids, fr) in contributions:
-        if rate <= _FLOW_EPS:
-            continue
-        ids_parts.append(ids)
-        w_parts.append(rate * fr)
-    if not ids_parts:
-        return None
-    cat_ids = np.concatenate(ids_parts)
-    cat_w = np.concatenate(w_parts)
-    uids, inv = np.unique(cat_ids, return_inverse=True)
-    w = np.bincount(inv, weights=cat_w)
-    total = w.sum()
+    total = mix[carried].sum()
     if not math.isclose(total, total_inflow_vps, rel_tol=1e-6, abs_tol=1e-12):
         raise DNLError(
             f"composition mass {total} does not match inflow {total_inflow_vps}"
         )
-    return uids.astype(np.int64), w / total
+    return mix / total
 
 
 # -- engine --------------------------------------------------------------------
@@ -246,6 +235,9 @@ class _Junction:
     inputs: np.ndarray  # elements: incoming links, then the origin queue if any
     out_links: np.ndarray  # out-slots: outgoing links, then n_links for the sink
     priorities: np.ndarray  # merge weights aligned with inputs
+    # per out-slot, (input position, source slots, destination slots) of the
+    # paths that make that movement; empty for the sink
+    moves: List[List[Tuple[int, np.ndarray, np.ndarray]]]
 
 
 class _Loader:
@@ -254,14 +246,18 @@ class _Loader:
     The junction inputs are uniform elements: the links (0 .. L-1), then one
     origin queue per origin (L + i for origin_ids[i]). Element e has an
     entry curve up[e] (N_up, or the cumulative departures), an exit curve
-    dn[e] (N_dn, or the cumulative service) and per-step entry compositions
-    comp[e], and feeds the junction at its downstream node. A link's
-    compositions fill in as it loads; an origin's are the shares of its
-    paths in the departures, known up front.
+    dn[e] (N_dn, or the cumulative service), and feeds the junction at its
+    downstream node.
 
     route[e, p] is the out-slot, at e's downstream junction, of the movement
     path p makes there (-1 where p does not use e). A node's out-slots are
     its outgoing links in `network.outgoing` order, then the sink.
+
+    Entry compositions are dense over each element's own paths: slot_paths[e]
+    lists them in ascending order, slot_route[e] their out-slots, comp[e][k]
+    their shares in the vehicles entering in step k, and entered[e, k] the
+    latest step <= k that has a composition (-1 if none). A link's fill in
+    as it loads; an origin's are the path shares of its departures.
     """
 
     def __init__(self, network: Network, departures: np.ndarray, grid: TimeGrid):
@@ -285,22 +281,21 @@ class _Loader:
         if not np.all(np.isfinite(h) & (h >= 0)):
             raise DNLError("departure rates must be finite and nonnegative")
 
-        origin_of = [network.paths[p].od[0] for p in self.path_ids]
-        self.origin_ids = sorted(set(origin_of))
+        self.origin_ids = sorted({network.paths[p].od[0] for p in self.path_ids})
         self.oidx = {o: i for i, o in enumerate(self.origin_ids)}
         nO = len(self.origin_ids)
-        oi_of = np.array([self.oidx[o] for o in origin_of])
-        origin_paths = [np.flatnonzero(oi_of == oi) for oi in range(nO)]
 
-        self.route = np.full((nL + nO, nP), -1, dtype=np.int64)
+        route = np.full((nL + nO, nP), -1, dtype=np.int64)
         self.path_elems: List[List[int]] = []  # origin queue, then links
         for p, pid in enumerate(self.path_ids):
             path = network.paths[pid]
             elems = [nL + self.oidx[path.od[0]]] + [self.lidx[l] for l in path.links]
             nodes = [path.od[0]] + [network.links[l].head for l in path.links]
             for e, node, nxt in zip(elems, nodes, path.links + (None,)):
-                self.route[e, p] = (network.outgoing[node] + (None,)).index(nxt)
+                route[e, p] = (network.outgoing[node] + (None,)).index(nxt)
             self.path_elems.append(elems)
+        self.slot_paths = [np.flatnonzero(r >= 0) for r in route]
+        self.slot_route = [r[paths] for r, paths in zip(route, self.slot_paths)]
 
         self.junctions = self._build_junctions()
 
@@ -311,31 +306,26 @@ class _Loader:
         self.n_dn, self.cum_srv = self.dn[:nL], self.dn[nL:]
         self.inflow = np.zeros((nL, N))
         self.outflow = np.zeros((nL, N))
-        self.comp: List[List[Optional[Composition]]] = [
-            [None] * N for _ in range(nL + nO)
-        ]
-        self.states = [
-            LinkState(link, self.n_up[li], self.n_dn[li], self.inflow[li],
-                      self.outflow[li], self.comp[li])
-            for li, link in enumerate(self.links)
-        ]
+        self.comp = [np.zeros((N, len(paths))) for paths in self.slot_paths]
+        self.entered = np.full((nL + nO, N), -1, dtype=np.int64)
 
         self.dep_rate = np.array([h[paths].sum(axis=0)
-                                  for paths in origin_paths]).reshape(nO, N)
+                                  for paths in self.slot_paths[nL:]]).reshape(nO, N)
         self.cum_dep[:, 1:] = np.cumsum(self.dep_rate, axis=1) * grid.dt_s
-        for oi, paths in enumerate(origin_paths):
+        for oi, paths in enumerate(self.slot_paths[nL:]):
             for j in np.flatnonzero(self.dep_rate[oi] > 0):
                 rates = h[paths, j]
                 tot = rates.sum()
                 if tot > _FLOW_EPS:
-                    nz = rates > 0
-                    self.comp[nL + oi][j] = paths[nz], rates[nz] / tot
+                    self.comp[nL + oi][j] = rates / tot
+                    self.entered[nL + oi, j] = j
+        np.maximum.accumulate(self.entered[nL:], axis=1, out=self.entered[nL:])
         self.queue = np.zeros((nO, N + 1))
         self.big_m = np.array([
             10.0 * max(network.links[l].capacity_vps for l in network.outgoing[o])
             for o in self.origin_ids
         ])
-        self.min_delay = np.concatenate([self.link_params[0], np.zeros(nO)])
+        self.min_delay = np.append(self.link_params[0], np.zeros(nO))
 
         self.exited = np.zeros(N + 1)
         self.balance = np.zeros(N + 1)
@@ -363,23 +353,27 @@ class _Loader:
                 pri = pri[:-1]
                 total = pri.sum()
                 pri = pri / total if total > 0 else np.full(len(pri), 1.0 / len(pri))
-            out.append(_Junction(nid, np.array(inputs), np.array(out_links), pri))
+            moves = [[] for _ in out_links]
+            for si, e in enumerate(inputs):
+                for sj, lj in enumerate(out_links):
+                    src = np.flatnonzero(self.slot_route[e] == sj)
+                    if lj < nL and src.size:
+                        moves[sj].append((si, src, np.searchsorted(
+                            self.slot_paths[lj], self.slot_paths[e][src])))
+            out.append(_Junction(nid, np.array(inputs), np.array(out_links), pri,
+                                 moves))
         return out
 
     # -- per-step machinery ---------------------------------------------------
 
-    def _comp_at_count(self, e: int, k: int) -> Optional[Composition]:
-        """Composition of the vehicles now at the exit of element e: the entry
-        composition of the step in which they entered, or of the latest
-        earlier step that has one. A link's entry at step k is still unset
-        here, so for links the scan starts at k - 1 at the latest."""
-        comps = self.comp[e]
+    def _comp_at_count(self, e: int, k: int) -> Optional[np.ndarray]:
+        """Composition of the vehicles now at the exit of element e: that of
+        the latest step, up to the one they entered in, that has one. During
+        step k a link's entered[e, k] still names an earlier step."""
         idx = int(np.searchsorted(self.up[e, : k + 1],
                                   self.dn[e, k] + COUNT_TOL, side="right")) - 1
-        for j in range(idx, -1, -1):
-            if comps[j] is not None:
-                return comps[j]
-        return None
+        j = self.entered[e, idx] if idx >= 0 else -1
+        return self.comp[e][j] if j >= 0 else None
 
     def run(self) -> DNLResult:
         N = self.grid.n_steps
@@ -387,15 +381,17 @@ class _Loader:
         nL = len(self.links)
 
         for k in range(N):
+            if k:
+                self.entered[:nL, k] = self.entered[:nL, k - 1]
             D_eff, S_eff = _boundary_flows(self.times, dt, self.n_up, self.n_dn,
                                            self.times[k], self.link_params)[2:]
             q_k = self.queue[:, k]
             dep_k = self.dep_rate[:, k]
             D_org = np.minimum(origin_demand(q_k, dep_k, self.big_m), q_k / dt + dep_k)
-            D = np.concatenate([D_eff, D_org])
+            D = np.append(D_eff, D_org)
             S = np.append(S_eff, math.inf)  # the sink takes any flow
 
-            comps: List[Optional[Composition]] = [None] * len(D)
+            comps: List[Optional[np.ndarray]] = [None] * len(D)
             for e in np.flatnonzero(D > _FLOW_EPS):
                 comps[e] = self._comp_at_count(e, k)
                 if comps[e] is None:
@@ -414,12 +410,10 @@ class _Loader:
                     continue
                 n = len(J.out_links)
                 alpha = np.zeros((len(J.inputs), n))
-                slots: List[Optional[np.ndarray]] = [None] * len(J.inputs)
                 for si, e in enumerate(J.inputs):
                     if comps[e] is not None:
-                        ids, fr = comps[e]
-                        slots[si] = self.route[e, ids]
-                        alpha[si] = np.bincount(slots[si], weights=fr, minlength=n)
+                        alpha[si] = np.bincount(self.slot_route[e], weights=comps[e],
+                                                minlength=n)
 
                 io = JunctionIO(demands, S[J.out_links], J.priorities)
                 f_out, f_in = self.model(io, DistributionMatrix(alpha))
@@ -436,15 +430,14 @@ class _Loader:
                 for sj, lj in enumerate(J.out_links):
                     if lj == nL or f_in[sj] <= _FLOW_EPS:
                         continue
-                    contrib = []
-                    for si, e in enumerate(J.inputs):
-                        if f_out[si] <= _FLOW_EPS:
-                            continue
-                        ids, fr = comps[e]
-                        mask = slots[si] == sj
-                        if mask.any():
-                            contrib.append((f_out[si], (ids[mask], fr[mask])))
-                    self.comp[lj][k] = propagate_composition(contrib, f_in[sj])
+                    mix = np.zeros(len(self.slot_paths[lj]))
+                    for si, src, dst in J.moves[sj]:
+                        if f_out[si] > _FLOW_EPS:
+                            mix[dst] += f_out[si] * comps[J.inputs[si]][src]
+                    shares = propagate_composition(mix, f_in[sj])
+                    if shares is not None:
+                        self.comp[lj][k] = shares
+                        self.entered[lj, k] = k
 
             self.n_up[:, k + 1] = self.n_up[:, k] + dt * inflow[:nL]
             self.dn[:, k + 1] = self.dn[:, k] + dt * outflow
@@ -483,8 +476,14 @@ class _Loader:
             o: OriginState(o, self.queue[oi], self.cum_dep[oi], self.cum_srv[oi])
             for o, oi in self.oidx.items()
         }
+        link_states = {
+            lid: LinkState(link, self.n_up[li], self.n_dn[li], self.inflow[li],
+                           self.outflow[li], self.slot_paths[li], self.comp[li],
+                           self.entered[li])
+            for li, (lid, link) in enumerate(zip(self.link_ids, self.links))
+        }
         return DNLResult(self.grid, self.path_ids, tt, dep_times[None, :] + tt,
-                         dict(zip(self.link_ids, self.states)), origin_states,
+                         link_states, origin_states,
                          self.balance, np.isnan(tt))
 
 

@@ -8,7 +8,6 @@ monotone piecewise-linear residual.
 
 from __future__ import annotations
 
-import logging
 import math
 import time
 from dataclasses import dataclass, field
@@ -19,8 +18,6 @@ import numpy as np
 from .delays import PenaltyParams, effective_delay
 from .dnl import DNLResult, run_dnl
 from .network import Network, TimeGrid
-
-logger = logging.getLogger(__name__)
 
 USED_FLOW_FRACTION = 1e-6  # a cell is "used" above this share of its O-D peak
 
@@ -195,18 +192,11 @@ def od_gap(h: np.ndarray, psi: np.ndarray, network: Network,
     blocks = _od_blocks(network, path_order)
     gaps: Dict[Tuple[str, str], float] = {}
     for key, rows in blocks.items():
-        if len(rows) == 0:
-            gaps[key] = 0.0
-            continue
         hb = h[rows]
-        peak = hb.max()
+        peak = hb.max() if hb.size else 0.0
         used = hb > USED_FLOW_FRACTION * peak if peak > 0 else np.zeros_like(hb, bool)
-        if not used.any():
-            logger.warning("O-D %s has no used departure cells", key)
-            gaps[key] = 0.0
-            continue
         vals = psi[rows][used]
-        gaps[key] = float(vals.max() - vals.min())
+        gaps[key] = float(vals.max() - vals.min()) if vals.size else 0.0
     return gaps
 
 
@@ -242,9 +232,6 @@ def solve_due(network: Network, grid: TimeGrid, config: SolverConfig,
         if eps_k <= config.epsilon:
             converged = True
             break
-
-    if not converged:
-        logger.info("fixed-point iteration stopped at the cap without converging")
 
     # one extra loading to report delays and gaps consistent with h_final
     t0 = time.perf_counter()

@@ -246,6 +246,21 @@ class TestDueCommand:
             assert filecmp.cmp(os.path.join(out1, name),
                                os.path.join(out2, name), shallow=False), name
 
+    def test_zero_demand_od_is_quiet(self, tmp_path, capsys, caplog):
+        # an O-D with no demand has no used departure cells; that is no fault
+        with open(os.path.join(DATA, "demand.txt")) as fh:
+            text = fh.read().replace("1,3,250,", "1,3,0,")
+        demand = tmp_path / "demand.txt"
+        demand.write_text(text)
+        argv = ["due", "--network", os.path.join(DATA, "network.txt"),
+                "--paths", os.path.join(DATA, "paths.txt"),
+                "--demand", str(demand), "--out", str(tmp_path / "out"),
+                "--dt", "30", "--horizon", "2400", "--alpha", "5e-4",
+                "--max-iters", "3", "--init-window", "0:1200"]
+        assert main(argv) == 0
+        err = capsys.readouterr().err + caplog.text
+        assert "used departure cells" not in err
+
 
 class TestPathsCommand:
     def test_enumerates_braess(self, tmp_path, capsys):
@@ -281,6 +296,20 @@ class TestReportCommand:
     def test_unknown_path_is_2(self, finished_run, capsys):
         assert main(["report", "--in", finished_run, "--paths", "zz"]) == 2
         assert "not present" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name,text,message", [
+        ("h_final.csv", "", "h_final.csv: empty file"),
+        ("eff_delay.csv", "path_id,0.0,10.0\np1,5.0\n",
+         "eff_delay.csv:2: expected 3 fields, got 2"),
+    ], ids=["empty-file", "short-row"])
+    def test_malformed_curve_file_is_parse_error(self, tmp_path, capsys, name,
+                                                 text, message):
+        (tmp_path / "od_gaps.csv").write_text("origin,destination,gap_s\n")
+        (tmp_path / name).write_text(text)
+        assert main(["report", "--in", str(tmp_path), "--paths", "p1"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("parse error: ") and message in err
+        assert len(err.strip().splitlines()) == 1
 
     @pytest.mark.parametrize("row,message", [
         ("1,3", "od_gaps.csv:3: expected 3 fields"),

@@ -13,7 +13,6 @@ from dtaflow.dnl import (
     LinkState,
     _exit_times,
     _read,
-    entry_time,
     exit_time,
     link_demand,
     link_supply,
@@ -51,7 +50,8 @@ def make_state(link, grid, n_up, n_dn, inflow=None, outflow=None):
     return LinkState(link, np.asarray(n_up, float), np.asarray(n_dn, float),
                      zero if inflow is None else np.asarray(inflow, float),
                      zero if outflow is None else np.asarray(outflow, float),
-                     [None] * n)
+                     np.zeros(0, dtype=np.int64), np.zeros((n, 0)),
+                     np.full(n, -1))
 
 
 class TestLinkDemand:
@@ -119,11 +119,6 @@ class TestCurveInversion:
         st = make_state(link, grid, 0.3 * times, 0.3 * np.clip(times - 100, 0, None))
         assert exit_time(st, grid, 200.0) == pytest.approx(300.0)
 
-    def test_entry_time_on_steady_link(self, link, grid):
-        times = grid.times()
-        st = make_state(link, grid, 0.3 * times, 0.3 * np.clip(times - 100, 0, None))
-        assert entry_time(st, grid, 300.0) == pytest.approx(200.0)
-
     def test_exit_time_empty_link_is_free_flow(self, link, grid):
         st = make_state(link, grid, np.zeros(11), np.zeros(11))
         assert exit_time(st, grid, 200.0) == pytest.approx(300.0)
@@ -153,21 +148,16 @@ class TestOriginOps:
 
 class TestPropagateComposition:
     def test_rate_weighted_mixture(self):
-        contrib = [
-            (0.2, (np.array([0]), np.array([1.0]))),
-            (0.2, (np.array([0, 1]), np.array([0.5, 0.5]))),
-        ]
-        ids, fr = propagate_composition(contrib, 0.4)
-        assert list(ids) == [0, 1]
-        assert fr == pytest.approx([0.75, 0.25])
+        # two feeders at 0.2 veh/s: one all path 0, one half paths 0 and 1
+        mix = 0.2 * np.array([1.0, 0.0]) + 0.2 * np.array([0.5, 0.5])
+        assert propagate_composition(mix, 0.4) == pytest.approx([0.75, 0.25])
 
     def test_no_flow_returns_none(self):
-        assert propagate_composition([], 0.0) is None
+        assert propagate_composition(np.zeros(2), 0.0) is None
 
     def test_mass_mismatch_raises(self):
-        contrib = [(0.3, (np.array([0]), np.array([1.0])))]
         with pytest.raises(DNLError, match="composition mass"):
-            propagate_composition(contrib, 0.4)
+            propagate_composition(np.array([0.3, 0.0]), 0.4)
 
 
 @settings(max_examples=100, deadline=None)
@@ -176,14 +166,16 @@ class TestPropagateComposition:
                           st.floats(0.01, 1.0)),
                 min_size=1, max_size=6))
 def test_propagated_fractions_always_normalized(raw):
-    contrib = [(r, (np.array([pid]), np.array([1.0]))) for r, pid, _ in raw]
+    # each feeder carries rate r of one path; the mix is over 10 paths
+    mix = np.zeros(10)
+    for r, pid, _ in raw:
+        mix[pid] += r
     total = sum(r for r, _, _ in raw)
-    out = propagate_composition(contrib, total)
+    out = propagate_composition(mix, total)
     if total > 1e-12:
-        ids, fr = out
-        assert fr.sum() == pytest.approx(1.0, abs=1e-9)
-        assert np.all(fr >= 0)
-        assert len(np.unique(ids)) == len(ids)
+        assert out.sum() == pytest.approx(1.0, abs=1e-9)
+        assert np.all(out >= 0)
+        assert np.all(out[mix == 0] == 0)
 
 
 # -- whole-run oracles -----------------------------------------------------------
@@ -383,6 +375,31 @@ def test_loaded_flows_within_public_demand_and_supply(case):
                          st.outflow[k] - link_demand(link, st, grid, times[k]),
                          st.inflow[k] - link_supply(link, st, grid, times[k]))
     assert excess <= 1e-12
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "a step's exit flow takes the composition of one entry step, so path "
+    "shares drift by O(dt) on links that several paths share"))
+def test_random_network_conserves_path_mass():
+    # every vehicle of a path that departs enters each link of that path:
+    # per path, inflow weighted by the entry shares adds up to its departures
+    net, grid, h = _random_dt5()
+    grid = TimeGrid(0.0, 5400.0, grid.dt_s)
+    h = np.pad(h, ((0, 0), (0, grid.n_steps - h.shape[1])))
+    res = run_dnl(net, h, grid)
+    assert not res.truncated[h > 0].any()
+    departed = h.sum(axis=1) * grid.dt_s
+    worst = 0.0
+    for state in res.link_states.values():
+        entered = np.zeros(len(net.paths))
+        for k, comp in enumerate(state.entry_composition):
+            if comp is not None:
+                entered[comp[0]] += state.inflow[k] * comp[1] * grid.dt_s
+        on_link = [res.path_order.index(p) for p, path in net.paths.items()
+                   if state.link.id in path.links]
+        rel = np.abs(entered[on_link] - departed[on_link]) / departed[on_link]
+        worst = max(worst, rel.max(initial=0.0))
+    assert worst <= 1e-9
 
 
 def test_random_network_conserves_vehicles():
