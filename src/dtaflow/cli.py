@@ -1,7 +1,8 @@
 """Command-line front end: load replays (dnl), equilibrium solves (due),
 path-set generation (paths) and post-hoc reporting (report).
 
-Exit codes: 0 success, 1 usage, 2 parse, 3 validation, 4 runtime failure.
+Exit codes: 0 success, 1 usage, 2 parse, 3 validation, 4 runtime failure
+(any unexpected exception too, reported on one line without a traceback).
 Usage (1) covers number flags out of range: every float flag must be
 finite; --dt, --horizon, --alpha and --epsilon must be > 0; --br-tolerance,
 --early-weight and --late-weight >= 0; --max-iters, --auto-paths and
@@ -306,6 +307,10 @@ def main(argv: Optional[List[str]] = None) -> int:
         return EXIT_VALIDATION
     except (DNLError, RuntimeError, ValueError, OSError) as e:
         print(f"runtime error: {e}", file=sys.stderr)
+        return EXIT_RUNTIME
+    except Exception as e:  # a fault of the program: one line, no traceback
+        message = " ".join(str(e).splitlines())
+        print(f"runtime error: {type(e).__name__}: {message}", file=sys.stderr)
         return EXIT_RUNTIME
 
 

@@ -154,9 +154,12 @@ def _link_params(links: Sequence[Link]) -> np.ndarray:
 
 
 def _boundary_flows(times: np.ndarray, dt_s: float, n_up: np.ndarray,
-                    n_dn: np.ndarray, t: float, params: np.ndarray):
-    """(demand, supply, capped demand, capped supply) at time t of the links
-    whose counts are the rows of n_up/n_dn; params as from _link_params.
+                    n_dn: np.ndarray, k, params: np.ndarray):
+    """(demand, supply, capped demand, capped supply) at knot k, time t, of
+    the links whose counts are the rows of n_up/n_dn; params as from
+    _link_params.
+    k is a step index or an array of them; each result has k's shape
+    followed by one entry per link.
 
     A boundary rate at the lagged time s is the average slope of its curve
     over [s, s1], s1 = min(s + dt, t): on a knot the recorded per-step rate,
@@ -166,26 +169,26 @@ def _boundary_flows(times: np.ndarray, dt_s: float, n_up: np.ndarray,
     at the exit by s1, room under the storage bound at s1.
     """
     capacity, storage = params[2:]
-    k = int(round((t - times[0]) / dt_s))
-    s = t - params[:2]  # lagged times of the upstream and downstream curves
-    s1 = np.minimum(s + dt_s, t)
-    lagged = np.stack([s, s1], axis=1)
-    up, up1 = _read(times, n_up, lagged[0])
-    dn, dn1 = _read(times, n_dn, lagged[1])
-    up_k, dn_k = n_up[:, k], n_dn[:, k]
-    demand = np.where(s[0] < times[0], 0.0,
+    t = times[k][..., None]
+    s_up, s_dn = t - params[0], t - params[1]  # lagged times of the two curves
+    s1_up, s1_dn = np.minimum(s_up + dt_s, t), np.minimum(s_dn + dt_s, t)
+    up, up1 = _read(times, n_up, np.array([s_up, s1_up]))
+    dn, dn1 = _read(times, n_dn, np.array([s_dn, s1_dn]))
+    up_k, dn_k = n_up.T[k], n_dn.T[k]
+    demand = np.where(s_up < times[0], 0.0,
                       np.where(up <= dn_k + COUNT_TOL,
-                               (up1 - up) / (s1[0] - s[0]), capacity))
+                               (up1 - up) / (s1_up - s_up), capacity))
     supply = np.where(up_k >= dn + storage - COUNT_TOL,
-                      (dn1 - dn) / (s1[1] - s[1]), capacity)
+                      (dn1 - dn) / (s1_dn - s_dn), capacity)
     return (demand, supply,
             np.minimum(demand, np.maximum(0.0, up1 - dn_k) / dt_s),
             np.minimum(supply, np.maximum(0.0, dn1 + storage - up_k) / dt_s))
 
 
 def _one_link(link: Link, state: LinkState, grid: TimeGrid, t: float):
+    k = int(round((t - grid.t0_s) / grid.dt_s))  # reads are at the nearest knot
     return _boundary_flows(grid.times(), grid.dt_s, state.n_up[None],
-                           state.n_dn[None], t, _link_params([link]))
+                           state.n_dn[None], k, _link_params([link]))
 
 
 def link_demand(link: Link, state: LinkState, grid: TimeGrid, t: float) -> float:
@@ -376,15 +379,22 @@ class _Loader:
         return self.comp[e][j] if j >= 0 else None
 
     def run(self) -> DNLResult:
+        """Step from the first departure until the network drains; the
+        frozen state fills the rest of the horizon."""
         N = self.grid.n_steps
         dt = self.grid.dt_s
         nL = len(self.links)
+        departing = np.flatnonzero(self.dep_rate.any(axis=0))
+        # Before the first departure every curve, queue and count is 0 and no
+        # link has an entry composition: the allocation holds that state.
+        k0, k_last = (departing[0], departing[-1]) if departing.size else (N, N)
+        settle_tried = False
 
-        for k in range(N):
+        for k in range(k0, N):
             if k:
                 self.entered[:nL, k] = self.entered[:nL, k - 1]
             D_eff, S_eff = _boundary_flows(self.times, dt, self.n_up, self.n_dn,
-                                           self.times[k], self.link_params)[2:]
+                                           k, self.link_params)[2:]
             q_k = self.queue[:, k]
             dep_k = self.dep_rate[:, k]
             D_org = np.minimum(origin_demand(q_k, dep_k, self.big_m), q_k / dt + dep_k)
@@ -418,10 +428,11 @@ class _Loader:
                 io = JunctionIO(demands, S[J.out_links], J.priorities)
                 f_out, f_in = self.model(io, DistributionMatrix(alpha))
 
-                if abs(f_out.sum() - f_in.sum()) > 1e-9 * max(1.0, f_out.sum()):
+                residual = abs(f_out.sum() - f_in.sum())
+                if not residual <= 1e-9 * max(1.0, f_out.sum()):  # NaN fails too
                     raise DNLError(
                         f"junction {J.node_id} conservation residual "
-                        f"{abs(f_out.sum() - f_in.sum()):.3e} at step {k}"
+                        f"{residual:.3e} at step {k}"
                     )
                 outflow[J.inputs] = f_out
                 inflow[J.out_links] += f_in
@@ -451,13 +462,47 @@ class _Loader:
             queued = self.queue[:, k + 1].sum()
             resid = abs(departed - (stored + queued + self.exited[k + 1]))
             self.balance[k + 1] = resid / max(1.0, departed)
-            if self.balance[k + 1] > 1e-6:
+            if not self.balance[k + 1] <= 1e-6:  # NaN fails too
                 raise DNLError(
                     f"vehicle balance residual {self.balance[k + 1]:.3e} "
                     f"at step {k + 1}"
                 )
 
+            if not settle_tried and k >= k_last and self._drained(k + 1):
+                settle_tried = True
+                if self._settle(k + 1):
+                    break
+
         return self._extract_result()
+
+    def _drained(self, k: int) -> bool:
+        """Every link holds no vehicles at knot k and no origin queue is left.
+        The origin curves are not compared: cumulative departures and service
+        differ by rounding even when the queue is exactly 0."""
+        return bool(np.all(self.n_up[:, k] == self.n_dn[:, k])
+                    and not self.queue[:, k].any())
+
+    def _settle(self, k: int) -> bool:
+        """Freeze the drained state at knot k over the rest of the horizon and
+        return True if every later step would be a no-op. That holds when no
+        link demands flow at any later step; the demands are read with the
+        step loop's own formula, up to the longest free-flow lag past k (later
+        reads fall on the flat, frozen curves and give exactly 0). On False the
+        caller keeps stepping, overwriting the frozen columns."""
+        N = self.grid.n_steps
+        dt = self.grid.dt_s
+        nL = len(self.links)
+        self.n_up[:, k + 1:] = self.n_up[:, k, None]
+        self.dn[:, k + 1:] = self.dn[:, k, None]
+        reach = k + math.ceil(self.link_params[0].max() / dt) + 2
+        D_eff = _boundary_flows(self.times, dt, self.n_up, self.n_dn,
+                                np.arange(k, min(reach, N)), self.link_params)[2]
+        if D_eff.any():
+            return False
+        self.entered[:nL, k:] = self.entered[:nL, k - 1, None]
+        self.exited[k + 1:] = self.exited[k]
+        self.balance[k + 1:] = self.balance[k]
+        return True
 
     # -- travel-time extraction -------------------------------------------------
 

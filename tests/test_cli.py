@@ -6,6 +6,7 @@ import os
 
 import pytest
 
+from dtaflow import cli
 from dtaflow.cli import main
 from dtaflow.fileio import load_paths
 
@@ -160,6 +161,21 @@ class TestExitCodes:
                 "--dt", "10", "--horizon", "700"]
         assert main(argv) == 2  # dimension mismatch is caught at parse time
         assert "expected N" in capsys.readouterr().err
+
+    def test_unexpected_error_is_4(self, tiny, capsys, monkeypatch):
+        def fail(args):
+            raise KeyError("no such thing")
+
+        monkeypatch.setitem(cli._COMMANDS, "dnl", fail)
+        files, tmp = tiny
+        argv = ["dnl", "--network", files["network.txt"],
+                "--paths", files["paths.txt"], "--demand", files["demand.txt"],
+                "--departures", str(tmp / "h.csv"), "--out", str(tmp / "o"),
+                "--dt", "10", "--horizon", "700"]
+        assert main(argv) == 4
+        err = capsys.readouterr().err
+        assert err.splitlines() == ["runtime error: KeyError: 'no such thing'"]
+        assert "Traceback" not in err
 
 
 def braess_replay_args(out, departures=os.path.join(DATA, "departures.csv")):

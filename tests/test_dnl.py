@@ -7,7 +7,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dtaflow import Link, TimeGrid, run_dnl
+from dtaflow import (
+    Link,
+    TimeGrid,
+    init_departures,
+    register_junction_model,
+    resolve_junction,
+    run_dnl,
+)
 from dtaflow.dnl import (
     DNLError,
     LinkState,
@@ -409,6 +416,97 @@ def test_random_network_conserves_vehicles():
     for state in res.link_states.values():
         assert np.all(state.n_dn <= state.n_up + 1e-9)
         assert (state.n_up - state.n_dn).max() <= state.link.storage_veh + 1e-9
+
+
+# -- active window: empty steps before the first departure and after draining ---
+
+
+def _link_curves(res):
+    return (np.array([s.n_up for s in res.link_states.values()]),
+            np.array([s.n_dn for s in res.link_states.values()]))
+
+
+def test_zero_padded_horizon_changes_nothing():
+    # a longer horizon only appends empty steps: the common knots and the
+    # trips that finish on the short horizon are the same bit for bit
+    net = braess_network()
+    short, long = TimeGrid(0.0, 2400.0, 5.0), TimeGrid(0.0, 4800.0, 5.0)
+    h = init_departures(net, short, (0.0, 1200.0))
+    res_s = run_dnl(net, h, short)
+    res_l = run_dnl(net, np.pad(h, ((0, 0), (0, long.n_steps - short.n_steps))),
+                    long)
+    n = short.n_steps + 1
+    for curve_s, curve_l in zip(_link_curves(res_s), _link_curves(res_l)):
+        np.testing.assert_array_equal(curve_s, curve_l[:, :n])
+    np.testing.assert_array_equal(res_s.diagnostics, res_l.diagnostics[:n])
+    done = ~res_s.truncated
+    assert done.sum() > 0
+    np.testing.assert_array_equal(res_s.travel_time[done],
+                                  res_l.travel_time[:, : short.n_steps][done])
+
+
+def test_second_pulse_after_draining_is_loaded():
+    # the network drains completely between two equal pulses; the second one
+    # still loads, and it travels like the first
+    net = braess_network()
+    grid = TimeGrid(0.0, 4800.0, 5.0)
+    h = init_departures(net, grid, (0.0, 300.0))  # steps 0-59
+    h[:, 600:660] = h[:, :60]
+    res = run_dnl(net, h, grid)
+    n_up, n_dn = _link_curves(res)
+    queue = np.array([o.queue_veh for o in res.origin_states.values()])
+    drained = np.all(n_up == n_dn, axis=0) & np.all(queue == 0.0, axis=0)
+    assert drained[61:600].any()
+    assert np.all(n_up[:, 590:].max(axis=1) > n_up[:, 590])
+    np.testing.assert_allclose(n_up[:, -1], 2.0 * n_up[:, 590], rtol=1e-12)
+    assert res.diagnostics.max() <= 1e-6
+    # once the second pulse has drained, the state holds to the end
+    last = 660 + np.flatnonzero(drained[660:])[0]
+    for curve in (n_up, n_dn, queue):
+        assert np.all(curve[:, last:] == curve[:, last, None])
+    assert np.all(res.diagnostics[last:] == res.diagnostics[last])
+    for state in res.link_states.values():
+        labelled = np.where(state.composition.any(axis=1),
+                            np.arange(grid.n_steps), -1)
+        np.testing.assert_array_equal(state.entered,
+                                      np.maximum.accumulate(labelled))
+    first, second = res.travel_time[:, :60], res.travel_time[:, 600:660]
+    assert not np.isnan(first).any() and not np.isnan(second).any()
+    np.testing.assert_allclose(second, first, rtol=0.0, atol=1e-6)
+
+
+def test_zero_departures_give_empty_curves_and_free_flow_times():
+    net = braess_network()
+    grid = TimeGrid(0.0, 2400.0, 5.0)
+    res = run_dnl(net, np.zeros((len(net.paths), grid.n_steps)), grid)
+    for state in res.link_states.values():
+        assert not state.n_up.any() and not state.n_dn.any()
+        assert np.all(state.entered == -1)
+    for o in res.origin_states.values():
+        assert not (o.queue_veh.any() or o.cum_departures.any()
+                    or o.cum_served.any())
+    assert not res.diagnostics.any()
+    dep = grid.times()[: grid.n_steps]
+    for p, pid in enumerate(res.path_order):
+        ff = sum(net.links[l].free_flow_time_s for l in net.paths[pid].links)
+        done = dep + ff <= grid.tf_s
+        np.testing.assert_allclose(res.travel_time[p, done], ff, rtol=1e-12)
+        assert np.array_equal(res.truncated[p], ~done)
+
+
+def test_nan_junction_flows_stop_the_loading():
+    # NaN fails every loop check instead of slipping through a comparison
+    def nan_flows(io, dist):
+        f_out, f_in = resolve_junction(io, dist)
+        return f_out * np.nan, f_in * np.nan
+
+    net, grid, h = _braess_dt7()
+    register_junction_model("fifo_priority", nan_flows)
+    try:
+        with pytest.raises(DNLError, match="conservation residual nan"):
+            run_dnl(net, h, grid)
+    finally:
+        register_junction_model("fifo_priority", resolve_junction)
 
 
 # -- input validation and warnings -----------------------------------------------
