@@ -13,35 +13,15 @@ from .network import (
     fd_flow,
     validate_network,
 )
-from .junctions import (
-    DistributionMatrix,
-    JunctionError,
-    JunctionIO,
-    register_junction_model,
-    resolve_junction,
-)
-from .dnl import (
-    DNLError,
-    DNLResult,
-    LinkState,
-    OriginState,
-    exit_time,
-    link_demand,
-    link_supply,
-    origin_demand,
-    propagate_composition,
-    run_dnl,
-    step_origin_queue,
-)
+from .junctions import JunctionError, register_junction_model, resolve_junction
+from .dnl import run_dnl
 from .delays import (
-    DelayProfile,
     PenaltyParams,
     arrival_penalty,
     effective_delay,
     truncation_sentinel,
 )
 from .solver import (
-    SolveReport,
     SolverConfig,
     dual_residual,
     fixed_point_update,
@@ -52,5 +32,13 @@ from .solver import (
     solve_due,
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = [
+    "Link", "Network", "NetworkError", "Node", "ODPair", "Path", "TimeGrid",
+    "derive_fd", "fd_flow", "validate_network",
+    "JunctionError", "register_junction_model", "resolve_junction",
+    "run_dnl",
+    "PenaltyParams", "arrival_penalty", "effective_delay", "truncation_sentinel",
+    "SolverConfig", "dual_residual", "fixed_point_update", "init_departures",
+    "od_gap", "relative_gap", "solve_dual", "solve_due",
+]
 __version__ = "0.1.0"

@@ -26,14 +26,6 @@ class PenaltyParams:
             raise ValueError("penalty weights must be nonnegative and finite")
 
 
-@dataclass
-class DelayProfile:
-    """Generalized cost psi[p, k] (seconds) per path and departure step."""
-
-    psi: np.ndarray
-    path_order: tuple
-
-
 def arrival_penalty(arrival_s, target_s, params: PenaltyParams):
     """Cost of arriving off-target: early and late sides weighted separately.
     Works elementwise on arrays."""
@@ -51,8 +43,10 @@ def truncation_sentinel(grid_t0: float, grid_tf: float, dep_t,
 
 
 def effective_delay(result: DNLResult, network: Network,
-                    params: PenaltyParams = PenaltyParams()) -> DelayProfile:
-    """Travel time plus arrival penalty against each O-D pair's target time.
+                    params: PenaltyParams = PenaltyParams()) -> np.ndarray:
+    """Generalized cost psi[p, k] (seconds) per path (in result.path_order)
+    and departure step: travel time plus arrival penalty against each O-D
+    pair's target time.
 
     Horizon-truncated cells receive a finite sentinel cost so downstream
     updates push flow away from them.
@@ -73,4 +67,4 @@ def effective_delay(result: DNLResult, network: Network,
     bad = result.truncated
     psi[bad] = truncation_sentinel(
         grid.t0_s, grid.tf_s, np.broadcast_to(dep_times, bad.shape)[bad], params)
-    return DelayProfile(psi, result.path_order)
+    return psi

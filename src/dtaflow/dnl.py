@@ -18,7 +18,7 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .junctions import DistributionMatrix, JunctionIO, get_junction_model
+from .junctions import get_junction_model
 from .network import SOURCE_KEY, Link, Network, TimeGrid
 
 COUNT_TOL = 1e-9  # veh; equality tolerance on cumulative counts
@@ -425,8 +425,7 @@ class _Loader:
                         alpha[si] = np.bincount(self.slot_route[e], weights=comps[e],
                                                 minlength=n)
 
-                io = JunctionIO(demands, S[J.out_links], J.priorities)
-                f_out, f_in = self.model(io, DistributionMatrix(alpha))
+                f_out, f_in = self.model(demands, S[J.out_links], J.priorities, alpha)
 
                 residual = abs(f_out.sum() - f_in.sum())
                 if not residual <= 1e-9 * max(1.0, f_out.sum()):  # NaN fails too

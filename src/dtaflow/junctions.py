@@ -9,9 +9,7 @@ with redistribution of unused shares.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
-from typing import Callable, Dict, List, Sequence, Tuple
+from typing import Callable, Dict, Tuple
 
 import numpy as np
 
@@ -20,49 +18,6 @@ _EPS = 1e-12
 
 class JunctionError(ValueError):
     """Raised when junction inputs are internally inconsistent."""
-
-
-@dataclass(frozen=True)
-class DistributionMatrix:
-    """Split fractions alpha[i, j]: share of incoming link i's exit flow
-    headed for outgoing link j. Rows of links without demand may be zero."""
-
-    alpha: np.ndarray  # shape (m, n)
-
-    def __post_init__(self):
-        a = np.asarray(self.alpha, dtype=float)
-        if a.ndim != 2:
-            raise JunctionError("distribution matrix must be 2-D")
-        if np.any(a < -_EPS) or np.any(a > 1 + 1e-9):
-            raise JunctionError("split fractions must lie in [0, 1]")
-        object.__setattr__(self, "alpha", a)
-
-    def check_rows(self, demands: Sequence[float], tol: float = 1e-6) -> None:
-        sums = self.alpha.sum(axis=1)
-        for i, d in enumerate(demands):
-            if d > _EPS and abs(sums[i] - 1.0) > tol:
-                raise JunctionError(
-                    f"distribution row {i} sums to {sums[i]:.9f} with positive demand"
-                )
-
-
-@dataclass(frozen=True)
-class JunctionIO:
-    demands: np.ndarray  # veh/s per incoming link (incl. virtual source)
-    supplies: np.ndarray  # veh/s per outgoing link (incl. virtual sink)
-    priorities: np.ndarray  # merge weights per incoming link, sum to 1
-
-    def __post_init__(self):
-        d = np.asarray(self.demands, dtype=float)
-        s = np.asarray(self.supplies, dtype=float)
-        p = np.asarray(self.priorities, dtype=float)
-        if np.any(d < 0) or np.any(s < 0) or np.any(p < 0):
-            raise JunctionError("junction demands/supplies/priorities must be >= 0")
-        if abs(p.sum() - 1.0) > 1e-12:
-            raise JunctionError(f"priorities sum to {p.sum()}, expected 1")
-        object.__setattr__(self, "demands", d)
-        object.__setattr__(self, "supplies", s)
-        object.__setattr__(self, "priorities", p)
 
 
 def _priority_allocate(
@@ -94,20 +49,40 @@ def _priority_allocate(
 
 
 def resolve_junction(
-    io: JunctionIO, dist: DistributionMatrix
+    demands, supplies, priorities, alpha
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Resolve (outflows per incoming, inflows per outgoing).
+
+    demands: veh/s per incoming link (incl. virtual source); supplies: veh/s
+    per outgoing link (incl. virtual sink); priorities: merge weights per
+    incoming link, summing to 1; alpha[i, j]: share of incoming link i's exit
+    flow headed for outgoing link j (rows without demand may be zero).
 
     Guarantees: flow conservation (sum out == sum in), feasibility
     (f_out <= D, f_in <= S), and reduction to min(D, S) on a 1x1 node.
     """
-    alpha = dist.alpha
-    D = io.demands
-    S = io.supplies
+    D = np.asarray(demands, dtype=float)
+    S = np.asarray(supplies, dtype=float)
+    pri = np.asarray(priorities, dtype=float)
+    alpha = np.asarray(alpha, dtype=float)
+    # written so that NaN fails every check
+    if not (np.all(D >= 0) and np.all(S >= 0) and np.all(pri >= 0)):
+        raise JunctionError("junction demands/supplies/priorities must be >= 0")
+    if not abs(pri.sum() - 1.0) <= 1e-12:
+        raise JunctionError(f"priorities sum to {pri.sum()}, expected 1")
+    if alpha.ndim != 2:
+        raise JunctionError("distribution matrix must be 2-D")
+    if not np.all((alpha >= -_EPS) & (alpha <= 1 + 1e-9)):
+        raise JunctionError("split fractions must lie in [0, 1]")
     m, n = alpha.shape
     if len(D) != m or len(S) != n:
         raise JunctionError("shape mismatch between demands/supplies and matrix")
-    dist.check_rows(D)
+    sums = alpha.sum(axis=1)
+    for i in np.flatnonzero(D > _EPS):
+        if not abs(sums[i] - 1.0) <= 1e-6:
+            raise JunctionError(
+                f"distribution row {i} sums to {sums[i]:.9f} with positive demand"
+            )
 
     oriented = alpha.T @ D  # demand aimed at each outgoing link
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
@@ -116,7 +91,6 @@ def resolve_junction(
     # ration by priority only at a congested merge: an exit short of supply
     # whose feeders (movements into it above 1e-12 of the largest) differ in
     # priority
-    pri = io.priorities
     equal_pri = True
     for j in np.flatnonzero(beta < 1.0 - _EPS):
         move = alpha[:, j] * D
@@ -150,7 +124,9 @@ def resolve_junction(
 
 # -- pluggable model registry -------------------------------------------------
 
-JunctionModel = Callable[[JunctionIO, DistributionMatrix], Tuple[np.ndarray, np.ndarray]]
+# model(demands, supplies, priorities, alpha) -> (f_out, f_in)
+JunctionModel = Callable[[np.ndarray, np.ndarray, np.ndarray, np.ndarray],
+                         Tuple[np.ndarray, np.ndarray]]
 
 _MODELS: Dict[str, JunctionModel] = {"fifo_priority": resolve_junction}
 

@@ -9,6 +9,7 @@ monotone piecewise-linear residual.
 from __future__ import annotations
 
 import math
+import numbers
 import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
@@ -20,6 +21,7 @@ from .dnl import DNLResult, run_dnl
 from .network import Network, TimeGrid
 
 USED_FLOW_FRACTION = 1e-6  # a cell is "used" above this share of its O-D peak
+BISECT_TOL = 1e-8  # dual residual tolerance of the projection, relative to Q
 
 
 @dataclass(frozen=True)
@@ -28,7 +30,6 @@ class SolverConfig:
     epsilon: float = 1e-4  # relative-gap termination threshold
     max_iters: int = 100
     br_tolerance: float = 0.0  # indifference band, cost-seconds
-    bisect_tol: float = 1e-8  # dual residual tolerance, relative to Q
     penalty: PenaltyParams = field(default_factory=PenaltyParams)
     initial_window_s: Optional[Tuple[float, float]] = None  # default: full horizon
 
@@ -37,8 +38,8 @@ class SolverConfig:
             raise ValueError(f"step size alpha {self.alpha} must be finite and > 0")
         if not (math.isfinite(self.epsilon) and self.epsilon > 0):
             raise ValueError(f"epsilon {self.epsilon} must be finite and > 0")
-        if self.max_iters < 1:
-            raise ValueError("max_iters must be at least 1")
+        if not (isinstance(self.max_iters, numbers.Integral) and self.max_iters >= 1):
+            raise ValueError(f"max_iters {self.max_iters!r} must be an integer >= 1")
         if not (math.isfinite(self.br_tolerance) and self.br_tolerance >= 0):
             raise ValueError(f"br_tolerance {self.br_tolerance} must be finite and >= 0")
 
@@ -166,13 +167,12 @@ def fixed_point_update(h: np.ndarray, psi: np.ndarray, network: Network,
                     upd[keep] = hb[keep] * (od.demand_veh / kept_demand)
             else:
                 v = solve_dual(hb[~keep], pb[~keep], q_rest, config.alpha, dt,
-                               config.bisect_tol)
+                               BISECT_TOL)
                 upd[:] = np.maximum(hb - config.alpha * pb + v, 0.0)
                 upd[keep] = hb[keep]
             out[rows] = upd
         else:
-            v = solve_dual(hb, pb, od.demand_veh, config.alpha, dt,
-                           config.bisect_tol)
+            v = solve_dual(hb, pb, od.demand_veh, config.alpha, dt, BISECT_TOL)
             out[rows] = np.maximum(hb - config.alpha * pb + v, 0.0)
     return out
 
@@ -214,12 +214,10 @@ def solve_due(network: Network, grid: TimeGrid, config: SolverConfig,
     dnl_time = 0.0
     upd_time = 0.0
     converged = False
-    psi = None
     for it in range(config.max_iters):
         t0 = time.perf_counter()
         result = run_dnl(network, h, grid)
-        profile = effective_delay(result, network, config.penalty)
-        psi = profile.psi
+        psi = effective_delay(result, network, config.penalty)
         dnl_time += time.perf_counter() - t0
 
         t0 = time.perf_counter()
@@ -236,7 +234,7 @@ def solve_due(network: Network, grid: TimeGrid, config: SolverConfig,
     # one extra loading to report delays and gaps consistent with h_final
     t0 = time.perf_counter()
     result = run_dnl(network, h, grid)
-    psi_final = effective_delay(result, network, config.penalty).psi
+    psi_final = effective_delay(result, network, config.penalty)
     dnl_time += time.perf_counter() - t0
     gaps = od_gap(h, psi_final, network, path_order)
 

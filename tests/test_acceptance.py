@@ -28,6 +28,7 @@ from dtaflow import (
 from dtaflow.cli import main
 from dtaflow.dnl import exit_time
 from dtaflow.junctions import register_junction_model, resolve_junction
+from dtaflow.solver import BISECT_TOL
 from helpers import (
     braess_network,
     grid_network,
@@ -52,12 +53,12 @@ def audited_dnl(net, h, grid):
     residuals = []
     row_errors = []
 
-    def audit(io, dist):
-        f_out, f_in = resolve_junction(io, dist)
+    def audit(demands, supplies, priorities, alpha):
+        f_out, f_in = resolve_junction(demands, supplies, priorities, alpha)
         total = float(f_out.sum())
         residuals.append(abs(total - float(f_in.sum())) / max(1.0, total))
-        sums = dist.alpha.sum(axis=1)
-        for d, s in zip(io.demands, sums):
+        sums = alpha.sum(axis=1)
+        for d, s in zip(demands, sums):
             if d > 1e-12:
                 row_errors.append(abs(s - 1.0))
         return f_out, f_in
@@ -259,16 +260,16 @@ def test_criterion_09_equilibrium_fixed_point():
     from dtaflow import effective_delay
 
     res = run_dnl(net, h, grid)
-    psi = effective_delay(res, net).psi
+    psi = effective_delay(res, net)
     used = h > 0
     # confirm construction: every used cell attains the O-D minimum cost
     assert np.abs(psi[used] - psi[used].min()).max() <= 1e-9
     assert psi[used].min() <= psi[~used].min()
 
-    cfg = SolverConfig(alpha=1e-3, bisect_tol=1e-8)
+    cfg = SolverConfig(alpha=1e-3)
     h_new = fixed_point_update(h, psi, net, grid, cfg, order)
     moved = np.abs(h_new - h).sum() * grid.dt_s
-    assert moved <= cfg.bisect_tol * 6.0
+    assert moved <= BISECT_TOL * 6.0
 
 
 def test_criterion_10_braess_due():

@@ -66,36 +66,36 @@ def loaded():
 class TestEffectiveDelay:
     def test_travel_time_plus_penalty(self, loaded):
         net, grid, res = loaded
-        prof = effective_delay(res, net, PARAMS)
+        psi = effective_delay(res, net, PARAMS)
         dep = grid.times()[: grid.n_steps]
         k = int(np.where(dep == 300.0)[0][0])  # arrives 400, 200 s early
-        assert prof.psi[0, k] == pytest.approx(100.0 + 0.5 * 200.0)
+        assert psi[0, k] == pytest.approx(100.0 + 0.5 * 200.0)
         k = int(np.where(dep == 600.0)[0][0])  # arrives 700, 100 s late
-        assert prof.psi[0, k] == pytest.approx(100.0 + 2.0 * 100.0)
+        assert psi[0, k] == pytest.approx(100.0 + 2.0 * 100.0)
         k = int(np.where(dep == 500.0)[0][0])  # arrives exactly on target
-        assert prof.psi[0, k] == pytest.approx(100.0)
+        assert psi[0, k] == pytest.approx(100.0)
 
     def test_minimum_at_on_time_departure(self, loaded):
         net, grid, res = loaded
-        prof = effective_delay(res, net, PARAMS)
+        psi = effective_delay(res, net, PARAMS)
         dep = grid.times()[: grid.n_steps]
         finite = ~res.truncated[0]
-        best = dep[finite][np.argmin(prof.psi[0, finite])]
+        best = dep[finite][np.argmin(psi[0, finite])]
         assert best == pytest.approx(500.0)  # 500 + 100 = target
 
     def test_truncated_cells_get_dominating_sentinel(self, loaded):
         net, grid, res = loaded
-        prof = effective_delay(res, net, PARAMS)
+        psi = effective_delay(res, net, PARAMS)
         trunc = res.truncated[0]
         assert trunc.any()
-        completed_max = prof.psi[0, ~trunc].max()
-        assert prof.psi[0, trunc].min() > completed_max
-        assert np.all(np.isfinite(prof.psi))
+        completed_max = psi[0, ~trunc].max()
+        assert psi[0, trunc].min() > completed_max
+        assert np.all(np.isfinite(psi))
 
     def test_matches_per_cell_formulas(self, loaded):
         # the array evaluation gives exactly the scalar per-cell costs
         net, grid, res = loaded
-        prof = effective_delay(res, net, PARAMS)
+        psi = effective_delay(res, net, PARAMS)
         dep = grid.times()[: grid.n_steps]
         for k, t in enumerate(dep):
             tt = res.travel_time[0, k]
@@ -103,7 +103,7 @@ class TestEffectiveDelay:
                 want = truncation_sentinel(grid.t0_s, grid.tf_s, t, PARAMS)
             else:
                 want = tt + arrival_penalty(t + tt, 600.0, PARAMS)
-            assert prof.psi[0, k] == want
+            assert psi[0, k] == want
 
     def test_sentinel_formula(self):
         # remaining horizon plus the worst-case schedule penalty

@@ -496,8 +496,8 @@ def test_zero_departures_give_empty_curves_and_free_flow_times():
 
 def test_nan_junction_flows_stop_the_loading():
     # NaN fails every loop check instead of slipping through a comparison
-    def nan_flows(io, dist):
-        f_out, f_in = resolve_junction(io, dist)
+    def nan_flows(demands, supplies, priorities, alpha):
+        f_out, f_in = resolve_junction(demands, supplies, priorities, alpha)
         return f_out * np.nan, f_in * np.nan
 
     net, grid, h = _braess_dt7()

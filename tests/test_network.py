@@ -168,6 +168,7 @@ NONFINITE_BUILDS = {
     "SolverConfig alpha": lambda x: SolverConfig(alpha=x),
     "SolverConfig epsilon": lambda x: SolverConfig(epsilon=x),
     "SolverConfig br_tolerance": lambda x: SolverConfig(br_tolerance=x),
+    "SolverConfig max_iters": lambda x: SolverConfig(max_iters=x),
     "PenaltyParams early": lambda x: PenaltyParams(early_weight=x),
     "PenaltyParams late": lambda x: PenaltyParams(late_weight=x),
 }

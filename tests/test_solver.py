@@ -145,7 +145,7 @@ class TestFixedPointUpdate:
     def test_constant_cost_is_a_fixed_point(self, setup):
         net, grid, h = setup
         psi = np.full(h.shape, 300.0)
-        cfg = SolverConfig(alpha=1e-3, bisect_tol=1e-12)
+        cfg = SolverConfig(alpha=1e-3)
         h_new = fixed_point_update(h, psi, net, grid, cfg, tuple(net.paths))
         assert np.abs(h_new - h).max() < 1e-8
 
@@ -206,6 +206,8 @@ class TestSolverConfig:
             SolverConfig(epsilon=0.0)
         with pytest.raises(ValueError):
             SolverConfig(max_iters=0)
+        with pytest.raises(ValueError):
+            SolverConfig(max_iters=2.5)
         with pytest.raises(ValueError):
             SolverConfig(br_tolerance=-1.0)
 
