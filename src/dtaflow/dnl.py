@@ -274,6 +274,15 @@ class _Loader:
         self.links = [network.links[l] for l in self.link_ids]
         self.link_params = _link_params(self.links)
         nP, nL, N = len(self.path_ids), len(self.link_ids), grid.n_steps
+        self.times = grid.times()
+        # a lag lost in t - lag would make a boundary rate 0/0
+        lost = self.times - self.link_params[:2, :, None] == self.times
+        for kind, li in zip(*np.nonzero(lost.any(axis=2))):
+            raise DNLError(
+                f"link {self.link_ids[li]}: {('free-flow', 'backward-wave')[kind]} "
+                f"time {float(self.link_params[kind, li])!r} s is lost in the "
+                "grid times (t - lag == t)"
+            )
 
         h = np.asarray(departures, dtype=float)
         if h.shape != (nP, N):
@@ -302,7 +311,6 @@ class _Loader:
 
         self.junctions = self._build_junctions()
 
-        self.times = grid.times()
         self.up = np.zeros((nL + nO, N + 1))
         self.dn = np.zeros((nL + nO, N + 1))
         self.n_up, self.cum_dep = self.up[:nL], self.up[nL:]
@@ -312,9 +320,13 @@ class _Loader:
         self.comp = [np.zeros((N, len(paths))) for paths in self.slot_paths]
         self.entered = np.full((nL + nO, N), -1, dtype=np.int64)
 
-        self.dep_rate = np.array([h[paths].sum(axis=0)
-                                  for paths in self.slot_paths[nL:]]).reshape(nO, N)
-        self.cum_dep[:, 1:] = np.cumsum(self.dep_rate, axis=1) * grid.dt_s
+        with np.errstate(over="ignore"):
+            self.dep_rate = np.array([h[paths].sum(axis=0)
+                                      for paths in self.slot_paths[nL:]]).reshape(nO, N)
+            self.cum_dep[:, 1:] = np.cumsum(self.dep_rate, axis=1) * grid.dt_s
+        for oi in np.flatnonzero(~np.isfinite(self.cum_dep[:, -1])):
+            raise DNLError(f"cumulative departures at origin {self.origin_ids[oi]} "
+                           "are not finite: departure rates too large")
         for oi, paths in enumerate(self.slot_paths[nL:]):
             for j in np.flatnonzero(self.dep_rate[oi] > 0):
                 rates = h[paths, j]

@@ -34,7 +34,6 @@ import math
 import os
 from typing import Dict, List, Optional, Sequence, Tuple
 
-import networkx as nx
 import numpy as np
 
 from .network import Link, NetworkError, Node, ODPair, Path
@@ -245,6 +244,8 @@ def enumerate_paths(nodes: Sequence[Node], links: Sequence[Link],
     Ties and parallel links are broken by lexicographic link ids so the
     result is deterministic.
     """
+    import networkx as nx  # only path enumeration needs it; keeps CLI start-up light
+
     g = nx.DiGraph()
     for n in nodes:
         g.add_node(n.id)
@@ -451,6 +452,4 @@ def write_paths(paths: Sequence[Path], out_path: str) -> None:
 def write_departures(path_order: Sequence[str], matrix: np.ndarray,
                      out_path: str) -> None:
     with open(out_path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        for pid, row in zip(path_order, matrix):
-            w.writerow([pid] + [_fmt(v) for v in row])
+        csv.writer(fh).writerows(_matrix_rows(path_order, matrix))

@@ -2,8 +2,8 @@
 
 Each iteration loads the network, evaluates effective delays, and projects
 h - alpha * psi back onto the demand-feasible set. The projection decomposes
-per O-D pair into a clamp with a scalar dual shift found by bisection on a
-monotone piecewise-linear residual.
+per O-D pair into a clamp with a scalar dual shift: the exact root of a
+monotone piecewise-linear residual, read off its sorted breakpoints.
 """
 
 from __future__ import annotations
@@ -21,7 +21,6 @@ from .dnl import DNLResult, run_dnl
 from .network import Network, TimeGrid
 
 USED_FLOW_FRACTION = 1e-6  # a cell is "used" above this share of its O-D peak
-BISECT_TOL = 1e-8  # dual residual tolerance of the projection, relative to Q
 
 
 @dataclass(frozen=True)
@@ -97,33 +96,20 @@ def dual_residual(h_block: np.ndarray, psi_block: np.ndarray, x: float,
 
 
 def solve_dual(h_block: np.ndarray, psi_block: np.ndarray, q_veh: float,
-               alpha: float, dt_s: float, tol: float) -> float:
-    """Root of G by bracketing then bisection, to |G| <= tol * Q."""
+               alpha: float, dt_s: float) -> float:
+    """Exact root of G from its sorted breakpoints b = alpha*psi - h.
+
+    Past its k lowest breakpoints G(x) = dt*(k*x - their sum) - Q, so the
+    root is x_k = (Q/dt + their sum)/k for the largest k with x_k > b_(k)
+    (Duchi et al. 2008; Condat 2016).
+    """
     if q_veh <= 0:
         return 0.0
-    z = h_block - alpha * psi_block
-    x_lo = float(-z.max())  # G(x_lo) = -Q < 0
-    horizon = h_block.shape[-1] * dt_s
-    x_hi = max(q_veh / horizon, 1e-12)
-    g = dual_residual(h_block, psi_block, x_hi, q_veh, alpha, dt_s)
-    guard = 0
-    while g < 0:
-        x_hi = x_hi * 2 + 1.0
-        g = dual_residual(h_block, psi_block, x_hi, q_veh, alpha, dt_s)
-        guard += 1
-        if guard > 200:
-            raise RuntimeError("failed to bracket the dual root")
-    target = tol * q_veh
-    for _ in range(200):
-        x_mid = 0.5 * (x_lo + x_hi)
-        g = dual_residual(h_block, psi_block, x_mid, q_veh, alpha, dt_s)
-        if abs(g) <= target:
-            return x_mid
-        if g < 0:
-            x_lo = x_mid
-        else:
-            x_hi = x_mid
-    return 0.5 * (x_lo + x_hi)
+    b = np.sort((alpha * psi_block - h_block).ravel())
+    x = (q_veh / dt_s + np.cumsum(b)) / np.arange(1, b.size + 1)
+    past = np.flatnonzero(x > b)
+    # none when Q/dt is below the rounding of the lowest breakpoint
+    return float(x[past[-1]] if past.size else x[0])
 
 
 def _od_blocks(network: Network, path_order: tuple) -> Dict[Tuple[str, str], np.ndarray]:
@@ -154,26 +140,21 @@ def fixed_point_update(h: np.ndarray, psi: np.ndarray, network: Network,
         hb = h[rows]
         pb = psi[rows]
         eta = config.br_tolerance
-        if eta > 0:
-            keep = pb <= pb.min() + eta
-            kept_demand = float(hb[keep].sum() * dt)
-            q_rest = od.demand_veh - kept_demand
-            upd = out[rows]
-            if q_rest <= 1e-12 * od.demand_veh or keep.all():
-                # band already carries the whole demand: zero the rest and
-                # scale kept cells back onto the constraint
-                upd[:] = 0.0
-                if kept_demand > 0:
-                    upd[keep] = hb[keep] * (od.demand_veh / kept_demand)
-            else:
-                v = solve_dual(hb[~keep], pb[~keep], q_rest, config.alpha, dt,
-                               BISECT_TOL)
-                upd[:] = np.maximum(hb - config.alpha * pb + v, 0.0)
-                upd[keep] = hb[keep]
-            out[rows] = upd
+        keep = pb <= pb.min() + eta if eta > 0 else np.zeros(pb.shape, bool)
+        kept_demand = float(hb[keep].sum() * dt)
+        q_rest = od.demand_veh - kept_demand
+        upd = out[rows]
+        if q_rest <= 1e-12 * od.demand_veh or keep.all():
+            # band already carries the whole demand: zero the rest and
+            # scale kept cells back onto the constraint
+            upd[:] = 0.0
+            if kept_demand > 0:
+                upd[keep] = hb[keep] * (od.demand_veh / kept_demand)
         else:
-            v = solve_dual(hb, pb, od.demand_veh, config.alpha, dt, BISECT_TOL)
-            out[rows] = np.maximum(hb - config.alpha * pb + v, 0.0)
+            v = solve_dual(hb[~keep], pb[~keep], q_rest, config.alpha, dt)
+            upd[:] = np.maximum(hb - config.alpha * pb + v, 0.0)
+            upd[keep] = hb[keep]
+        out[rows] = upd
     return out
 
 

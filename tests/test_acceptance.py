@@ -28,7 +28,6 @@ from dtaflow import (
 from dtaflow.cli import main
 from dtaflow.dnl import exit_time
 from dtaflow.junctions import register_junction_model, resolve_junction
-from dtaflow.solver import BISECT_TOL
 from helpers import (
     braess_network,
     grid_network,
@@ -226,7 +225,7 @@ def test_criterion_08_dual_root_oracle():
         alpha = rng.uniform(1e-5, 1e-2)
         dt = rng.uniform(1.0, 10.0)
         q = rng.uniform(0.5, 60.0)
-        x_b = solve_dual(h, psi, q, alpha, dt, tol)
+        x_b = solve_dual(h, psi, q, alpha, dt)
 
         # exhaustive fine-grid scan of G over a bracketing interval
         b = np.sort((alpha * psi - h).ravel())
@@ -239,8 +238,8 @@ def test_criterion_08_dual_root_oracle():
         x_scan = xs[np.argmin(np.abs(g))]
 
         spacing = (x_hi - x_lo) / 1_000_000
-        # bisection stops at |G| <= tol*q and G's slope is at least dt near
-        # the root, so the roots agree to tol*q/dt plus the scan resolution
+        # the breakpoint root has |G| <= tol*q and G's slope is at least dt
+        # near the root, so the roots agree to tol*q/dt plus the scan resolution
         assert abs(x_b - x_scan) <= tol * q / dt + spacing + 1e-12
         assert abs(dual_residual(h, psi, x_b, q, alpha, dt)) <= tol * q
         assert np.all(np.diff(g) >= -1e-9)
@@ -269,7 +268,7 @@ def test_criterion_09_equilibrium_fixed_point():
     cfg = SolverConfig(alpha=1e-3)
     h_new = fixed_point_update(h, psi, net, grid, cfg, order)
     moved = np.abs(h_new - h).sum() * grid.dt_s
-    assert moved <= BISECT_TOL * 6.0
+    assert moved <= 6e-8
 
 
 def test_criterion_10_braess_due():

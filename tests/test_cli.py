@@ -1,11 +1,19 @@
 """End-to-end command-line tests: exit codes, outputs, determinism."""
 
+import contextlib
 import filecmp
+import io
 import json
 import os
+import subprocess
+import sys
+import tempfile
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+import dtaflow
 from dtaflow import cli
 from dtaflow.cli import main
 from dtaflow.fileio import load_paths
@@ -339,3 +347,70 @@ class TestReportCommand:
         err = capsys.readouterr().err
         assert err.startswith("parse error: ") and message in err
         assert len(err.strip().splitlines()) == 1
+
+
+def test_cli_import_leaves_networkx_unloaded():
+    src = os.path.dirname(os.path.dirname(dtaflow.__file__))
+    code = "import sys, dtaflow.cli; assert 'networkx' not in sys.modules"
+    subprocess.run([sys.executable, "-c", code], check=True, timeout=60,
+                   env={**os.environ, "PYTHONPATH": src})
+
+
+BRAESS_FILES = {}
+for _name in ("network.txt", "paths.txt", "demand.txt", "departures.csv"):
+    with open(os.path.join(DATA, _name)) as _fh:
+        BRAESS_FILES[_name] = _fh.read().splitlines()
+FUZZ_TOKENS = ["", "x", "-1", "0", "nan", "1e308", "1e-300", "1|9"]
+# messages of the loader's and solver's own invariant checks: bad input must
+# be named before it reaches them
+INVARIANT_MESSAGES = ["vehicle balance residual", "conservation residual",
+                      "composition mass", "junction demands/supplies",
+                      "carries no labeled vehicles"]
+
+
+@st.composite
+def field_edits(draw):
+    """One or two (file, line, field, token) substitutions in the Braess data."""
+    edits = []
+    for _ in range(draw(st.integers(1, 2))):
+        name = draw(st.sampled_from(sorted(BRAESS_FILES)))
+        lines = BRAESS_FILES[name]
+        line = draw(st.integers(0, len(lines) - 1))
+        field = draw(st.integers(0, lines[line].count(",")))
+        edits.append((name, line, field, draw(st.sampled_from(FUZZ_TOKENS))))
+    return edits
+
+
+@settings(max_examples=100, deadline=None)
+@given(edits=field_edits(), command=st.sampled_from(["dnl", "due"]))
+# a rate whose cumulative departures overflow
+@example(edits=[("departures.csv", 0, 15, "1e308")], command="dnl")
+# a free-flow time L/v lost in t - L/v
+@example(edits=[("network.txt", 11, 4, "1e308")], command="dnl")
+def test_mutated_braess_inputs_fail_cleanly(edits, command):
+    files = {name: list(lines) for name, lines in BRAESS_FILES.items()}
+    for name, line, field, token in edits:
+        cells = files[name][line].split(",")
+        cells[field] = token
+        files[name][line] = ",".join(cells)
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, lines in files.items():
+            with open(os.path.join(tmp, name), "w") as fh:
+                fh.write("\n".join(lines) + "\n")
+        argv = [command, "--out", os.path.join(tmp, "out"),
+                "--dt", "30", "--horizon", "2400"]
+        for flag, name in [("--network", "network.txt"), ("--paths", "paths.txt"),
+                           ("--demand", "demand.txt")]:
+            argv += [flag, os.path.join(tmp, name)]
+        if command == "dnl":
+            argv += ["--departures", os.path.join(tmp, "departures.csv")]
+        else:
+            argv += ["--alpha", "5e-4", "--max-iters", "2"]
+        with contextlib.redirect_stderr(err), \
+                contextlib.redirect_stdout(io.StringIO()):
+            code = main(argv)
+    assert code in {0, 1, 2, 3, 4}
+    assert "Traceback" not in err.getvalue()
+    for message in INVARIANT_MESSAGES:
+        assert message not in err.getvalue()

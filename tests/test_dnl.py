@@ -1,6 +1,7 @@
 """Loading-engine tests: boundary-rate branches, curve inversions, oracles."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -9,11 +10,15 @@ from hypothesis import strategies as st
 
 from dtaflow import (
     Link,
+    Node,
+    ODPair,
+    Path,
     TimeGrid,
     init_departures,
     register_junction_model,
     resolve_junction,
     run_dnl,
+    validate_network,
 )
 from dtaflow.dnl import (
     DNLError,
@@ -527,6 +532,31 @@ def test_negative_departures_rejected():
         h[0, 0] = bad
         with pytest.raises(DNLError, match="nonnegative"):
             run_dnl(net, h, grid)
+
+
+def test_overflowing_cumulative_departures_rejected():
+    net = single_link_network()
+    grid = TimeGrid(0.0, 600.0, 10.0)
+    h = np.zeros((1, grid.n_steps))
+    h[0, 5] = 1e308  # finite, but 1e308 * dt is not
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no overflow warning on the way
+        with pytest.raises(DNLError, match="cumulative departures at origin a"):
+            run_dnl(net, h, grid)
+
+
+@pytest.mark.parametrize("v, w, kind", [(1e308, 4.0, "free-flow"),
+                                        (12.0, 1e308, "backward-wave")])
+def test_lag_lost_in_grid_times_rejected(v, w, kind):
+    # 1200 m at 1e308 m/s is a lag of 1.2e-305 s: t - lag == t at every knot
+    # but t = 0
+    net = validate_network([Node("a", origin=True), Node("b", destination=True)],
+                           [Link.create("1", "a", "b", 1200.0, v, 0.8, w)],
+                           [Path("p1", ("a", "b"), ("1",))],
+                           [ODPair("a", "b", 60.0, 600.0)])
+    grid = TimeGrid(0.0, 600.0, 10.0)
+    with pytest.raises(DNLError, match=f"link 1: {kind} time .* grid times"):
+        run_dnl(net, np.full((1, grid.n_steps), 0.1), grid)
 
 
 def test_chained_exit_times_give_travel_time():

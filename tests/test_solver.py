@@ -10,10 +10,12 @@ from dtaflow import (
     SolverConfig,
     TimeGrid,
     dual_residual,
+    effective_delay,
     fixed_point_update,
     init_departures,
     od_gap,
     relative_gap,
+    run_dnl,
     solve_due,
     solve_dual,
 )
@@ -62,19 +64,19 @@ class TestSolveDual:
         h = np.full((3, 10), 0.2)
         psi = np.full((3, 10), 400.0)
         alpha, dt, q = 1e-4, 5.0, 40.0
-        x = solve_dual(h, psi, q, alpha, dt, 1e-10)
+        x = solve_dual(h, psi, q, alpha, dt)
         assert x == pytest.approx(q / (30 * dt) - 0.2 + alpha * 400.0, abs=1e-6)
 
     def test_zero_demand_returns_zero(self):
-        assert solve_dual(np.ones((1, 4)), np.ones((1, 4)), 0.0, 1.0, 1.0, 1e-8) == 0.0
+        assert solve_dual(np.ones((1, 4)), np.ones((1, 4)), 0.0, 1.0, 1.0) == 0.0
 
     def test_shift_invariance_in_cost(self):
         rng = np.random.default_rng(3)
         h = rng.uniform(0, 0.5, (3, 12))
         psi = rng.uniform(50, 600, (3, 12))
         alpha, dt, q = 2e-4, 4.0, 25.0
-        x0 = solve_dual(h, psi, q, alpha, dt, 1e-12)
-        x1 = solve_dual(h, psi + 250.0, q, alpha, dt, 1e-12)
+        x0 = solve_dual(h, psi, q, alpha, dt)
+        x1 = solve_dual(h, psi + 250.0, q, alpha, dt)
         assert x1 - x0 == pytest.approx(alpha * 250.0, abs=1e-6)
 
     @pytest.mark.parametrize("seed", range(20))
@@ -85,8 +87,35 @@ class TestSolveDual:
         alpha = rng.uniform(1e-5, 1e-2)
         dt = rng.uniform(1.0, 10.0)
         q = rng.uniform(0.5, 60.0)
-        x = solve_dual(h, psi, q, alpha, dt, 1e-12)
+        x = solve_dual(h, psi, q, alpha, dt)
         assert x == pytest.approx(exact_dual_root(h, psi, q, alpha, dt), abs=1e-6)
+
+    @pytest.mark.parametrize("h, psi, q", [
+        # Q = 1e-300 with a zero lowest breakpoint: root Q/dt, no rounding
+        (np.zeros((1, 3)), np.array([[0.0, 100.0, 300.0]]), 1e-300),
+        (np.zeros((2, 5)), np.zeros((2, 5)), 1e-300),
+        # a single-cell block
+        (np.array([[0.2]]), np.array([[300.0]]), 5.0),
+        # every breakpoint tied
+        (np.full((2, 6), 0.3), np.full((2, 6), 200.0), 7.0),
+        # two tied groups, the root inside the first and past both
+        (np.full((2, 6), 0.3), np.repeat([[200.0], [700.0]], 6, axis=1), 0.5),
+        (np.full((2, 6), 0.3), np.repeat([[200.0], [700.0]], 6, axis=1), 70.0),
+    ])
+    def test_edge_blocks_meet_the_demand(self, h, psi, q):
+        alpha, dt = 1e-3, 3.0
+        x = solve_dual(h, psi, q, alpha, dt)
+        assert abs(dual_residual(h, psi, x, q, alpha, dt)) <= 1e-8 * q
+
+    def test_demand_below_the_breakpoint_spacing(self):
+        # Q/dt = 1e-300 vanishes next to the lowest breakpoint 0.5: no double
+        # x has G(x) = 0, and the root is that breakpoint, the last x with G <= 0
+        h = np.zeros((1, 4))
+        psi = np.array([[500.0, 600.0, 700.0, 800.0]])
+        x = solve_dual(h, psi, 1e-300, 1e-3, 3.0)
+        assert x == 0.5
+        assert dual_residual(h, psi, x, 1e-300, 1e-3, 3.0) <= 0.0
+        assert dual_residual(h, psi, np.nextafter(x, 1.0), 1e-300, 1e-3, 3.0) > 0.0
 
     @settings(max_examples=100, deadline=None)
     @given(arrays(float, (2, 8), elements=st.floats(0, 1)),
@@ -94,7 +123,7 @@ class TestSolveDual:
            st.floats(0.1, 50.0))
     def test_projection_restores_feasibility(self, h, psi, q):
         alpha, dt, tol = 1e-3, 3.0, 1e-10
-        x = solve_dual(h, psi, q, alpha, dt, tol)
+        x = solve_dual(h, psi, q, alpha, dt)
         projected = np.maximum(h - alpha * psi + x, 0.0).sum() * dt
         assert projected == pytest.approx(q, abs=max(tol * q, 1e-7))
 
@@ -148,6 +177,19 @@ class TestFixedPointUpdate:
         cfg = SolverConfig(alpha=1e-3)
         h_new = fixed_point_update(h, psi, net, grid, cfg, tuple(net.paths))
         assert np.abs(h_new - h).max() < 1e-8
+
+    def test_exact_equilibrium_is_a_fixed_point(self):
+        # criterion 09's equilibrium: all demand in the on-time cell of two
+        # identical free-flow routes
+        net = parallel_network(2, length=1200.0, v=12.0, cap=0.8, demand=6.0,
+                               target=600.0)
+        grid = TimeGrid(0.0, 900.0, 10.0)
+        h = np.zeros((2, grid.n_steps))
+        h[:, 50] = 6.0 / (2 * grid.dt_s)  # the 500 s cell arrives on time
+        psi = effective_delay(run_dnl(net, h, grid), net)
+        h_new = fixed_point_update(h, psi, net, grid, SolverConfig(alpha=1e-3),
+                                   tuple(net.paths))
+        assert np.abs(h_new - h).max() <= 1e-12
 
     def test_flow_moves_toward_cheaper_cells(self, setup):
         net, grid, h = setup
