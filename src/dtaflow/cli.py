@@ -204,7 +204,7 @@ def cmd_due(args) -> int:
     _warn_truncated(report.final_dnl)
     for i, g in enumerate(report.relative_gap_history, start=1):
         print(f"iter {i:4d}  log10(relative gap) = "
-              f"{math.log10(g) if g > 0 else float('-inf'):8.3f}")
+              f"{math.log10(g) if g > 0 else g if math.isnan(g) else -math.inf:8.3f}")
     fileio.write_due_results(report, report.final_dnl, args.out)
     status = "CONVERGED" if report.converged else "NOT-CONVERGED"
     print(f"{status} after {report.iterations_used} iterations; "

@@ -3,22 +3,24 @@
 Link dynamics are tracked purely through cumulative boundary counts
 (entering N_up, exiting N_dn). Each origin is a point queue whose entry
 and exit curves are the cumulative departures and service; it feeds its
-node's junction like one more incoming link. Demands and supplies come
-from lagged lookups on the link curves, junction flows from the pluggable
-junction model, path labels from FIFO compositions at every element's
-exit, and path travel times from chained horizontal differences between
-the curves (origin queue first, then links in path order).
+node's junction like one more incoming link. Each step is one pass over
+the whole network: demands and supplies come from lagged lookups on the
+link curves (read positions tabulated once per loading), the flows of
+every junction from one call of junctions.resolve_network, and path labels
+from FIFO compositions at every element's exit. Path travel times are
+chained horizontal differences between the curves (origin queue first,
+then links in path order).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .junctions import get_junction_model
+from . import junctions
 from .network import SOURCE_KEY, Link, Network, TimeGrid
 
 COUNT_TOL = 1e-9  # veh; equality tolerance on cumulative counts
@@ -134,16 +136,32 @@ def exit_time(state: LinkState, grid: TimeGrid, t: float) -> float:
                              state.link.free_flow_time_s, grid.tf_s)[0])
 
 
-def _read(times: np.ndarray, curves: np.ndarray, s: np.ndarray) -> np.ndarray:
-    """Row i of `curves` read at the times s[..., i], with np.interp's
-    arithmetic: exact at knots, held at the end values outside the grid."""
-    j = np.minimum(np.maximum(np.searchsorted(times, s, side="right") - 1, 0),
-                   len(times) - 2)
-    rows = np.arange(len(curves))
-    c0 = curves[rows, j]
+def _read_table(times: np.ndarray, s: np.ndarray, base):
+    """Where a read at the times s falls, as (idx, span, off): idx = base + j
+    for the knot j at or before s (clamped to the grid), span = t[j+1] - t[j]
+    and off = s - t[j]. A read held at a knot value (s on or before t[j], or
+    past the grid) gets that knot's idx and off = 0, so the blend returns
+    the knot value exactly."""
+    n = len(times)
+    j = np.minimum(np.maximum(np.searchsorted(times, s, side="right") - 1, 0), n - 2)
     tj = times[j]
-    v = (curves[rows, j + 1] - c0) / (times[j + 1] - tj) * (s - tj) + c0
-    return np.where(s <= tj, c0, np.where(s >= times[-1], curves[:, -1], v))
+    past = s >= times[-1]
+    return (base + np.where(past, n - 1, j), times[j + 1] - tj,
+            np.where((s <= tj) | past, 0.0, s - tj))
+
+
+def _read_at(curves: np.ndarray, idx, span, off) -> np.ndarray:
+    """Flat `curves` read at positions from _read_table, with np.interp's
+    arithmetic: exact at knots, held at the end values outside the grid.
+    Where off is 0 the next value is multiplied by 0, so clipping the
+    index past the last knot of the last row changes nothing."""
+    c0 = np.take(curves, idx)
+    return (np.take(curves, idx + 1, mode="clip") - c0) / span * off + c0
+
+
+def _read(times: np.ndarray, curves: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """Row i of `curves` read at the times s[..., i]."""
+    return _read_at(curves, *_read_table(times, s, np.arange(len(curves)) * len(times)))
 
 
 def _link_params(links: Sequence[Link]) -> np.ndarray:
@@ -153,33 +171,65 @@ def _link_params(links: Sequence[Link]) -> np.ndarray:
                       l.capacity_vps, l.storage_veh) for l in links]).T
 
 
-def _boundary_flows(times: np.ndarray, dt_s: float, n_up: np.ndarray,
-                    n_dn: np.ndarray, k, params: np.ndarray):
-    """(demand, supply, capped demand, capped supply) at knot k, time t, of
-    the links whose counts are the rows of n_up/n_dn; params as from
-    _link_params.
-    k is a step index or an array of them; each result has k's shape
-    followed by one entry per link.
+class _Lags(NamedTuple):
+    """Lagged reads of the link curves at step(s) k, as from _read_table:
+    axis -2 takes N_up at s_up and s1_up, then N_dn at s_dn and s1_dn; the
+    last axis is the link. Indices are flat into the stacked (2, rows,
+    knots) entry and exit curves."""
+
+    idx: np.ndarray
+    span: np.ndarray
+    off: np.ndarray
+    now: np.ndarray  # N_up, N_dn at knot k
+    early: np.ndarray  # s_up < t0: nothing has entered yet
+    den: np.ndarray  # s1 - s of the demand and supply rates, 1 where not > 0
+
+    def at(self, k) -> "_Lags":
+        return _Lags(*(a[k] for a in self))
+
+
+def _lag_table(times: np.ndarray, dt_s: float, params: np.ndarray, k,
+               rows: int) -> _Lags:
+    """Lagged reads at step(s) k of the links whose parameters are `params`
+    (as from _link_params) and whose curves are the first rows of stacked
+    curves with `rows` rows each. Lags are fixed per link, so the loader
+    builds this once, for every step.
 
     A boundary rate at the lagged time s is the average slope of its curve
     over [s, s1], s1 = min(s + dt, t): on a knot the recorded per-step rate,
     mid-step a blend of the two neighbouring steps (snapping to one can stall
     flow by a full step when a lag is not a multiple of dt), and never past
-    the knots written so far. The caps are what one step can pass: vehicles
-    at the exit by s1, room under the storage bound at s1.
+    the knots written so far. A lag so long that s + dt == s gives s1 == s;
+    that rate is never used (s < t0), and its 0/0 is masked here.
+    """
+    t = times[k][..., None]
+    s_up, s_dn = t - params[0], t - params[1]
+    s = np.stack([s_up, np.minimum(s_up + dt_s, t), s_dn, np.minimum(s_dn + dt_s, t)],
+                 axis=-2)
+    base = (np.array([0, 0, rows, rows])[:, None] + np.arange(params.shape[1])) * len(times)
+    with np.errstate(invalid="ignore"):  # -inf - -inf of an infinite lag
+        den = s[..., 1::2, :] - s[..., ::2, :]
+    return _Lags(*_read_table(times, s, base), base[::2] + np.asarray(k)[..., None, None],
+                 s_up < times[0], np.where(den > 0, den, 1.0))
+
+
+def _boundary_flows(lags: _Lags, curves: np.ndarray, params: np.ndarray, dt_s: float):
+    """(demand, supply, capped demand, capped supply) at the steps of `lags`
+    of its links, whose entry and exit curves are curves[0] and curves[1];
+    params as from _link_params. Each result has the steps' shape followed
+    by one entry per link. The caps are what one step can pass: vehicles at
+    the exit by s1, room under the storage bound at s1.
     """
     capacity, storage = params[2:]
-    t = times[k][..., None]
-    s_up, s_dn = t - params[0], t - params[1]  # lagged times of the two curves
-    s1_up, s1_dn = np.minimum(s_up + dt_s, t), np.minimum(s_dn + dt_s, t)
-    up, up1 = _read(times, n_up, np.array([s_up, s1_up]))
-    dn, dn1 = _read(times, n_dn, np.array([s_dn, s1_dn]))
-    up_k, dn_k = n_up.T[k], n_dn.T[k]
-    demand = np.where(s_up < times[0], 0.0,
-                      np.where(up <= dn_k + COUNT_TOL,
-                               (up1 - up) / (s1_up - s_up), capacity))
+    read = _read_at(curves, *lags[:3])
+    up, up1, dn, dn1 = (read[..., r, :] for r in range(4))
+    now = np.take(curves, lags.now)
+    up_k, dn_k = now[..., 0, :], now[..., 1, :]
+    demand = np.where(lags.early, 0.0,
+                      np.where(up <= dn_k + COUNT_TOL, (up1 - up) / lags.den[..., 0, :],
+                               capacity))
     supply = np.where(up_k >= dn + storage - COUNT_TOL,
-                      (dn1 - dn) / (s1_dn - s_dn), capacity)
+                      (dn1 - dn) / lags.den[..., 1, :], capacity)
     return (demand, supply,
             np.minimum(demand, np.maximum(0.0, up1 - dn_k) / dt_s),
             np.minimum(supply, np.maximum(0.0, dn1 + storage - up_k) / dt_s))
@@ -187,8 +237,10 @@ def _boundary_flows(times: np.ndarray, dt_s: float, n_up: np.ndarray,
 
 def _one_link(link: Link, state: LinkState, grid: TimeGrid, t: float):
     k = int(round((t - grid.t0_s) / grid.dt_s))  # reads are at the nearest knot
-    return _boundary_flows(grid.times(), grid.dt_s, state.n_up[None],
-                           state.n_dn[None], k, _link_params([link]))
+    params = _link_params([link])
+    lags = _lag_table(grid.times(), grid.dt_s, params, k, 1)
+    return _boundary_flows(lags, np.stack([state.n_up, state.n_dn])[:, None], params,
+                           grid.dt_s)
 
 
 def link_demand(link: Link, state: LinkState, grid: TimeGrid, t: float) -> float:
@@ -217,7 +269,9 @@ def step_origin_queue(queue_veh, departure_rate_vps, served_rate_vps, dt_s: floa
 def propagate_composition(mix: np.ndarray,
                           total_inflow_vps: float) -> Optional[np.ndarray]:
     """Entry shares of a link's paths from `mix`, the rate each of them
-    receives from the feeders. None when no feeder carries flow to label."""
+    receives from the feeders. None when no feeder carries flow to label.
+    The loader mixes every link at once (_Loader._enter); this one-link
+    form stays because bench/tracing.py wraps it by name."""
     carried = mix > 0
     if not carried.any():
         return None
@@ -232,17 +286,6 @@ def propagate_composition(mix: np.ndarray,
 # -- engine --------------------------------------------------------------------
 
 
-@dataclass
-class _Junction:
-    node_id: str
-    inputs: np.ndarray  # elements: incoming links, then the origin queue if any
-    out_links: np.ndarray  # out-slots: outgoing links, then n_links for the sink
-    priorities: np.ndarray  # merge weights aligned with inputs
-    # per out-slot, (input position, source slots, destination slots) of the
-    # paths that make that movement; empty for the sink
-    moves: List[List[Tuple[int, np.ndarray, np.ndarray]]]
-
-
 class _Loader:
     """One loading of a network with a |P| x N departure-rate matrix.
 
@@ -250,27 +293,24 @@ class _Loader:
     origin queue per origin (L + i for origin_ids[i]). Element e has an
     entry curve up[e] (N_up, or the cumulative departures), an exit curve
     dn[e] (N_dn, or the cumulative service), and feeds the junction at its
-    downstream node.
+    downstream node. The junction outputs are the links, then one sink per
+    destination node. Every node is a junction; `moves` lists each (element,
+    output) movement that some path makes.
 
-    route[e, p] is the out-slot, at e's downstream junction, of the movement
-    path p makes there (-1 where p does not use e). A node's out-slots are
-    its outgoing links in `network.outgoing` order, then the sink.
-
-    Entry compositions are dense over each element's own paths: slot_paths[e]
-    lists them in ascending order, slot_route[e] their out-slots, comp[e][k]
-    their shares in the vehicles entering in step k, and entered[e, k] the
-    latest step <= k that has a composition (-1 if none). A link's fill in
-    as it loads; an origin's are the path shares of its departures.
+    Entry compositions are dense over each element's own paths, in one table
+    `shares` whose columns are the slots (element, path), element by element
+    and paths ascending: slot_paths[e] lists e's paths, comp[e] is the view
+    of its columns, comp[e][k] their shares in the vehicles entering in step
+    k, and entered[e, k] the latest step <= k that has a composition (-1 if
+    none). Row N of `shares` stays 0. A link's fill in as it loads; an
+    origin's are the path shares of its departures.
     """
 
     def __init__(self, network: Network, departures: np.ndarray, grid: TimeGrid):
-        self.net = network
         self.grid = grid
-        self.model = get_junction_model("fifo_priority")
-
         self.path_ids = tuple(network.paths)
         self.link_ids = tuple(network.links)
-        self.lidx = {l: i for i, l in enumerate(self.link_ids)}
+        lidx = {l: i for i, l in enumerate(self.link_ids)}
         self.links = [network.links[l] for l in self.link_ids]
         self.link_params = _link_params(self.links)
         nP, nL, N = len(self.path_ids), len(self.link_ids), grid.n_steps
@@ -296,29 +336,58 @@ class _Loader:
         self.origin_ids = sorted({network.paths[p].od[0] for p in self.path_ids})
         self.oidx = {o: i for i, o in enumerate(self.origin_ids)}
         nO = len(self.origin_ids)
+        nE = nL + nO
+        self.node_ids = tuple(network.nodes)
+        sinks = [n for n in self.node_ids if network.nodes[n].destination]
+        sink_of = {n: nL + i for i, n in enumerate(sinks)}
 
-        route = np.full((nL + nO, nP), -1, dtype=np.int64)
+        # route[e, p]: the output path p takes at e's downstream junction, -1
+        # where p does not use e; prev[l, p]: the element p leaves to enter l
+        route = np.full((nE, nP), -1, dtype=np.int64)
+        prev = np.full((nL, nP), -1, dtype=np.int64)
         self.path_elems: List[List[int]] = []  # origin queue, then links
         for p, pid in enumerate(self.path_ids):
             path = network.paths[pid]
-            elems = [nL + self.oidx[path.od[0]]] + [self.lidx[l] for l in path.links]
-            nodes = [path.od[0]] + [network.links[l].head for l in path.links]
-            for e, node, nxt in zip(elems, nodes, path.links + (None,)):
-                route[e, p] = (network.outgoing[node] + (None,)).index(nxt)
+            elems = [nL + self.oidx[path.od[0]]] + [lidx[l] for l in path.links]
+            route[elems, p] = elems[1:] + [sink_of[self.links[elems[-1]].head]]
+            prev[elems[1:], p] = elems[:-1]
             self.path_elems.append(elems)
-        self.slot_paths = [np.flatnonzero(r >= 0) for r in route]
-        self.slot_route = [r[paths] for r, paths in zip(route, self.slot_paths)]
+        self.slot_elem, slot_path = np.nonzero(route >= 0)
+        n_slots = len(self.slot_elem)
+        bounds = np.searchsorted(self.slot_elem, np.arange(nE + 1))
+        self.slot_paths = [slot_path[a:b] for a, b in zip(bounds[:-1], bounds[1:])]
+        moves, self.slot_move = np.unique(
+            self.slot_elem * (nL + len(sinks)) + route[self.slot_elem, slot_path],
+            return_inverse=True)
+        # each link slot is fed by one slot: the same path on the element before
+        slot_of = np.full((nE, nP), -1, dtype=np.int64)
+        slot_of[self.slot_elem, slot_path] = np.arange(n_slots)
+        self.n_link_slots = bounds[nL]
+        link_slots = slice(0, self.n_link_slots)
+        self.src_slot = slot_of[prev[self.slot_elem[link_slots], slot_path[link_slots]],
+                                slot_path[link_slots]]
+        self.src_elem = self.slot_elem[self.src_slot]
 
-        self.junctions = self._build_junctions()
+        node = {n: i for i, n in enumerate(self.node_ids)}
+        self.moves = junctions.Movements(
+            *np.divmod(moves, nL + len(sinks)),
+            np.array([node[l.head] for l in self.links] + [node[o] for o in self.origin_ids],
+                     dtype=np.int64),
+            np.array([node[l.tail] for l in self.links] + [node[n] for n in sinks],
+                     dtype=np.int64),
+            self._priorities(network, lidx), len(self.node_ids))
+        self.sink_supply = np.full(len(sinks), math.inf)  # a sink takes any flow
 
-        self.up = np.zeros((nL + nO, N + 1))
-        self.dn = np.zeros((nL + nO, N + 1))
+        self.curves = np.zeros((2, nE, N + 1))  # entry curves, then exit curves
+        self.up, self.dn = self.curves
         self.n_up, self.cum_dep = self.up[:nL], self.up[nL:]
         self.n_dn, self.cum_srv = self.dn[:nL], self.dn[nL:]
         self.inflow = np.zeros((nL, N))
         self.outflow = np.zeros((nL, N))
-        self.comp = [np.zeros((N, len(paths))) for paths in self.slot_paths]
-        self.entered = np.full((nL + nO, N), -1, dtype=np.int64)
+        self.shares = np.zeros((N + 1, n_slots))
+        self.comp = [self.shares[:N, a:b] for a, b in zip(bounds[:-1], bounds[1:])]
+        self.entered = np.full((nE, N), -1, dtype=np.int64)
+        self.at_exit = np.zeros(nE, dtype=np.int64)  # entry knot of the exiting vehicles
 
         with np.errstate(over="ignore"):
             self.dep_rate = np.array([h[paths].sum(axis=0)
@@ -341,54 +410,98 @@ class _Loader:
             for o in self.origin_ids
         ])
         self.min_delay = np.append(self.link_params[0], np.zeros(nO))
+        self.lags = _lag_table(self.times, grid.dt_s, self.link_params, np.arange(N), nE)
 
         self.exited = np.zeros(N + 1)
         self.balance = np.zeros(N + 1)
 
-    def _build_junctions(self) -> List[_Junction]:
-        net = self.net
+    def _priorities(self, network: Network, lidx: Dict[str, int]) -> np.ndarray:
+        """Merge priority of each element at its downstream junction: the
+        node's incoming links, then its origin queue if a path leaves it."""
         nL = len(self.links)
-        out: List[_Junction] = []
-        for nid, node in net.nodes.items():
-            inputs = [self.lidx[l] for l in net.incoming[nid]]
-            if nid in self.oidx:
-                inputs.append(nL + self.oidx[nid])
-            out_links = [self.lidx[l] for l in net.outgoing[nid]]
-            if node.destination:
-                out_links.append(nL)
-            if not inputs or not out_links:
-                continue
-            pri_map = net.priorities[nid]
-            pri = [pri_map[l] for l in net.incoming[nid]]
+        out = np.zeros(nL + len(self.origin_ids))
+        for nid, node in network.nodes.items():
+            inputs = [lidx[l] for l in network.incoming[nid]]
+            pri = [network.priorities[nid][l] for l in network.incoming[nid]]
             if node.origin:
-                pri.append(pri_map[SOURCE_KEY])
+                pri.append(network.priorities[nid][SOURCE_KEY])
+            if not pri:
+                continue
             pri = np.asarray(pri, dtype=float)
             pri = pri / pri.sum()
-            if len(pri) > len(inputs):  # an origin that no path leaves
+            if nid in self.oidx:
+                inputs.append(nL + self.oidx[nid])
+            elif node.origin:  # an origin that no path leaves
                 pri = pri[:-1]
                 total = pri.sum()
                 pri = pri / total if total > 0 else np.full(len(pri), 1.0 / len(pri))
-            moves = [[] for _ in out_links]
-            for si, e in enumerate(inputs):
-                for sj, lj in enumerate(out_links):
-                    src = np.flatnonzero(self.slot_route[e] == sj)
-                    if lj < nL and src.size:
-                        moves[sj].append((si, src, np.searchsorted(
-                            self.slot_paths[lj], self.slot_paths[e][src])))
-            out.append(_Junction(nid, np.array(inputs), np.array(out_links), pri,
-                                 moves))
+            out[inputs] = pri
         return out
 
     # -- per-step machinery ---------------------------------------------------
 
-    def _comp_at_count(self, e: int, k: int) -> Optional[np.ndarray]:
-        """Composition of the vehicles now at the exit of element e: that of
-        the latest step, up to the one they entered in, that has one. During
-        step k a link's entered[e, k] still names an earlier step."""
-        idx = int(np.searchsorted(self.up[e, : k + 1],
-                                  self.dn[e, k] + COUNT_TOL, side="right")) - 1
-        j = self.entered[e, idx] if idx >= 0 else -1
-        return self.comp[e][j] if j >= 0 else None
+    def _exit_shares(self, D: np.ndarray, k: int) -> np.ndarray:
+        """Per slot, the path share of the vehicles now at its element's exit:
+        that of the latest step, up to the one they entered in, that has a
+        composition; 0 for elements that demand no flow. An origin whose
+        departures are too small to label keeps them queued (D set to 0)."""
+        nL = len(self.links)
+        row = np.full(len(D), self.grid.n_steps)  # the all-zero row
+        dem = np.flatnonzero(D > _FLOW_EPS)
+        if dem.size:
+            # the entry knot only moves forward: search from the last one
+            lo = self.at_exit[dem].min()
+            passed = self.up[dem, lo:k + 1] <= (self.dn[dem, k] + COUNT_TOL)[:, None]
+            self.at_exit[dem] = lo - 1 + passed.sum(axis=1)
+            j = self.entered[dem, self.at_exit[dem]]
+            for e in dem[(j < 0) & (dem < nL)]:
+                raise DNLError(
+                    f"link {self.link_ids[e]} demands flow at step {k} "
+                    "but carries no labeled vehicles"
+                )
+            D[dem[j < 0]] = 0.0
+            row[dem[j >= 0]] = j[j >= 0]
+        return self.shares[row[self.slot_elem], np.arange(len(self.slot_elem))]
+
+    def _check_conservation(self, f_out: np.ndarray, f_in: np.ndarray, k: int) -> None:
+        """Each junction passes on what its inputs send out, to 1e-9."""
+        mv = self.moves
+        out = np.bincount(mv.in_junction, f_out, minlength=mv.n_junctions)
+        residual = np.abs(out - np.bincount(mv.out_junction, f_in, minlength=mv.n_junctions))
+        bad = ~(residual <= 1e-9 * np.maximum(1.0, out))  # NaN fails too
+        if bad.any():
+            j = bad.argmax()
+            raise DNLError(
+                f"junction {self.node_ids[j]} conservation residual "
+                f"{residual[j]:.3e} at step {k}"
+            )
+
+    def _enter(self, exit_shares: np.ndarray, f_out: np.ndarray, f_in: np.ndarray,
+               k: int) -> None:
+        """Entry compositions at step k of the links that take labelled flow:
+        each link slot gets its source slot's share of its source's outflow,
+        normalised by the link's carried total."""
+        nL = len(self.links)
+        rate = np.where(f_out > _FLOW_EPS, f_out, 0.0)
+        mix = rate[self.src_elem] * exit_shares[self.src_slot]
+        slot_link = self.slot_elem[:self.n_link_slots]
+        # bincount adds in slot order, as np.sum does below 8 entries (above
+        # that np.sum pairs them): bit for bit the per-link sum over few paths
+        total = np.bincount(slot_link, mix, minlength=nL)
+        inflow = f_in[:nL]
+        fed = np.flatnonzero((total > 0) & (inflow > _FLOW_EPS))
+        close = (np.abs(total[fed] - inflow[fed])
+                 <= np.maximum(1e-6 * np.maximum(np.abs(total[fed]), np.abs(inflow[fed])),
+                               1e-12))
+        if not close.all():
+            li = fed[~close][0]
+            raise DNLError(
+                f"composition mass {total[li]} does not match inflow {inflow[li]}"
+            )
+        den = np.full(nL, math.inf)
+        den[fed] = total[fed]
+        self.shares[k, :self.n_link_slots] = mix / den[slot_link]
+        self.entered[fed, k] = k
 
     def run(self) -> DNLResult:
         """Step from the first departure until the network drains; the
@@ -405,68 +518,25 @@ class _Loader:
         for k in range(k0, N):
             if k:
                 self.entered[:nL, k] = self.entered[:nL, k - 1]
-            D_eff, S_eff = _boundary_flows(self.times, dt, self.n_up, self.n_dn,
-                                           k, self.link_params)[2:]
+            D_eff, S_eff = _boundary_flows(self.lags.at(k), self.curves, self.link_params,
+                                           dt)[2:]
             q_k = self.queue[:, k]
             dep_k = self.dep_rate[:, k]
             D_org = np.minimum(origin_demand(q_k, dep_k, self.big_m), q_k / dt + dep_k)
-            D = np.append(D_eff, D_org)
-            S = np.append(S_eff, math.inf)  # the sink takes any flow
+            D = np.concatenate([D_eff, D_org])
+            exit_shares = self._exit_shares(D, k)
+            alpha = np.bincount(self.slot_move, exit_shares, minlength=len(self.moves.src))
+            f_out, f_in = junctions.resolve_network(
+                self.moves, D, np.concatenate([S_eff, self.sink_supply]), alpha)
+            self._check_conservation(f_out, f_in, k)
+            self._enter(exit_shares, f_out, f_in, k)
 
-            comps: List[Optional[np.ndarray]] = [None] * len(D)
-            for e in np.flatnonzero(D > _FLOW_EPS):
-                comps[e] = self._comp_at_count(e, k)
-                if comps[e] is None:
-                    if e < nL:
-                        raise DNLError(
-                            f"link {self.link_ids[e]} demands flow at step {k} "
-                            "but carries no labeled vehicles"
-                        )
-                    D[e] = 0.0  # departures too small to label stay queued
-
-            outflow = np.zeros(len(D))  # per element: link outflow, origin service
-            inflow = np.zeros(nL + 1)  # per link, then the sinks
-            for J in self.junctions:
-                demands = D[J.inputs]
-                if demands.sum() <= _FLOW_EPS:
-                    continue
-                n = len(J.out_links)
-                alpha = np.zeros((len(J.inputs), n))
-                for si, e in enumerate(J.inputs):
-                    if comps[e] is not None:
-                        alpha[si] = np.bincount(self.slot_route[e], weights=comps[e],
-                                                minlength=n)
-
-                f_out, f_in = self.model(demands, S[J.out_links], J.priorities, alpha)
-
-                residual = abs(f_out.sum() - f_in.sum())
-                if not residual <= 1e-9 * max(1.0, f_out.sum()):  # NaN fails too
-                    raise DNLError(
-                        f"junction {J.node_id} conservation residual "
-                        f"{residual:.3e} at step {k}"
-                    )
-                outflow[J.inputs] = f_out
-                inflow[J.out_links] += f_in
-
-                # entrance compositions of the outgoing links
-                for sj, lj in enumerate(J.out_links):
-                    if lj == nL or f_in[sj] <= _FLOW_EPS:
-                        continue
-                    mix = np.zeros(len(self.slot_paths[lj]))
-                    for si, src, dst in J.moves[sj]:
-                        if f_out[si] > _FLOW_EPS:
-                            mix[dst] += f_out[si] * comps[J.inputs[si]][src]
-                    shares = propagate_composition(mix, f_in[sj])
-                    if shares is not None:
-                        self.comp[lj][k] = shares
-                        self.entered[lj, k] = k
-
-            self.n_up[:, k + 1] = self.n_up[:, k] + dt * inflow[:nL]
-            self.dn[:, k + 1] = self.dn[:, k] + dt * outflow
-            self.inflow[:, k] = inflow[:nL]
-            self.outflow[:, k] = outflow[:nL]
-            self.queue[:, k + 1] = step_origin_queue(q_k, dep_k, outflow[nL:], dt)
-            self.exited[k + 1] = self.exited[k] + dt * inflow[nL]
+            self.n_up[:, k + 1] = self.n_up[:, k] + dt * f_in[:nL]
+            self.dn[:, k + 1] = self.dn[:, k] + dt * f_out
+            self.inflow[:, k] = f_in[:nL]
+            self.outflow[:, k] = f_out[:nL]
+            self.queue[:, k + 1] = step_origin_queue(q_k, dep_k, f_out[nL:], dt)
+            self.exited[k + 1] = self.exited[k] + dt * f_in[nL:].sum()
 
             departed = self.cum_dep[:, k + 1].sum()
             stored = (self.n_up[:, k + 1] - self.n_dn[:, k + 1]).sum()
@@ -506,8 +576,8 @@ class _Loader:
         self.n_up[:, k + 1:] = self.n_up[:, k, None]
         self.dn[:, k + 1:] = self.dn[:, k, None]
         reach = k + math.ceil(self.link_params[0].max() / dt) + 2
-        D_eff = _boundary_flows(self.times, dt, self.n_up, self.n_dn,
-                                np.arange(k, min(reach, N)), self.link_params)[2]
+        D_eff = _boundary_flows(self.lags.at(slice(k, min(reach, N))), self.curves,
+                                self.link_params, dt)[2]
         if D_eff.any():
             return False
         self.entered[:nL, k:] = self.entered[:nL, k - 1, None]

@@ -159,9 +159,15 @@ def fixed_point_update(h: np.ndarray, psi: np.ndarray, network: Network,
 
 
 def relative_gap(h_new: np.ndarray, h_old: np.ndarray, dt_s: float) -> float:
-    """Squared discrete-L2 distance between iterates, relative to the old."""
-    num = float(((h_new - h_old) ** 2).sum() * dt_s)
-    den = float((h_old ** 2).sum() * dt_s)
+    """Squared discrete-L2 distance between iterates, relative to the old.
+    Where the plain sums overflow, both are taken in units of max|h|."""
+    with np.errstate(over="ignore"):
+        num = float(((h_new - h_old) ** 2).sum() * dt_s)
+        den = float((h_old ** 2).sum() * dt_s)
+    if not (math.isfinite(num) and math.isfinite(den)):
+        scale = max(np.abs(h_new).max(), np.abs(h_old).max())
+        num = float((((h_new - h_old) / scale) ** 2).sum())
+        den = float(((h_old / scale) ** 2).sum())
     if den == 0:
         return 0.0 if num == 0 else float("inf")
     return num / den

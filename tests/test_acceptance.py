@@ -27,7 +27,8 @@ from dtaflow import (
 )
 from dtaflow.cli import main
 from dtaflow.dnl import exit_time
-from dtaflow.junctions import register_junction_model, resolve_junction
+from dtaflow import junctions
+from dtaflow.junctions import resolve_network
 from helpers import (
     braess_network,
     grid_network,
@@ -45,28 +46,27 @@ from test_dnl import lagged_bound_gap, newell_two_link_tt
 
 
 def audited_dnl(net, h, grid):
-    """Run the loader through a wrapped junction model, registered in place
-    of the default for one loading, that records, for every junction call,
-    the conservation residual and the distribution-matrix row sums of rows
-    with positive demand."""
+    """Run the loader through a wrapped junction kernel, patched in place of
+    the default for one loading, that records, for every junction with
+    demand at every step, the conservation residual and the split-row sums
+    of the inputs with positive demand."""
     residuals = []
     row_errors = []
 
-    def audit(demands, supplies, priorities, alpha):
-        f_out, f_in = resolve_junction(demands, supplies, priorities, alpha)
-        total = float(f_out.sum())
-        residuals.append(abs(total - float(f_in.sum())) / max(1.0, total))
-        sums = alpha.sum(axis=1)
-        for d, s in zip(demands, sums):
-            if d > 1e-12:
-                row_errors.append(abs(s - 1.0))
+    def audit(movements, demands, supplies, alpha):
+        f_out, f_in = resolve_network(movements, demands, supplies, alpha)
+        n = movements.n_junctions
+        busy = np.bincount(movements.in_junction, demands, minlength=n) > 1e-12
+        out = np.bincount(movements.in_junction, f_out, minlength=n)[busy]
+        into = np.bincount(movements.out_junction, f_in, minlength=n)[busy]
+        residuals.extend(np.abs(out - into) / np.maximum(1.0, out))
+        sums = np.bincount(movements.src, alpha, minlength=len(demands))
+        row_errors.extend(np.abs(sums[demands > 1e-12] - 1.0))
         return f_out, f_in
 
-    register_junction_model("fifo_priority", audit)
-    try:
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(junctions, "resolve_network", audit)
         res = run_dnl(net, h, grid)
-    finally:
-        register_junction_model("fifo_priority", resolve_junction)
     return res, np.array(residuals), np.array(row_errors)
 
 

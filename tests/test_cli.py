@@ -4,10 +4,12 @@ import contextlib
 import filecmp
 import io
 import json
+import math
 import os
 import subprocess
 import sys
 import tempfile
+import warnings
 
 import pytest
 from hypothesis import example, given, settings
@@ -17,6 +19,7 @@ import dtaflow
 from dtaflow import cli
 from dtaflow.cli import main
 from dtaflow.fileio import load_paths
+from dtaflow.solver import solve_due
 
 DATA = os.path.join(os.path.dirname(__file__), "..", "data", "braess")
 
@@ -414,3 +417,65 @@ def test_mutated_braess_inputs_fail_cleanly(edits, command):
     assert "Traceback" not in err.getvalue()
     for message in INVARIANT_MESSAGES:
         assert message not in err.getvalue()
+
+
+def write_braess(tmp_path, edits):
+    """The Braess files with (file, line, field, token) substitutions, written
+    to tmp_path; returns the --network/--paths/--demand/--departures flags."""
+    for name, lines in BRAESS_FILES.items():
+        lines = list(lines)
+        for file, line, field, token in edits:
+            if file == name:
+                cells = lines[line].split(",")
+                cells[field] = token
+                lines[line] = ",".join(cells)
+        (tmp_path / name).write_text("\n".join(lines) + "\n")
+    flags = []
+    for flag, name in [("--network", "network.txt"), ("--paths", "paths.txt"),
+                       ("--demand", "demand.txt"), ("--departures", "departures.csv")]:
+        flags += [flag, str(tmp_path / name)]
+    return flags
+
+
+def main_raising_warnings(argv):
+    """main(argv) with numpy and Python RuntimeWarnings raised as errors,
+    which main() would report as a runtime error (exit 4)."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        return main(argv)
+
+
+# link 3's free-flow speed, then its length: lags so long that s + dt == s
+@pytest.mark.parametrize("field, token", [(4, "1e-300"), (3, "1e308")],
+                         ids=["free speed 1e-300", "length 1e308"])
+def test_huge_lags_load_without_warnings(tmp_path, capsys, field, token):
+    flags = write_braess(tmp_path, [("network.txt", 11, field, token)])
+    argv = ["dnl", "--out", str(tmp_path / "out"), "--dt", "30",
+            "--horizon", "2400"] + flags
+    assert main_raising_warnings(argv) == 0
+    assert "RuntimeWarning" not in capsys.readouterr().err
+
+
+def test_overflowing_relative_gap_stays_finite(tmp_path, capsys):
+    # a 1-3 demand of 1e308 overflows the plain squared sums of the gap
+    flags = write_braess(tmp_path, [("demand.txt", 2, 2, "1e308")])
+    argv = ["due", "--out", str(tmp_path / "out"), "--dt", "30", "--horizon", "2400",
+            "--alpha", "5e-4", "--max-iters", "2"] + flags[:6]
+    assert main_raising_warnings(argv) == 0
+    out, err = capsys.readouterr()
+    assert "RuntimeWarning" not in err
+    gaps = [float(line.split("=")[1]) for line in out.splitlines()
+            if line.startswith("iter")]
+    assert gaps and all(math.isfinite(g) for g in gaps)
+
+
+def test_nan_relative_gap_printed_as_nan(tiny, capsys, monkeypatch):
+    def nan_gap(*args):
+        report = solve_due(*args)
+        report.relative_gap_history[-1] = math.nan
+        return report
+
+    files, tmp = tiny
+    monkeypatch.setattr(cli, "solve_due", nan_gap)
+    assert main(due_args(files, str(tmp / "out"), **{"--max-iters": "1"})) == 0
+    assert "log10(relative gap) =      nan" in capsys.readouterr().out

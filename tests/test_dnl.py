@@ -9,20 +9,21 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dtaflow import (
+    JunctionError,
     Link,
     Node,
     ODPair,
     Path,
     TimeGrid,
     init_departures,
-    register_junction_model,
-    resolve_junction,
     run_dnl,
     validate_network,
 )
+from dtaflow import junctions
 from dtaflow.dnl import (
     DNLError,
     LinkState,
+    _Loader,
     _exit_times,
     _read,
     exit_time,
@@ -32,6 +33,7 @@ from dtaflow.dnl import (
     propagate_composition,
     step_origin_queue,
 )
+from dtaflow.junctions import resolve_network
 from helpers import (
     braess_network,
     parallel_network,
@@ -499,19 +501,26 @@ def test_zero_departures_give_empty_curves_and_free_flow_times():
         assert np.array_equal(res.truncated[p], ~done)
 
 
-def test_nan_junction_flows_stop_the_loading():
+def test_nan_junction_flows_stop_the_loading(monkeypatch):
     # NaN fails every loop check instead of slipping through a comparison
-    def nan_flows(demands, supplies, priorities, alpha):
-        f_out, f_in = resolve_junction(demands, supplies, priorities, alpha)
+    def nan_flows(movements, demands, supplies, alpha):
+        f_out, f_in = resolve_network(movements, demands, supplies, alpha)
         return f_out * np.nan, f_in * np.nan
 
     net, grid, h = _braess_dt7()
-    register_junction_model("fifo_priority", nan_flows)
-    try:
-        with pytest.raises(DNLError, match="conservation residual nan"):
-            run_dnl(net, h, grid)
-    finally:
-        register_junction_model("fifo_priority", resolve_junction)
+    monkeypatch.setattr(junctions, "resolve_network", nan_flows)
+    with pytest.raises(DNLError, match="conservation residual nan"):
+        run_dnl(net, h, grid)
+
+
+def test_split_rows_not_summing_to_one_stop_the_loading():
+    # halve every origin's entry shares: the loader's split rows then sum to
+    # 0.5 at the first step with departures
+    net, grid, h = _braess_dt7()
+    loader = _Loader(net, h, grid)
+    loader.shares[:, loader.n_link_slots:] *= 0.5
+    with pytest.raises(JunctionError, match=r"distribution row \d+ sums to 0\.500000000"):
+        loader.run()
 
 
 # -- input validation and warnings -----------------------------------------------

@@ -4,7 +4,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dtaflow import JunctionError, resolve_junction
-from dtaflow.junctions import _priority_allocate, get_junction_model
+from dtaflow.junctions import (
+    Movements,
+    _priority_allocate,
+    get_junction_model,
+    resolve_network,
+)
 
 EVEN2 = [0.5, 0.5]  # equal merge priorities of two incoming links
 
@@ -173,3 +178,125 @@ def test_model_registry():
     assert get_junction_model("fifo_priority") is resolve_junction
     with pytest.raises(JunctionError, match="unknown junction model"):
         get_junction_model("nope")
+
+
+# -- whole-network kernel ----------------------------------------------------
+
+
+def network_table(junctions):
+    """Movements plus per-input/output arrays of junctions given as
+    (demands, supplies, priorities, alpha, used) blocks, where `used` marks
+    the (input, output) pairs that are movements."""
+    src, dst, in_j, out_j, pri, D, S, alpha = [], [], [], [], [], [], [], []
+    m0 = n0 = 0
+    for j, (d, s, p, a, used) in enumerate(junctions):
+        m, n = a.shape
+        rows, cols = np.nonzero(used)
+        src += list(m0 + rows)
+        dst += list(n0 + cols)
+        alpha += list(a[rows, cols])
+        in_j += [j] * m
+        out_j += [j] * n
+        pri += list(p)
+        D += list(d)
+        S += list(s)
+        m0, n0 = m0 + m, n0 + n
+    mv = Movements(np.array(src, dtype=np.int64), np.array(dst, dtype=np.int64),
+                   np.array(in_j, dtype=np.int64), np.array(out_j, dtype=np.int64),
+                   np.array(pri), len(junctions))
+    return mv, np.array(D), np.array(S), np.array(alpha)
+
+
+@st.composite
+def junction_block(draw):
+    """One junction: inputs with or without demand (an idle junction has
+    none above 1e-12), an origin input with a large demand, a sink, and
+    movements that include every pair with a positive split fraction."""
+    m = draw(st.integers(1, 4))
+    n = draw(st.integers(1, 4))
+    idle = draw(st.booleans())
+    D = np.array(draw(st.lists(st.floats(0, 10), min_size=m, max_size=m)))
+    if idle:
+        D = np.where(D > 0, 1e-13 / m, 0.0)
+    elif draw(st.booleans()):
+        D[-1] = 50.0  # an origin queue's big-M demand
+    S = np.array(draw(st.lists(st.floats(0.01, 10), min_size=n, max_size=n)))
+    if draw(st.booleans()):
+        S[-1] = np.inf  # a sink
+    pri = np.array(draw(st.lists(st.floats(0.05, 1), min_size=m, max_size=m)))
+    pri = pri / pri.sum()
+    used = np.array(draw(st.lists(st.booleans(), min_size=m * n,
+                                  max_size=m * n))).reshape(m, n)
+    alpha = np.zeros((m, n))
+    for i in range(m):
+        if not used[i].any():
+            used[i, draw(st.integers(0, n - 1))] = True
+        if D[i] > 1e-12:
+            w = np.array(draw(st.lists(st.floats(0, 1), min_size=n, max_size=n)))
+            w[~used[i]] = 0.0
+            if w.sum() == 0:
+                w[np.flatnonzero(used[i])[0]] = 1.0
+            alpha[i] = w / w.sum()
+    return D, S, pri, alpha, used
+
+
+# a congested merge of two unequal-priority inputs, which takes the
+# priority-rationing kernel, next to an uncongested diverge
+UNEQUAL_MERGE = (np.array([6.0, 6.0]), np.array([4.0]), np.array([0.75, 0.25]),
+                 np.ones((2, 1)), np.ones((2, 1), bool))
+DIVERGE = (np.array([1.0]), np.array([5.0, np.inf]), np.array([1.0]),
+           np.array([[0.4, 0.6]]), np.ones((1, 2), bool))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(junction_block(), min_size=1, max_size=4))
+@example([UNEQUAL_MERGE, DIVERGE])
+def test_network_kernel_matches_per_junction(junctions):
+    mv, D, S, alpha = network_table(junctions)
+    f_out, f_in = resolve_network(mv, D, S, alpha)
+    ref_out, ref_in = [], []
+    for d, s, p, a, _ in junctions:
+        if d.sum() > 1e-12:
+            o, i = resolve_junction(d, s, p, a)
+        else:  # an idle junction passes nothing
+            o, i = np.zeros(len(d)), np.zeros(len(s))
+        ref_out.append(o)
+        ref_in.append(i)
+    np.testing.assert_allclose(f_out, np.concatenate(ref_out), rtol=1e-12, atol=0)
+    np.testing.assert_allclose(f_in, np.concatenate(ref_in), rtol=1e-12, atol=0)
+
+
+def test_unequal_merge_is_rationed_by_priority():
+    mv, D, S, alpha = network_table([UNEQUAL_MERGE, DIVERGE])
+    f_out, f_in = resolve_network(mv, D, S, alpha)
+    assert f_out == pytest.approx([3.0, 1.0, 1.0])
+    assert f_in == pytest.approx([4.0, 0.4, 0.6])
+
+
+# the valid table is one 2-in, 1-out merge
+MERGE_2X1 = (np.ones(2), np.ones(1), EVEN2, np.ones((2, 1)), np.ones((2, 1), bool))
+NETWORK_BAD_INPUTS = {
+    "negative demand": ([-1.0, 1.0], [1.0], [1.0, 1.0], ">= 0"),
+    "nan supply": ([1.0, 1.0], [np.nan], [1.0, 1.0], ">= 0"),
+    "fraction above 1": ([1.0, 1.0], [1.0], [1.0 + 1e-6, 1.0], r"\[0, 1\]"),
+    "nan fraction": ([1.0, 1.0], [1.0], [np.nan, 1.0], r"\[0, 1\]"),
+    "shape mismatch": ([1.0, 1.0], [1.0, 1.0], [1.0, 1.0], "shape"),
+    "row sum": ([1.0, 1.0], [1.0], [1.0, 0.5], "row 1 sums to 0.5"),
+}
+
+
+@pytest.mark.parametrize("case", NETWORK_BAD_INPUTS.values(), ids=NETWORK_BAD_INPUTS)
+def test_network_kernel_bad_inputs_rejected(case):
+    demands, supplies, alpha, message = case
+    mv, _, _, _ = network_table([MERGE_2X1])
+    with pytest.raises(JunctionError, match=message):
+        resolve_network(mv, np.array(demands), np.array(supplies), np.array(alpha))
+
+
+
+@pytest.mark.parametrize("priorities, message", [([0.5, 0.4], "sum to"),
+                                                 ([1.5, -0.5], ">= 0"),
+                                                 ([np.nan, 0.5], ">= 0")])
+def test_movement_priorities_checked_once(priorities, message):
+    with pytest.raises(JunctionError, match=message):
+        network_table([MERGE_2X1[:2] + (np.array(priorities),) + MERGE_2X1[3:]])

@@ -232,6 +232,13 @@ class TestGapMeasures:
         assert relative_gap(b, b, 2.0) == 0.0
         assert relative_gap(a, np.zeros_like(a), 2.0) == np.inf
 
+    def test_relative_gap_survives_overflowing_sums(self):
+        # the squares overflow; in units of max|h| the gap is (0.25 + 0.25) / 1
+        old = np.array([[1e308, 0.0]])
+        new = np.array([[0.5e308, 0.5e308]])
+        with np.errstate(all="raise"):
+            assert relative_gap(new, old, 10.0) == pytest.approx(0.5, rel=1e-15)
+
     def test_od_gap_ignores_unused_cells(self):
         net = parallel_network(2, demand=60.0)
         h = np.array([[0.5, 0.5], [0.0, 0.0]])
