@@ -10,7 +10,6 @@ from .network import (
     Path,
     TimeGrid,
     derive_fd,
-    fd_flow,
     validate_network,
 )
 from .junctions import JunctionError, register_junction_model, resolve_junction
@@ -34,7 +33,7 @@ from .solver import (
 
 __all__ = [
     "Link", "Network", "NetworkError", "Node", "ODPair", "Path", "TimeGrid",
-    "derive_fd", "fd_flow", "validate_network",
+    "derive_fd", "validate_network",
     "JunctionError", "register_junction_model", "resolve_junction",
     "run_dnl",
     "PenaltyParams", "arrival_penalty", "effective_delay", "truncation_sentinel",

@@ -9,7 +9,8 @@ finite; --dt, --horizon, --alpha and --epsilon must be > 0; --br-tolerance,
 paths --k must be integers >= 1.
 Warnings go to stderr once per command: a time step longer than the
 shortest free-flow time, and the count of path/departure cells of the
-final loading that do not finish within the horizon.
+final loading that carry departures whose trips do not finish within the
+horizon.
 """
 
 from __future__ import annotations
@@ -157,10 +158,13 @@ def _warn_dt(net, grid):
         )
 
 
-def _warn_truncated(result):
-    n_bad = int(result.truncated.sum())
+def _warn_truncated(result, h):
+    """Count the cells of departure matrix `h` that carry departures whose
+    trips do not finish within the horizon; empty cells are not trips."""
+    bad = result.truncated & (h > 0)
+    n_bad = int(bad.sum())
     if n_bad:
-        rows = np.flatnonzero(result.truncated.any(axis=1))[:5]
+        rows = np.flatnonzero(bad.any(axis=1))[:5]
         print(
             f"warning: {n_bad} path/departure cells not completed within the "
             f"horizon (first affected paths: {[result.path_order[r] for r in rows]})",
@@ -174,7 +178,7 @@ def cmd_dnl(args) -> int:
     _warn_dt(net, grid)
     h = fileio.load_departures(args.departures, tuple(net.paths), grid.n_steps)
     result = run_dnl(net, h, grid)
-    _warn_truncated(result)
+    _warn_truncated(result, h)
     fileio.write_dnl_results(result, args.out)
     print(f"dnl complete: {len(net.paths)} paths, {grid.n_steps} steps, "
           f"outputs in {args.out}")
@@ -201,7 +205,7 @@ def cmd_due(args) -> int:
         initial_window_s=window,
     )
     report = solve_due(net, grid, config)
-    _warn_truncated(report.final_dnl)
+    _warn_truncated(report.final_dnl, report.h_final)
     for i, g in enumerate(report.relative_gap_history, start=1):
         print(f"iter {i:4d}  log10(relative gap) = "
               f"{math.log10(g) if g > 0 else g if math.isnan(g) else -math.inf:8.3f}")

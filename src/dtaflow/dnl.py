@@ -7,7 +7,8 @@ node's junction like one more incoming link. Each step is one pass over
 the whole network: demands and supplies come from lagged lookups on the
 link curves (read positions tabulated once per loading), the flows of
 every junction from one call of junctions.resolve_network, and path labels
-from FIFO compositions at every element's exit. Path travel times are
+from FIFO compositions at every element's exit, mixed into link entry
+shares by one call of propagate_composition. Path travel times are
 chained horizontal differences between the curves (origin queue first,
 then links in path order).
 """
@@ -266,21 +267,33 @@ def step_origin_queue(queue_veh, departure_rate_vps, served_rate_vps, dt_s: floa
     return np.maximum(0.0, queue_veh + dt_s * (departure_rate_vps - served_rate_vps))
 
 
-def propagate_composition(mix: np.ndarray,
-                          total_inflow_vps: float) -> Optional[np.ndarray]:
-    """Entry shares of a link's paths from `mix`, the rate each of them
-    receives from the feeders. None when no feeder carries flow to label.
-    The loader mixes every link at once (_Loader._enter); this one-link
-    form stays because bench/tracing.py wraps it by name."""
-    carried = mix > 0
-    if not carried.any():
-        return None
-    total = mix[carried].sum()
-    if not math.isclose(total, total_inflow_vps, rel_tol=1e-6, abs_tol=1e-12):
+def propagate_composition(mix: np.ndarray, slot_link: np.ndarray,
+                          inflow_vps: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Entry shares of every link slot at one step, and the links they fill.
+
+    mix[s] is the rate that slot s's path brings to its link slot_link[s];
+    inflow_vps[l] is link l's junction inflow. The fed links are those that
+    take labelled flow and inflow above 1e-12 veh/s; their slots get mix
+    over the link's carried total, and every other slot 0. Raises DNLError
+    where a fed link's carried total differs from its inflow by more than
+    1e-6 relative (1e-12 veh/s absolute).
+    """
+    nL = len(inflow_vps)
+    # bincount adds in slot order, as np.sum does below 8 entries (above
+    # that np.sum pairs them): bit for bit the per-link sum over few paths
+    total = np.bincount(slot_link, mix, minlength=nL)
+    fed = np.flatnonzero((total > 0) & (inflow_vps > _FLOW_EPS))
+    close = (np.abs(total[fed] - inflow_vps[fed])
+             <= np.maximum(1e-6 * np.maximum(np.abs(total[fed]), np.abs(inflow_vps[fed])),
+                           1e-12))
+    if not close.all():
+        li = fed[~close][0]
         raise DNLError(
-            f"composition mass {total} does not match inflow {total_inflow_vps}"
+            f"composition mass {total[li]} does not match inflow {inflow_vps[li]}"
         )
-    return mix / total
+    den = np.full(nL, math.inf)
+    den[fed] = total[fed]
+    return mix / den[slot_link], fed
 
 
 # -- engine --------------------------------------------------------------------
@@ -396,6 +409,12 @@ class _Loader:
         for oi in np.flatnonzero(~np.isfinite(self.cum_dep[:, -1])):
             raise DNLError(f"cumulative departures at origin {self.origin_ids[oi]} "
                            "are not finite: departure rates too large")
+        # each origin's total is finite; their sum may still overflow
+        with np.errstate(over="ignore"):
+            departed = self.cum_dep[:, -1].sum()
+        if not np.isfinite(departed):
+            raise DNLError("cumulative departures summed over all origins are not "
+                           "finite: departure rates too large")
         for oi, paths in enumerate(self.slot_paths[nL:]):
             for j in np.flatnonzero(self.dep_rate[oi] > 0):
                 rates = h[paths, j]
@@ -480,27 +499,12 @@ class _Loader:
                k: int) -> None:
         """Entry compositions at step k of the links that take labelled flow:
         each link slot gets its source slot's share of its source's outflow,
-        normalised by the link's carried total."""
+        normalised by propagate_composition."""
         nL = len(self.links)
         rate = np.where(f_out > _FLOW_EPS, f_out, 0.0)
         mix = rate[self.src_elem] * exit_shares[self.src_slot]
-        slot_link = self.slot_elem[:self.n_link_slots]
-        # bincount adds in slot order, as np.sum does below 8 entries (above
-        # that np.sum pairs them): bit for bit the per-link sum over few paths
-        total = np.bincount(slot_link, mix, minlength=nL)
-        inflow = f_in[:nL]
-        fed = np.flatnonzero((total > 0) & (inflow > _FLOW_EPS))
-        close = (np.abs(total[fed] - inflow[fed])
-                 <= np.maximum(1e-6 * np.maximum(np.abs(total[fed]), np.abs(inflow[fed])),
-                               1e-12))
-        if not close.all():
-            li = fed[~close][0]
-            raise DNLError(
-                f"composition mass {total[li]} does not match inflow {inflow[li]}"
-            )
-        den = np.full(nL, math.inf)
-        den[fed] = total[fed]
-        self.shares[k, :self.n_link_slots] = mix / den[slot_link]
+        self.shares[k, :self.n_link_slots], fed = propagate_composition(
+            mix, self.slot_elem[:self.n_link_slots], f_in[:nL])
         self.entered[fed, k] = k
 
     def run(self) -> DNLResult:

@@ -4,9 +4,9 @@ The model is a FIFO diverge combined with a priority merge: each outgoing
 link's supply limits the oriented demand routed to it, the worst movement
 throttles its whole incoming link (FIFO), and when a congested merge has
 unequal incoming priorities the supply is rationed by priority with
-redistribution of unused shares. resolve_junction applies it, with input
-checks, to one junction; resolve_network applies it to every junction of
-a network at once, as the loader does at each step.
+redistribution of unused shares. resolve_network applies it, with input
+checks, to every junction of a network at once, as the loader does at each
+step; resolve_junction is the one-junction case of resolve_network.
 """
 
 from __future__ import annotations
@@ -51,68 +51,6 @@ def _priority_allocate(
     return alloc
 
 
-def resolve_junction(
-    demands, supplies, priorities, alpha
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Resolve (outflows per incoming, inflows per outgoing).
-
-    demands: veh/s per incoming link (incl. virtual source); supplies: veh/s
-    per outgoing link (incl. virtual sink); priorities: merge weights per
-    incoming link, summing to 1; alpha[i, j]: share of incoming link i's exit
-    flow headed for outgoing link j (rows without demand may be zero).
-
-    Guarantees: flow conservation (sum out == sum in), feasibility
-    (f_out <= D, f_in <= S), and reduction to min(D, S) on a 1x1 node.
-    """
-    D = np.asarray(demands, dtype=float)
-    S = np.asarray(supplies, dtype=float)
-    pri = np.asarray(priorities, dtype=float)
-    alpha = np.asarray(alpha, dtype=float)
-    # written so that NaN fails every check
-    if not (np.all(D >= 0) and np.all(S >= 0) and np.all(pri >= 0)):
-        raise JunctionError("junction demands/supplies/priorities must be >= 0")
-    if not abs(pri.sum() - 1.0) <= 1e-12:
-        raise JunctionError(f"priorities sum to {pri.sum()}, expected 1")
-    if alpha.ndim != 2:
-        raise JunctionError("distribution matrix must be 2-D")
-    if not np.all((alpha >= -_EPS) & (alpha <= 1 + 1e-9)):
-        raise JunctionError("split fractions must lie in [0, 1]")
-    m, n = alpha.shape
-    if len(D) != m or len(S) != n:
-        raise JunctionError("shape mismatch between demands/supplies and matrix")
-    sums = alpha.sum(axis=1)
-    for i in np.flatnonzero(D > _EPS):
-        if not abs(sums[i] - 1.0) <= 1e-6:
-            raise JunctionError(
-                f"distribution row {i} sums to {sums[i]:.9f} with positive demand"
-            )
-
-    oriented = alpha.T @ D  # demand aimed at each outgoing link
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        beta = np.where(oriented > _EPS, np.minimum(1.0, S / oriented), 1.0)
-
-    # ration by priority only at a congested merge: an exit short of supply
-    # whose feeders (movements into it above 1e-12 of the largest) differ in
-    # priority
-    equal_pri = True
-    for j in np.flatnonzero(beta < 1.0 - _EPS):
-        move = alpha[:, j] * D
-        equal_pri &= np.ptp(pri[move > 1e-12 * move.max()]) <= 1e-12
-
-    if equal_pri:
-        gamma = np.ones(m)
-        for i in range(m):
-            used = alpha[i] > _EPS
-            if used.any():
-                gamma[i] = beta[used].min()
-    else:
-        gamma = _ration_by_priority(D, S, pri, alpha)
-
-    f_out = gamma * D
-    f_in = alpha.T @ f_out
-    return f_out, f_in
-
-
 def _ration_by_priority(D: np.ndarray, S: np.ndarray, pri: np.ndarray,
                         alpha: np.ndarray) -> np.ndarray:
     """Service ratios of the inputs of a congested merge whose feeders differ
@@ -145,7 +83,7 @@ class Movements:
     Inputs and outputs are numbered network-wide, and each belongs to one of
     `n_junctions` junctions. A movement is an (input, output) pair that flow
     can take; movements are listed in ascending (input, output) order.
-    Priorities are checked here, once, as resolve_junction checks them.
+    Priorities are checked here, once per table.
     """
 
     src: np.ndarray  # input of each movement
@@ -176,11 +114,10 @@ def resolve_network(
 
     demands: veh/s per input; supplies: veh/s per output (a sink's is inf);
     alpha: per movement, the share of its input's exit flow that takes it.
-    Each junction whose demands sum above 1e-12 follows resolve_junction's
-    rule, with the same input checks; the other junctions pass nothing. A
-    junction with a congested exit whose feeders differ in priority is
-    rationed by resolve_junction's own priority kernel; all others are
-    resolved in one array pass.
+    Each junction whose demands sum above 1e-12 follows the rule in the
+    module docstring; the other junctions pass nothing. A junction with a
+    congested exit whose feeders differ in priority is rationed by
+    _ration_by_priority; all others are resolved in one array pass.
     """
     mv = movements
     D = np.asarray(demands, dtype=float)
@@ -236,6 +173,33 @@ def resolve_network(
 
     f_out = gamma * D
     return f_out, np.bincount(mv.dst, alpha * f_out[mv.src], minlength=n)
+
+
+def resolve_junction(
+    demands, supplies, priorities, alpha
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Resolve (outflows per incoming, inflows per outgoing) at one junction.
+
+    demands: veh/s per incoming link (incl. virtual source); supplies: veh/s
+    per outgoing link (incl. virtual sink); priorities: merge weights per
+    incoming link, summing to 1; alpha[i, j]: share of incoming link i's exit
+    flow headed for outgoing link j (rows without demand may be zero).
+
+    This is one junction of resolve_network, with every (i, j) pair as a
+    movement: the loader's rule and input checks. As in the loader, a
+    junction whose demands sum to at most 1e-12 passes nothing.
+    Guarantees: flow conservation (sum out == sum in), feasibility
+    (f_out <= D, f_in <= S), and reduction to min(D, S) on a 1x1 node.
+    """
+    alpha = np.asarray(alpha, dtype=float)
+    if alpha.ndim != 2:
+        raise JunctionError("distribution matrix must be 2-D")
+    m, n = alpha.shape
+    if (np.shape(demands), np.shape(supplies), np.shape(priorities)) != ((m,), (n,), (m,)):
+        raise JunctionError("shape mismatch between demands/supplies and matrix")
+    one = Movements(*np.divmod(np.arange(m * n), n), np.zeros(m, dtype=np.int64),
+                    np.zeros(n, dtype=np.int64), np.asarray(priorities, dtype=float), 1)
+    return resolve_network(one, demands, supplies, alpha.ravel())
 
 
 # -- model registry -------------------------------------------------------------

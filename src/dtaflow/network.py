@@ -102,18 +102,6 @@ class Link:
         return self.jam_density_vpm * self.length_m
 
 
-def fd_flow(link: Link, density_vpm: float) -> float:
-    """Flow (veh/s) at the given density on the triangular diagram."""
-    if density_vpm < 0 or density_vpm > link.jam_density_vpm * (1 + 1e-12):
-        raise NetworkError(
-            f"density {density_vpm} outside [0, {link.jam_density_vpm}] "
-            f"on link {link.id}"
-        )
-    if density_vpm <= link.critical_density_vpm:
-        return link.free_speed_mps * density_vpm
-    return link.backward_speed_mps * (link.jam_density_vpm - density_vpm)
-
-
 @dataclass(frozen=True)
 class Node:
     id: str

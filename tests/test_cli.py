@@ -231,6 +231,28 @@ class TestDnlCommand:
         assert main(argv) == 0
         assert "exceeds the minimum link free-flow time" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("last, warning", [
+        ("0", None),
+        ("0.1", "warning: 1 path/departure cells not completed"),
+    ], ids=["early-departures-only", "one-late-departure"])
+    def test_truncation_warning_counts_trips_only(self, tiny, capsys, last,
+                                                  warning):
+        # a 100 s link and a 700 s horizon: cells departing after 600 s are
+        # truncated, but only a cell with departures is a trip
+        files, tmp = tiny
+        h = tmp / "h.csv"
+        h.write_text("p1," + ",".join(["0.1"] * 10 + ["0"] * 59 + [last]) + "\n")
+        argv = ["dnl", "--network", files["network.txt"],
+                "--paths", files["paths.txt"], "--demand", files["demand.txt"],
+                "--departures", str(h), "--out", str(tmp / "o"),
+                "--dt", "10", "--horizon", "700"]
+        assert main(argv) == 0
+        err = capsys.readouterr().err
+        if warning is None:
+            assert "not completed" not in err
+        else:
+            assert err.count("not completed") == 1 and warning in err
+
 
 class TestDueCommand:
     def test_converges_and_reports(self, tiny, capsys):
@@ -249,9 +271,11 @@ class TestDueCommand:
 
     def test_truncation_warned_once(self, tiny, capsys):
         files, tmp = tiny
-        # a 100 s link and a 700 s horizon: cells departing after 600 s
-        # cannot finish, in every one of the solve's loadings
-        assert main(due_args(files, str(tmp / "out"))) == 0
+        # a 100 s link and a 90 s horizon: no trip can finish, in any of the
+        # solve's loadings
+        argv = due_args(files, str(tmp / "out"),
+                        **{"--horizon": "90", "--init-window": "0:90"})
+        assert main(argv) == 0
         err = capsys.readouterr().err
         assert err.count("not completed within the horizon") == 1
 
@@ -390,6 +414,9 @@ def field_edits(draw):
 @example(edits=[("departures.csv", 0, 15, "1e308")], command="dnl")
 # a free-flow time L/v lost in t - L/v
 @example(edits=[("network.txt", 11, 4, "1e308")], command="dnl")
+# two O-D demands whose cumulative departures are finite per origin, not summed
+@example(edits=[("demand.txt", 2, 2, "1e308"), ("demand.txt", 3, 2, "1e308")],
+         command="due")
 def test_mutated_braess_inputs_fail_cleanly(edits, command):
     files = {name: list(lines) for name, lines in BRAESS_FILES.items()}
     for name, line, field, token in edits:
@@ -412,9 +439,10 @@ def test_mutated_braess_inputs_fail_cleanly(edits, command):
             argv += ["--alpha", "5e-4", "--max-iters", "2"]
         with contextlib.redirect_stderr(err), \
                 contextlib.redirect_stdout(io.StringIO()):
-            code = main(argv)
+            code = main_raising_warnings(argv)
     assert code in {0, 1, 2, 3, 4}
     assert "Traceback" not in err.getvalue()
+    assert "Warning" not in err.getvalue()
     for message in INVARIANT_MESSAGES:
         assert message not in err.getvalue()
 

@@ -19,7 +19,7 @@ from dtaflow import (
     run_dnl,
     validate_network,
 )
-from dtaflow import junctions
+from dtaflow import dnl, junctions
 from dtaflow.dnl import (
     DNLError,
     LinkState,
@@ -162,16 +162,20 @@ class TestOriginOps:
 
 class TestPropagateComposition:
     def test_rate_weighted_mixture(self):
-        # two feeders at 0.2 veh/s: one all path 0, one half paths 0 and 1
-        mix = 0.2 * np.array([1.0, 0.0]) + 0.2 * np.array([0.5, 0.5])
-        assert propagate_composition(mix, 0.4) == pytest.approx([0.75, 0.25])
+        # two feeders at 0.2 veh/s into link 0: one all path 0, one half
+        # paths 0 and 1; link 1 takes nothing
+        mix = 0.2 * np.array([1.0, 0.0, 0.0]) + 0.2 * np.array([0.5, 0.5, 0.0])
+        shares, fed = propagate_composition(mix, np.array([0, 0, 1]), np.array([0.4, 0.0]))
+        assert shares == pytest.approx([0.75, 0.25, 0.0])
+        assert list(fed) == [0]
 
     def test_no_flow_returns_none(self):
-        assert propagate_composition(np.zeros(2), 0.0) is None
+        shares, fed = propagate_composition(np.zeros(2), np.array([0, 0]), np.zeros(1))
+        assert fed.size == 0 and not shares.any()
 
     def test_mass_mismatch_raises(self):
         with pytest.raises(DNLError, match="composition mass"):
-            propagate_composition(np.array([0.3, 0.0]), 0.4)
+            propagate_composition(np.array([0.3, 0.0]), np.array([0, 0]), np.array([0.4]))
 
 
 @settings(max_examples=100, deadline=None)
@@ -180,16 +184,43 @@ class TestPropagateComposition:
                           st.floats(0.01, 1.0)),
                 min_size=1, max_size=6))
 def test_propagated_fractions_always_normalized(raw):
-    # each feeder carries rate r of one path; the mix is over 10 paths
+    # each feeder carries rate r of one path slot; slots 0-4 are link 0's and
+    # 5-9 link 1's, and each link's inflow is what its feeders carry
     mix = np.zeros(10)
-    for r, pid, _ in raw:
-        mix[pid] += r
-    total = sum(r for r, _, _ in raw)
-    out = propagate_composition(mix, total)
-    if total > 1e-12:
+    for r, slot, _ in raw:
+        mix[slot] += r
+    slot_link = np.repeat([0, 1], 5)
+    inflow = np.bincount(slot_link, mix)
+    shares, fed = propagate_composition(mix, slot_link, inflow)
+    assert list(fed) == list(np.flatnonzero(inflow > 1e-12))
+    for link in fed:
+        out = shares[slot_link == link]
         assert out.sum() == pytest.approx(1.0, abs=1e-9)
         assert np.all(out >= 0)
-        assert np.all(out[mix == 0] == 0)
+        assert np.all(out[mix[slot_link == link] == 0] == 0)
+    assert not shares[~np.isin(slot_link, fed)].any()
+
+
+def test_every_stepped_step_propagates_compositions(monkeypatch):
+    # the loader mixes its compositions through the module-level function,
+    # once per stepped step (one junction resolution each)
+    calls = {"compositions": 0, "junctions": 0}
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    net, grid, h = _braess_dt7()
+    expected = run_dnl(net, h, grid)
+    monkeypatch.setattr(dnl, "propagate_composition",
+                        counted("compositions", propagate_composition))
+    monkeypatch.setattr(junctions, "resolve_network",
+                        counted("junctions", resolve_network))
+    res = run_dnl(net, h, grid)
+    assert 0 < calls["compositions"] == calls["junctions"] < grid.n_steps
+    np.testing.assert_array_equal(res.travel_time, expected.travel_time)
 
 
 # -- whole-run oracles -----------------------------------------------------------

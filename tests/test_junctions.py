@@ -1,17 +1,89 @@
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from dtaflow import JunctionError, resolve_junction
 from dtaflow.junctions import (
+    _EPS,
     Movements,
     _priority_allocate,
+    _ration_by_priority,
     get_junction_model,
     resolve_network,
 )
 
 EVEN2 = [0.5, 0.5]  # equal merge priorities of two incoming links
+
+
+# -- reference oracle ----------------------------------------------------------
+#
+# The dense per-junction form of the junction rule, kept as an independent
+# reference for resolve_network (and so for resolve_junction, one junction
+# of it). Only the priority-rationing kernel is shared with the package.
+
+
+def reference_junction(demands, supplies, priorities, alpha):
+    """Resolve (outflows per incoming, inflows per outgoing).
+
+    demands: veh/s per incoming link (incl. virtual source); supplies: veh/s
+    per outgoing link (incl. virtual sink); priorities: merge weights per
+    incoming link, summing to 1; alpha[i, j]: share of incoming link i's exit
+    flow headed for outgoing link j (rows without demand may be zero).
+
+    Guarantees: flow conservation (sum out == sum in), feasibility
+    (f_out <= D, f_in <= S), and reduction to min(D, S) on a 1x1 node.
+    """
+    D = np.asarray(demands, dtype=float)
+    S = np.asarray(supplies, dtype=float)
+    pri = np.asarray(priorities, dtype=float)
+    alpha = np.asarray(alpha, dtype=float)
+    # written so that NaN fails every check
+    if not (np.all(D >= 0) and np.all(S >= 0) and np.all(pri >= 0)):
+        raise JunctionError("junction demands/supplies/priorities must be >= 0")
+    if not abs(pri.sum() - 1.0) <= 1e-12:
+        raise JunctionError(f"priorities sum to {pri.sum()}, expected 1")
+    if alpha.ndim != 2:
+        raise JunctionError("distribution matrix must be 2-D")
+    if not np.all((alpha >= -_EPS) & (alpha <= 1 + 1e-9)):
+        raise JunctionError("split fractions must lie in [0, 1]")
+    m, n = alpha.shape
+    if len(D) != m or len(S) != n:
+        raise JunctionError("shape mismatch between demands/supplies and matrix")
+    sums = alpha.sum(axis=1)
+    for i in np.flatnonzero(D > _EPS):
+        if not abs(sums[i] - 1.0) <= 1e-6:
+            raise JunctionError(
+                f"distribution row {i} sums to {sums[i]:.9f} with positive demand"
+            )
+
+    oriented = alpha.T @ D  # demand aimed at each outgoing link
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        beta = np.where(oriented > _EPS, np.minimum(1.0, S / oriented), 1.0)
+
+    # ration by priority only at a congested merge: an exit short of supply
+    # whose feeders (movements into it above 1e-12 of the largest) differ in
+    # priority
+    equal_pri = True
+    for j in np.flatnonzero(beta < 1.0 - _EPS):
+        move = alpha[:, j] * D
+        equal_pri &= np.ptp(pri[move > 1e-12 * move.max()]) <= 1e-12
+
+    if equal_pri:
+        gamma = np.ones(m)
+        for i in range(m):
+            used = alpha[i] > _EPS
+            if used.any():
+                gamma[i] = beta[used].min()
+    else:
+        gamma = _ration_by_priority(D, S, pri, alpha)
+
+    f_out = gamma * D
+    f_in = alpha.T @ f_out
+    return f_out, f_in
+
+
+# -- one junction ------------------------------------------------------------
 
 
 class TestResolveJunction:
@@ -124,6 +196,24 @@ def junction_case(draw):
                 w[draw(st.integers(0, n - 1))] = 1.0
             alpha[i] = w / w.sum()
     return D, S, pri, alpha
+
+
+@settings(max_examples=200, deadline=None)
+@given(junction_case())
+def test_resolve_junction_matches_reference(case):
+    # resolve_junction is one junction of resolve_network; a junction whose
+    # demands sum to at most 1e-12 passes nothing there, unlike the reference
+    D, S, pri, alpha = case
+    assume(D.sum() > 1e-12)
+    f_out, f_in = resolve_junction(D, S, pri, alpha)
+    ref_out, ref_in = reference_junction(D, S, pri, alpha)
+    np.testing.assert_allclose(f_out, ref_out, rtol=1e-12, atol=0)
+    np.testing.assert_allclose(f_in, ref_in, rtol=1e-12, atol=0)
+
+
+def test_idle_junction_passes_nothing():
+    f_out, f_in = resolve_junction([1e-13, 0.0], [1.0], EVEN2, np.array([[1.0], [0.0]]))
+    assert not f_out.any() and not f_in.any()
 
 
 @settings(max_examples=200, deadline=None)
@@ -257,7 +347,7 @@ def test_network_kernel_matches_per_junction(junctions):
     ref_out, ref_in = [], []
     for d, s, p, a, _ in junctions:
         if d.sum() > 1e-12:
-            o, i = resolve_junction(d, s, p, a)
+            o, i = reference_junction(d, s, p, a)
         else:  # an idle junction passes nothing
             o, i = np.zeros(len(d)), np.zeros(len(s))
         ref_out.append(o)

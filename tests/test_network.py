@@ -12,7 +12,6 @@ from dtaflow import (
     SolverConfig,
     TimeGrid,
     derive_fd,
-    fd_flow,
     validate_network,
 )
 from helpers import braess_components, braess_network
@@ -39,15 +38,11 @@ class TestDeriveFd:
 
 
 class TestFdFlow:
+    """The triangular fundamental diagram that Link.create derives."""
+
     @pytest.fixture
     def link(self):
         return Link.create("1", "a", "b", 1000.0, 15.0, 0.5)
-
-    def test_empty_road(self, link):
-        assert fd_flow(link, 0.0) == 0.0
-
-    def test_jam_density_gives_zero_flow(self, link):
-        assert fd_flow(link, link.jam_density_vpm) == pytest.approx(0.0, abs=1e-15)
 
     def test_branches_agree_at_critical_density(self, link):
         # evaluate both branches explicitly at rho_c
@@ -56,19 +51,6 @@ class TestFdFlow:
         congested = link.backward_speed_mps * (link.jam_density_vpm - rho_c)
         assert free == pytest.approx(link.capacity_vps, rel=1e-12)
         assert congested == pytest.approx(link.capacity_vps, rel=1e-12)
-        assert fd_flow(link, rho_c) == pytest.approx(link.capacity_vps, rel=1e-12)
-
-    def test_density_out_of_range(self, link):
-        with pytest.raises(NetworkError):
-            fd_flow(link, -0.01)
-        with pytest.raises(NetworkError):
-            fd_flow(link, link.jam_density_vpm * 1.01)
-
-    def test_concave_piecewise_linear_peak(self, link):
-        rho_c = link.critical_density_vpm
-        for rho in (0.25 * rho_c, 0.9 * rho_c, 1.3 * rho_c,
-                    0.8 * link.jam_density_vpm):
-            assert fd_flow(link, rho) <= link.capacity_vps + 1e-15
 
 
 class TestValidateNetwork:
