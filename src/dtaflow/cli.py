@@ -158,10 +158,10 @@ def _warn_dt(net, grid):
         )
 
 
-def _warn_truncated(result, h):
-    """Count the cells of departure matrix `h` that carry departures whose
-    trips do not finish within the horizon; empty cells are not trips."""
-    bad = result.truncated & (h > 0)
+def _warn_truncated(result):
+    """Count the cells with departures whose trips do not finish within the
+    horizon; empty cells are not trips."""
+    bad = result.truncated_trips
     n_bad = int(bad.sum())
     if n_bad:
         rows = np.flatnonzero(bad.any(axis=1))[:5]
@@ -178,7 +178,7 @@ def cmd_dnl(args) -> int:
     _warn_dt(net, grid)
     h = fileio.load_departures(args.departures, tuple(net.paths), grid.n_steps)
     result = run_dnl(net, h, grid)
-    _warn_truncated(result, h)
+    _warn_truncated(result)
     fileio.write_dnl_results(result, args.out)
     print(f"dnl complete: {len(net.paths)} paths, {grid.n_steps} steps, "
           f"outputs in {args.out}")
@@ -205,7 +205,7 @@ def cmd_due(args) -> int:
         initial_window_s=window,
     )
     report = solve_due(net, grid, config)
-    _warn_truncated(report.final_dnl, report.h_final)
+    _warn_truncated(report.final_dnl)
     for i, g in enumerate(report.relative_gap_history, start=1):
         print(f"iter {i:4d}  log10(relative gap) = "
               f"{math.log10(g) if g > 0 else g if math.isnan(g) else -math.inf:8.3f}")

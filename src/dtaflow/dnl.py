@@ -10,7 +10,8 @@ every junction from one call of junctions.resolve_network, and path labels
 from FIFO compositions at every element's exit, mixed into link entry
 shares by one call of propagate_composition. Path travel times are
 chained horizontal differences between the curves (origin queue first,
-then links in path order).
+then links in path order). Paths that share a prefix of elements share
+its exit times, so each distinct prefix is chained once.
 """
 
 from __future__ import annotations
@@ -85,6 +86,13 @@ class DNLResult:
     origin_states: Dict[str, OriginState]
     diagnostics: np.ndarray  # per-knot relative vehicle-balance residual
     truncated: np.ndarray  # bool (|P|, N)
+    departed: np.ndarray  # bool (|P|, N): cells with departures
+
+    @property
+    def truncated_trips(self) -> np.ndarray:
+        """Truncated cells that carry departures: the trips the horizon cuts
+        off. An empty truncated cell is no trip."""
+        return self.truncated & self.departed
 
 
 # -- elementary curve operations ----------------------------------------------
@@ -345,6 +353,7 @@ class _Loader:
             )
         if not np.all(np.isfinite(h) & (h >= 0)):
             raise DNLError("departure rates must be finite and nonnegative")
+        self.departed = h > 0
 
         self.origin_ids = sorted({network.paths[p].od[0] for p in self.path_ids})
         self.oidx = {o: i for i, o in enumerate(self.origin_ids)}
@@ -596,12 +605,23 @@ class _Loader:
         tf = self.grid.tf_s
         dep_times = self.times[:N]
         tt = np.full((len(self.path_ids), N), np.nan)
-        for p, elems in enumerate(self.path_elems):
-            a = dep_times
-            for e in elems:
-                a = _exit_times(self.times, self.up[e], self.dn[e], a,
-                                self.min_delay[e], tf)
-            tt[p] = a - dep_times
+        # Paths that share their first i elements reach element i + 1 at the
+        # same times. In lexicographic element order, each path keeps the
+        # prefix it shares with the one before and extends it, so every
+        # distinct prefix is chained once; `stack` holds the current prefix's
+        # (element, exit times).
+        stack: List[Tuple[int, np.ndarray]] = []
+        for p in sorted(range(len(self.path_elems)), key=self.path_elems.__getitem__):
+            elems = self.path_elems[p]
+            i = 0
+            while i < min(len(stack), len(elems)) and stack[i][0] == elems[i]:
+                i += 1
+            del stack[i:]
+            for e in elems[i:]:
+                a = stack[-1][1] if stack else dep_times
+                stack.append((e, _exit_times(self.times, self.up[e], self.dn[e], a,
+                                             self.min_delay[e], tf)))
+            tt[p] = stack[-1][1] - dep_times
         origin_states = {
             o: OriginState(o, self.queue[oi], self.cum_dep[oi], self.cum_srv[oi])
             for o, oi in self.oidx.items()
@@ -614,7 +634,7 @@ class _Loader:
         }
         return DNLResult(self.grid, self.path_ids, tt, dep_times[None, :] + tt,
                          link_states, origin_states,
-                         self.balance, np.isnan(tt))
+                         self.balance, np.isnan(tt), self.departed)
 
 
 def run_dnl(network: Network, departures: np.ndarray, grid: TimeGrid) -> DNLResult:

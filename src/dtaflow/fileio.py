@@ -231,7 +231,8 @@ def load_departures(path: str, path_order: Sequence[str], n_steps: int) -> np.nd
     missing = [p for p in path_order if p not in rows]
     if missing:
         raise ParseError(f"{path}: missing rows for paths {missing[:5]}")
-    unknown = [p for p in rows if p not in set(path_order)]
+    known = set(path_order)
+    unknown = [p for p in rows if p not in known]
     if unknown:
         raise ParseError(f"{path}: rows for unknown paths {unknown[:5]}")
     return np.array([rows[p] for p in path_order], dtype=float)
@@ -293,8 +294,10 @@ def _fmt(x: float) -> str:
 
 
 def _matrix_rows(path_order, matrix):
-    for pid, row in zip(path_order, matrix):
-        yield [pid] + [_fmt(v) for v in row]
+    """One row per path: its id, then every cell as _fmt writes it (the
+    repr of a Python float), converted a row at a time."""
+    for pid, row in zip(path_order, np.asarray(matrix, dtype=float)):
+        yield [pid, *map(repr, row.tolist())]
 
 
 def _time_header(grid) -> List[str]:
@@ -349,7 +352,7 @@ def write_dnl_results(result, out_dir: str) -> None:
         "dt_s": grid.dt_s,
         "t0_s": grid.t0_s,
         "tf_s": grid.tf_s,
-        "truncated_cells": int(result.truncated.sum()),
+        "truncated_cells": int(result.truncated_trips.sum()),
         "max_balance_residual": float(result.diagnostics.max()),
     })
     _write_plot_script(out_dir)

@@ -231,14 +231,15 @@ class TestDnlCommand:
         assert main(argv) == 0
         assert "exceeds the minimum link free-flow time" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("last, warning", [
-        ("0", None),
-        ("0.1", "warning: 1 path/departure cells not completed"),
+    @pytest.mark.parametrize("last, warning, cells", [
+        ("0", None, 0),
+        ("0.1", "warning: 1 path/departure cells not completed", 1),
     ], ids=["early-departures-only", "one-late-departure"])
     def test_truncation_warning_counts_trips_only(self, tiny, capsys, last,
-                                                  warning):
+                                                  warning, cells):
         # a 100 s link and a 700 s horizon: cells departing after 600 s are
-        # truncated, but only a cell with departures is a trip
+        # truncated, but only a cell with departures is a trip, in the
+        # warning and in summary.json
         files, tmp = tiny
         h = tmp / "h.csv"
         h.write_text("p1," + ",".join(["0.1"] * 10 + ["0"] * 59 + [last]) + "\n")
@@ -252,6 +253,8 @@ class TestDnlCommand:
             assert "not completed" not in err
         else:
             assert err.count("not completed") == 1 and warning in err
+        with open(tmp / "o" / "summary.json") as fh:
+            assert json.load(fh)["truncated_cells"] == cells
 
 
 class TestDueCommand:

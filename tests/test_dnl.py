@@ -36,6 +36,7 @@ from dtaflow.dnl import (
 from dtaflow.junctions import resolve_network
 from helpers import (
     braess_network,
+    grid_network,
     parallel_network,
     path_matrix,
     random_network,
@@ -617,6 +618,79 @@ def test_chained_exit_times_give_travel_time():
     assert np.nanmax(res.travel_time[0]) > 150.0  # the queue delay counts
 
 
+def reference_travel_times(loader):
+    """The per-path chain: each path's elements chained from its departure
+    times, origin queue first, sharing nothing with other paths."""
+    N = loader.grid.n_steps
+    dep_times = loader.times[:N]
+    tt = np.full((len(loader.path_ids), N), np.nan)
+    for p, elems in enumerate(loader.path_elems):
+        a = dep_times
+        for e in elems:
+            a = _exit_times(loader.times, loader.up[e], loader.dn[e], a,
+                            loader.min_delay[e], loader.grid.tf_s)
+        tt[p] = a - dep_times
+    return tt
+
+
+def _grid_k4():
+    # the criterion-11 grid with 4 paths per O-D, congested
+    net = grid_network(k_paths=4)
+    grid = TimeGrid(0.0, 4000.0, 20.0)
+    return net, grid, init_departures(net, grid, window=(0.0, 2000.0))
+
+
+def _prefix_network(order=("q1", "q2", "q3")):
+    # q1 = [l1] is a strict prefix of q2 = [l1, l2]; q3 leaves the same
+    # origin by l3. l2 is a bottleneck and the horizon cuts late trips off.
+    nodes = [Node("a", origin=True), Node("b", destination=True),
+             Node("c", destination=True)]
+    links = [Link.create("l1", "a", "b", 1200.0, 12.0, 0.5),
+             Link.create("l2", "b", "c", 1200.0, 12.0, 0.3),
+             Link.create("l3", "a", "c", 2400.0, 12.0, 0.8)]
+    paths = {"q1": Path("q1", ("a", "b"), ("l1",)),
+             "q2": Path("q2", ("a", "c"), ("l1", "l2")),
+             "q3": Path("q3", ("a", "c"), ("l3",))}
+    net = validate_network(nodes, links, [paths[p] for p in order],
+                           [ODPair("a", "b", 200.0, 600.0),
+                            ODPair("a", "c", 200.0, 600.0)])
+    grid = TimeGrid(0.0, 900.0, 5.0)
+    h = path_matrix(net, grid, {"q1": 0.3, "q2": 0.3, "q3": 0.4}, until_s=500.0)
+    return net, grid, h
+
+
+def _prefix_network_shuffled():
+    return _prefix_network(("q3", "q2", "q1"))
+
+
+@pytest.mark.parametrize("case", [_grid_k4, _random_dt5, _prefix_network,
+                                  _prefix_network_shuffled])
+def test_shared_prefix_extraction_matches_per_path_chain(case):
+    net, grid, h = case()
+    loader = _Loader(net, h, grid)
+    res = loader.run()
+    # array_equal, NaN pattern included
+    np.testing.assert_array_equal(res.travel_time, reference_travel_times(loader))
+    assert res.truncated.any() and not res.truncated.all()
+
+
+def test_exit_times_chained_once_per_distinct_prefix(monkeypatch):
+    net, grid, h = _grid_k4()
+    calls = 0
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return _exit_times(*args)
+
+    monkeypatch.setattr(dnl, "_exit_times", counted)
+    loader = _Loader(net, h, grid)
+    loader.run()
+    prefixes = {tuple(elems[:i]) for elems in loader.path_elems
+                for i in range(1, len(elems) + 1)}
+    assert calls == len(prefixes) < sum(map(len, loader.path_elems))
+
+
 def test_queued_origin_serves_paths_first_in_first_out():
     # one origin, two parallel 0.5 veh/s links: p1 departs in a burst at
     # 1 veh/s and queues; p2 then departs onto its empty link but waits
@@ -649,3 +723,6 @@ def test_truncation_flagged_near_horizon():
     assert res.truncated.any()
     assert np.isnan(res.travel_time[res.truncated]).all()
     assert not res.truncated[0, 0]
+    # every cell departs here; an empty cell would not count as a trip
+    np.testing.assert_array_equal(res.departed, h > 0)
+    np.testing.assert_array_equal(res.truncated_trips, res.truncated)
