@@ -6,7 +6,7 @@ Exit codes: 0 success, 1 usage, 2 parse, 3 validation, 4 runtime failure
 Usage (1) covers number flags out of range: every float flag must be
 finite; --dt, --horizon, --alpha and --epsilon must be > 0; --br-tolerance,
 --early-weight and --late-weight >= 0; --max-iters, --auto-paths and
-paths --k must be integers >= 1.
+paths --k must be integers >= 1; --init-window LO:HI needs finite LO < HI.
 Warnings go to stderr once per command: a time step longer than the
 shortest free-flow time, and the count of path/departure cells of the
 final loading that carry departures whose trips do not finish within the
@@ -195,6 +195,8 @@ def cmd_due(args) -> int:
             lo, hi = (_number()(x) for x in args.init_window.split(":"))
         except (ValueError, argparse.ArgumentTypeError):
             return _usage_error("--init-window must look like LO:HI")
+        if lo >= hi:
+            return _usage_error(f"--init-window needs LO < HI, got {args.init_window!r}")
         window = (lo, hi)
     config = SolverConfig(
         alpha=args.alpha,
@@ -209,7 +211,7 @@ def cmd_due(args) -> int:
     for i, g in enumerate(report.relative_gap_history, start=1):
         print(f"iter {i:4d}  log10(relative gap) = "
               f"{math.log10(g) if g > 0 else g if math.isnan(g) else -math.inf:8.3f}")
-    fileio.write_due_results(report, report.final_dnl, args.out)
+    fileio.write_due_results(report, args.out)
     status = "CONVERGED" if report.converged else "NOT-CONVERGED"
     print(f"{status} after {report.iterations_used} iterations; "
           f"max O-D gap {max(report.od_gaps.values()) if report.od_gaps else 0:.3g} s; "
@@ -233,29 +235,24 @@ def cmd_report(args) -> int:
         print(f"error: {run_dir} is not a completed DUE run directory",
               file=sys.stderr)
         return EXIT_PARSE
+    with open(gaps_file, newline="") as fh:
+        rows = list(csv.reader(fh))
+    if not rows:
+        raise ParseError(f"{gaps_file}: empty file, expected a header row")
+    if rows[0] != fileio.OD_GAP_FIELDS:
+        raise ParseError(f"{gaps_file}:1: header {rows[0]} does not match "
+                         f"expected {fileio.OD_GAP_FIELDS}")
     gaps = []
-    with open(gaps_file) as fh:
-        for line, row in enumerate(csv.reader(fh), start=1):
-            if line == 1:
-                continue  # header
-            if len(row) != 3:
-                raise ParseError(f"{gaps_file}:{line}: expected 3 fields "
-                                 f"(origin,destination,gap_s), got {len(row)}")
-            gaps.append(fileio._to_float(f"{gaps_file}:{line}", "gap_s", row[2]))
-    gaps = np.array(gaps)
-    pct = {
-        "min": float(gaps.min()) if gaps.size else 0.0,
-        "p25": float(np.percentile(gaps, 25)) if gaps.size else 0.0,
-        "p50": float(np.percentile(gaps, 50)) if gaps.size else 0.0,
-        "p75": float(np.percentile(gaps, 75)) if gaps.size else 0.0,
-        "max": float(gaps.max()) if gaps.size else 0.0,
-    }
-    out = os.path.join(run_dir, "gap_percentiles.csv")
-    with open(out, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["statistic", "gap_s"])
-        for k, v in pct.items():
-            w.writerow([k, repr(v)])
+    for line, row in enumerate(rows[1:], start=2):
+        if len(row) != 3:
+            raise ParseError(f"{gaps_file}:{line}: expected 3 fields "
+                             f"(origin,destination,gap_s), got {len(row)}")
+        gaps.append(fileio._to_float(f"{gaps_file}:{line}", "gap_s", row[2]))
+    stats = np.percentile(gaps, [0, 25, 50, 75, 100]).tolist() if gaps else [0.0] * 5
+    pct = dict(zip(["min", "p25", "p50", "p75", "max"], stats))
+    fileio._write_csv(os.path.join(run_dir, "gap_percentiles.csv"),
+                      ["statistic", "gap_s"],
+                      [[k, fileio._fmt(v)] for k, v in pct.items()])
     print("O-D gap percentiles (s): " +
           ", ".join(f"{k}={v:.4g}" for k, v in pct.items()))
 
@@ -280,11 +277,8 @@ def cmd_report(args) -> int:
                     print(f"error: path {pid} not present in {name}",
                           file=sys.stderr)
                     return EXIT_PARSE
-                dst = os.path.join(run_dir, f"curve_{pid}_{name}")
-                with open(dst, "w", newline="") as fh:
-                    w = csv.writer(fh)
-                    w.writerow(header)
-                    w.writerow(body[pid])
+                fileio._write_csv(os.path.join(run_dir, f"curve_{pid}_{name}"),
+                                  header, [body[pid]])
         print(f"wrote curve files for {len(wanted)} paths")
     return 0
 

@@ -48,6 +48,7 @@ LINK_FIELDS = ["id", "tail", "head", "length_m", "free_speed_mps",
                "capacity_vps", "backward_speed_mps"]
 PATH_FIELDS = ["id", "origin", "destination", "links"]
 DEMAND_FIELDS = ["origin", "destination", "demand_veh", "target_arrival_s"]
+OD_GAP_FIELDS = ["origin", "destination", "gap_s"]
 
 
 def _read_sections(path: str) -> Dict[str, List[Tuple[int, List[str]]]]:
@@ -285,19 +286,18 @@ def _write_csv(path: str, header: List[str], rows) -> None:
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(header)
-        for row in rows:
-            w.writerow(row)
+        w.writerows(rows)
 
 
 def _fmt(x: float) -> str:
     return repr(float(x))
 
 
-def _matrix_rows(path_order, matrix):
-    """One row per path: its id, then every cell as _fmt writes it (the
-    repr of a Python float), converted a row at a time."""
-    for pid, row in zip(path_order, np.asarray(matrix, dtype=float)):
-        yield [pid, *map(repr, row.tolist())]
+def _matrix_rows(ids, matrix):
+    """One row per matrix row: its id, then every cell as _fmt writes it
+    (the repr of a Python float), converted a row at a time."""
+    for rid, row in zip(ids, np.asarray(matrix, dtype=float)):
+        yield [rid, *map(repr, row.tolist())]
 
 
 def _time_header(grid) -> List[str]:
@@ -311,30 +311,28 @@ def _write_summary(out_dir: str, summary: dict) -> None:
 
 
 def _write_loading_tables(result, out_dir: str) -> None:
-    """travel_times.csv and link_timeseries.csv of one loading run."""
+    """travel_times.csv, and link_timeseries.csv with one row per (link,
+    step), links in id order."""
     grid = result.grid
-    times = grid.times()
+    N = grid.n_steps
     _write_csv(os.path.join(out_dir, "travel_times.csv"), _time_header(grid),
                _matrix_rows(result.path_order, result.travel_time))
 
-    rows = []
-    for lid in sorted(result.link_states):
-        st = result.link_states[lid]
-        L = st.link.length_m
-        for k in range(grid.n_steps):
-            n_veh = st.n_up[k] - st.n_dn[k]
-            dens = n_veh / L
-            rows.append([
-                lid, _fmt(times[k]), _fmt(st.inflow[k]), _fmt(st.outflow[k]),
-                _fmt(dens), _fmt(dens / st.link.jam_density_vpm),
-                _fmt(st.inflow[k] / st.link.capacity_vps),
-                _fmt(st.outflow[k] / st.link.capacity_vps),
-            ])
+    ids = sorted(result.link_states)
+    states = [result.link_states[lid] for lid in ids]
+    inflow = np.array([st.inflow for st in states])
+    outflow = np.array([st.outflow for st in states])
+    dens = np.array([(st.n_up[:N] - st.n_dn[:N]) / st.link.length_m
+                     for st in states])
+    cap = np.array([[st.link.capacity_vps] for st in states])
+    jam = np.array([[st.link.jam_density_vpm] for st in states])
+    columns = (np.broadcast_to(grid.times()[:N], dens.shape), inflow, outflow,
+               dens, dens / jam, inflow / cap, outflow / cap)
     _write_csv(
         os.path.join(out_dir, "link_timeseries.csv"),
         ["link_id", "time_s", "inflow_vps", "outflow_vps", "density_vpm",
          "relative_density", "relative_inflow", "relative_outflow"],
-        rows,
+        _matrix_rows(np.repeat(ids, N), np.stack(columns, axis=-1).reshape(-1, 7)),
     )
 
 
@@ -358,24 +356,23 @@ def write_dnl_results(result, out_dir: str) -> None:
     _write_plot_script(out_dir)
 
 
-def write_due_results(report, result, out_dir: str) -> None:
+def write_due_results(report, out_dir: str) -> None:
     """SolveReport artifacts: final rates and delays, O-D gaps, convergence
     trace, the final loading's tables, summary and plot script."""
     os.makedirs(out_dir, exist_ok=True)
-    grid = result.grid
+    grid = report.final_dnl.grid
     header = _time_header(grid)
 
     _write_csv(os.path.join(out_dir, "h_final.csv"), header,
                _matrix_rows(report.path_order, report.h_final))
     _write_csv(os.path.join(out_dir, "eff_delay.csv"), header,
                _matrix_rows(report.path_order, report.psi_final))
-    _write_csv(os.path.join(out_dir, "od_gaps.csv"),
-               ["origin", "destination", "gap_s"],
+    _write_csv(os.path.join(out_dir, "od_gaps.csv"), OD_GAP_FIELDS,
                [[o, d, _fmt(gap)] for (o, d), gap in sorted(report.od_gaps.items())])
     _write_csv(os.path.join(out_dir, "convergence.csv"),
                ["iteration", "relative_gap"],
                [[i + 1, _fmt(g)] for i, g in enumerate(report.relative_gap_history)])
-    _write_loading_tables(result, out_dir)
+    _write_loading_tables(report.final_dnl, out_dir)
     _write_summary(out_dir, {
         "mode": "due",
         "converged": bool(report.converged),

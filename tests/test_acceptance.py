@@ -9,6 +9,7 @@ equilibrium, and end-to-end solver/CLI runs.
 """
 
 import filecmp
+import json
 import os
 import time
 
@@ -321,5 +322,15 @@ def test_criterion_12_determinism(tmp_path):
     out1, out2 = str(tmp_path / "run1"), str(tmp_path / "run2")
     assert main(due_args(files, out1)) == 0
     assert main(due_args(files, out2)) == 0
-    assert filecmp.cmp(os.path.join(out1, "h_final.csv"),
-                       os.path.join(out2, "h_final.csv"), shallow=False)
+    for name in ("h_final.csv", "eff_delay.csv", "od_gaps.csv",
+                 "convergence.csv", "travel_times.csv", "link_timeseries.csv"):
+        assert filecmp.cmp(os.path.join(out1, name),
+                           os.path.join(out2, name), shallow=False), name
+
+    def summary(out):  # all but the wall-clock timings
+        with open(os.path.join(out, "summary.json")) as fh:
+            s = json.load(fh)
+        del s["dnl_time_s"], s["update_time_s"]
+        return s
+
+    assert summary(out1) == summary(out2)

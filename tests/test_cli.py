@@ -91,6 +91,14 @@ class TestUsageErrors:
         assert main(argv) == 1
         assert "LO:HI" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("window", ["1200:0", "300:300"])
+    def test_empty_init_window_is_usage_error(self, tiny, capsys, window):
+        files, tmp = tiny
+        argv = due_args(files, str(tmp / "out"), **{"--init-window": window})
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: --init-window") and "LO < HI" in err
+
 
 FLOAT_FLAGS = ["--dt", "--horizon", "--t0", "--alpha", "--epsilon",
                "--br-tolerance", "--early-weight", "--late-weight"]
@@ -377,6 +385,19 @@ class TestReportCommand:
         err = capsys.readouterr().err
         assert err.startswith("parse error: ") and message in err
         assert len(err.strip().splitlines()) == 1
+
+    @pytest.mark.parametrize("text,message", [
+        ("", "od_gaps.csv: empty file, expected a header row"),
+        ("o,d,gap\n1,4,2.5\n", "od_gaps.csv:1: header ['o', 'd', 'gap'] does not"),
+    ], ids=["empty-file", "wrong-header"])
+    def test_malformed_gap_header_is_parse_error(self, tmp_path, capsys, text,
+                                                 message):
+        (tmp_path / "od_gaps.csv").write_text(text)
+        assert main(["report", "--in", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("parse error: ") and message in err
+        assert len(err.strip().splitlines()) == 1
+        assert not (tmp_path / "gap_percentiles.csv").exists()
 
 
 def test_cli_import_leaves_networkx_unloaded():

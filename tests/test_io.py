@@ -7,7 +7,16 @@ import os
 import numpy as np
 import pytest
 
-from dtaflow import NetworkError, TimeGrid, run_dnl, validate_network
+from dtaflow import (
+    Link,
+    NetworkError,
+    Node,
+    ODPair,
+    Path,
+    TimeGrid,
+    run_dnl,
+    validate_network,
+)
 from dtaflow.fileio import (
     ParseError,
     enumerate_paths,
@@ -280,3 +289,45 @@ class TestResultExport:
             rows = list(csv.reader(fh))[1:]
         rel = np.array([float(r[5]) for r in rows])
         assert np.all(rel >= -1e-12) and np.all(rel <= 1 + 1e-9)
+
+
+def reference_link_rows(result):
+    """The body of link_timeseries.csv built one (link, step) at a time."""
+    fmt = lambda x: repr(float(x))  # noqa: E731
+    times = result.grid.times()
+    rows = []
+    for lid in sorted(result.link_states):
+        st = result.link_states[lid]
+        for k in range(result.grid.n_steps):
+            dens = (st.n_up[k] - st.n_dn[k]) / st.link.length_m
+            rows.append([
+                lid, fmt(times[k]), fmt(st.inflow[k]), fmt(st.outflow[k]),
+                fmt(dens), fmt(dens / st.link.jam_density_vpm),
+                fmt(st.inflow[k] / st.link.capacity_vps),
+                fmt(st.outflow[k] / st.link.capacity_vps),
+            ])
+    return rows
+
+
+def test_link_timeseries_matches_reference_rows(tmp_path):
+    # a 0.3 veh/s bottleneck behind a 0.8 veh/s link fed 0.7 veh/s: the queue
+    # spills back to the origin. Link "z" is inserted before "a", so the
+    # file's id order is not the network's order.
+    nodes = [Node("n0", origin=True), Node("n1"), Node("n2", destination=True)]
+    links = [Link.create("z", "n0", "n1", 1200.0, 12.0, 0.8),
+             Link.create("a", "n1", "n2", 300.0, 12.0, 0.3)]
+    net = validate_network(nodes, links, [Path("p1", ("n0", "n2"), ("z", "a"))],
+                           [ODPair("n0", "n2", 420.0, 900.0)])
+    assert list(net.links) == ["z", "a"]
+    grid = TimeGrid(0.0, 3000.0, 10.0)
+    h = path_matrix(net, grid, {"p1": 0.7}, until_s=600.0)
+    res = run_dnl(net, h, grid)
+    assert res.origin_states["n0"].queue_veh.max() > 0
+    write_dnl_results(res, str(tmp_path))
+    with open(tmp_path / "link_timeseries.csv", newline="") as fh:
+        rows = list(csv.reader(fh))[1:]
+    expected = reference_link_rows(res)
+    assert rows == expected
+    assert [r[0] for r in rows[::grid.n_steps]] == ["a", "z"]
+    for col in range(4, 8):  # density and the three relative columns move
+        assert any(float(r[col]) > 0 for r in rows)
