@@ -5,13 +5,14 @@ Link dynamics are tracked purely through cumulative boundary counts
 and exit curves are the cumulative departures and service; it feeds its
 node's junction like one more incoming link. Each step is one pass over
 the whole network: demands and supplies come from lagged lookups on the
-link curves (read positions tabulated once per loading), the flows of
-every junction from one call of junctions.resolve_network, and path labels
-from FIFO compositions at every element's exit, mixed into link entry
-shares by one call of propagate_composition. Path travel times are
-chained horizontal differences between the curves (origin queue first,
-then links in path order). Paths that share a prefix of elements share
-its exit times, so each distinct prefix is chained once.
+link curves (read positions tabulated once per layout, which a solve
+builds once for all its loadings), the flows of every junction from one
+call of junctions.resolve_network, and path labels from FIFO compositions
+at every element's exit, mixed into link entry shares by one call of
+propagate_composition. Path travel times are chained horizontal
+differences between the curves (origin queue first, then links in path
+order). Paths that share a prefix of elements share its exit times, so
+each distinct prefix is chained once.
 """
 
 from __future__ import annotations
@@ -159,49 +160,59 @@ def _read_table(times: np.ndarray, s: np.ndarray, base):
             np.where((s <= tj) | past, 0.0, s - tj))
 
 
-def _read_at(curves: np.ndarray, idx, span, off) -> np.ndarray:
-    """Flat `curves` read at positions from _read_table, with np.interp's
-    arithmetic: exact at knots, held at the end values outside the grid.
-    Where off is 0 the next value is multiplied by 0, so clipping the
-    index past the last knot of the last row changes nothing."""
-    c0 = np.take(curves, idx)
-    return (np.take(curves, idx + 1, mode="clip") - c0) / span * off + c0
+def _read_at(curves: np.ndarray, idx, idx1, span, off) -> np.ndarray:
+    """Flat `curves` read at positions from _read_table (idx1 = idx + 1,
+    clipped to the last knot of the last row), with np.interp's arithmetic:
+    exact at knots, held at the end values outside the grid. Where off is 0
+    the next value is multiplied by 0, so the clipped index changes nothing."""
+    c0 = curves.take(idx)
+    return (curves.take(idx1) - c0) / span * off + c0
 
 
 def _read(times: np.ndarray, curves: np.ndarray, s: np.ndarray) -> np.ndarray:
     """Row i of `curves` read at the times s[..., i]."""
-    return _read_at(curves, *_read_table(times, s, np.arange(len(curves)) * len(times)))
+    idx, span, off = _read_table(times, s, np.arange(len(curves)) * len(times))
+    return _read_at(curves, idx, np.minimum(idx + 1, curves.size - 1), span, off)
 
 
 def _link_params(links: Sequence[Link]) -> np.ndarray:
-    """Per-link rows of (free-flow time, backward-wave time, capacity,
-    storage), as a 4 x L array."""
+    """Per-link rows of (free-flow time, backward-wave time, capacity, 0,
+    storage), as a 5 x L array. Rows 3:5 are what the demand and the supply
+    test add to the curve they read: nothing to N_up, the storage to N_dn."""
     return np.array([(l.free_flow_time_s, l.length_m / l.backward_speed_mps,
-                      l.capacity_vps, l.storage_veh) for l in links]).T
+                      l.capacity_vps, 0.0, l.storage_veh) for l in links]).T
 
 
 class _Lags(NamedTuple):
     """Lagged reads of the link curves at step(s) k, as from _read_table:
     axis -2 takes N_up at s_up and s1_up, then N_dn at s_dn and s1_dn; the
     last axis is the link. Indices are flat into the stacked (2, rows,
-    knots) entry and exit curves."""
+    knots) entry and exit curves. The other fields have two rows on axis
+    -2, the demand's and the supply's."""
 
     idx: np.ndarray
+    idx1: np.ndarray  # idx + 1, clipped to the curves
     span: np.ndarray
     off: np.ndarray
-    now: np.ndarray  # N_up, N_dn at knot k
-    early: np.ndarray  # s_up < t0: nothing has entered yet
+    across: np.ndarray  # N_dn, N_up at knot k: the other end of each link
+    gate: np.ndarray  # demand: s_up >= t0, something may have entered; supply: True
     den: np.ndarray  # s1 - s of the demand and supply rates, 1 where not > 0
 
     def at(self, k) -> "_Lags":
         return _Lags(*(a[k] for a in self))
 
 
+# Count tolerances of the demand and the supply test, as added to the curve
+# read at the lagged time and to the curve at the other end
+_TOL_LAGGED = np.array([[0.0], [COUNT_TOL]])
+_TOL_ACROSS = np.array([[COUNT_TOL], [0.0]])
+
+
 def _lag_table(times: np.ndarray, dt_s: float, params: np.ndarray, k,
                rows: int) -> _Lags:
     """Lagged reads at step(s) k of the links whose parameters are `params`
     (as from _link_params) and whose curves are the first rows of stacked
-    curves with `rows` rows each. Lags are fixed per link, so the loader
+    curves with `rows` rows each. Lags are fixed per link, so a layout
     builds this once, for every step.
 
     A boundary rate at the lagged time s is the average slope of its curve
@@ -218,30 +229,35 @@ def _lag_table(times: np.ndarray, dt_s: float, params: np.ndarray, k,
     base = (np.array([0, 0, rows, rows])[:, None] + np.arange(params.shape[1])) * len(times)
     with np.errstate(invalid="ignore"):  # -inf - -inf of an infinite lag
         den = s[..., 1::2, :] - s[..., ::2, :]
-    return _Lags(*_read_table(times, s, base), base[::2] + np.asarray(k)[..., None, None],
-                 s_up < times[0], np.where(den > 0, den, 1.0))
+    idx, span, off = _read_table(times, s, base)
+    return _Lags(idx, np.minimum(idx + 1, 2 * rows * len(times) - 1), span, off,
+                 base[::-2] + np.asarray(k)[..., None, None],
+                 np.stack([s_up >= times[0], np.ones(s_up.shape, dtype=bool)], axis=-2),
+                 np.where(den > 0, den, 1.0))
 
 
-def _boundary_flows(lags: _Lags, curves: np.ndarray, params: np.ndarray, dt_s: float):
-    """(demand, supply, capped demand, capped supply) at the steps of `lags`
-    of its links, whose entry and exit curves are curves[0] and curves[1];
-    params as from _link_params. Each result has the steps' shape followed
-    by one entry per link. The caps are what one step can pass: vehicles at
-    the exit by s1, room under the storage bound at s1.
+def _boundary_flows(lags: _Lags, curves: np.ndarray, params: np.ndarray, dt_s: float,
+                    out: Optional[np.ndarray] = None):
+    """(rates, capped) at the steps of `lags` of its links, whose entry and
+    exit curves are curves[0] and curves[1]; params as from _link_params.
+    Each has the steps' shape, then two rows, the demand's and the supply's,
+    then one entry per link; `capped` is written to `out` if given.
+
+    Demand is the inflow lagged by the free-flow time while the exit is
+    uncongested (N_up(s_up) <= N_dn(t)), the capacity otherwise; supply is
+    the capacity until the storage bound binds (N_dn(s_dn) + storage <=
+    N_up(t)), then the outflow lagged by the backward-wave time. The caps are
+    what one step can pass: vehicles at the exit by s1, room under the
+    storage bound at s1.
     """
-    capacity, storage = params[2:]
-    read = _read_at(curves, *lags[:3])
-    up, up1, dn, dn1 = (read[..., r, :] for r in range(4))
-    now = np.take(curves, lags.now)
-    up_k, dn_k = now[..., 0, :], now[..., 1, :]
-    demand = np.where(lags.early, 0.0,
-                      np.where(up <= dn_k + COUNT_TOL, (up1 - up) / lags.den[..., 0, :],
-                               capacity))
-    supply = np.where(up_k >= dn + storage - COUNT_TOL,
-                      (dn1 - dn) / lags.den[..., 1, :], capacity)
-    return (demand, supply,
-            np.minimum(demand, np.maximum(0.0, up1 - dn_k) / dt_s),
-            np.minimum(supply, np.maximum(0.0, dn1 + storage - up_k) / dt_s))
+    read = _read_at(curves, *lags[:4])
+    lagged, lagged1 = read[..., ::2, :], read[..., 1::2, :]  # at s, at s1
+    across = curves.take(lags.across)
+    lagging = lagged + params[3:5] - _TOL_LAGGED <= across + _TOL_ACROSS
+    rates = np.where(lags.gate,
+                     np.where(lagging, (lagged1 - lagged) / lags.den, params[2]), 0.0)
+    caps = np.maximum(0.0, lagged1 + params[3:5] - across) / dt_s
+    return rates, np.minimum(rates, caps, out=out)
 
 
 def _one_link(link: Link, state: LinkState, grid: TimeGrid, t: float):
@@ -249,7 +265,7 @@ def _one_link(link: Link, state: LinkState, grid: TimeGrid, t: float):
     params = _link_params([link])
     lags = _lag_table(grid.times(), grid.dt_s, params, k, 1)
     return _boundary_flows(lags, np.stack([state.n_up, state.n_dn])[:, None], params,
-                           grid.dt_s)
+                           grid.dt_s)[0]
 
 
 def link_demand(link: Link, state: LinkState, grid: TimeGrid, t: float) -> float:
@@ -290,44 +306,41 @@ def propagate_composition(mix: np.ndarray, slot_link: np.ndarray,
     # bincount adds in slot order, as np.sum does below 8 entries (above
     # that np.sum pairs them): bit for bit the per-link sum over few paths
     total = np.bincount(slot_link, mix, minlength=nL)
-    fed = np.flatnonzero((total > 0) & (inflow_vps > _FLOW_EPS))
-    close = (np.abs(total[fed] - inflow_vps[fed])
-             <= np.maximum(1e-6 * np.maximum(np.abs(total[fed]), np.abs(inflow_vps[fed])),
-                           1e-12))
-    if not close.all():
-        li = fed[~close][0]
+    fed = (total > 0) & (inflow_vps > _FLOW_EPS)
+    bad = (fed & ~(np.abs(total - inflow_vps)
+                   <= np.maximum(1e-6 * np.maximum(np.abs(total), np.abs(inflow_vps)),
+                                 1e-12))).nonzero()[0]
+    if bad.size:
+        li = bad[0]
         raise DNLError(
             f"composition mass {total[li]} does not match inflow {inflow_vps[li]}"
         )
-    den = np.full(nL, math.inf)
-    den[fed] = total[fed]
-    return mix / den[slot_link], fed
+    return mix / np.where(fed, total, math.inf)[slot_link], fed.nonzero()[0]
 
 
 # -- engine --------------------------------------------------------------------
 
 
-class _Loader:
-    """One loading of a network with a |P| x N departure-rate matrix.
+class _Layout:
+    """What every loading of a network on a time grid shares: the element,
+    slot and movement tables, the link parameters and the lagged-read table.
+    It holds no state of a loading, so a solve builds it once and passes it
+    to each of its loadings.
 
     The junction inputs are uniform elements: the links (0 .. L-1), then one
     origin queue per origin (L + i for origin_ids[i]). Element e has an
-    entry curve up[e] (N_up, or the cumulative departures), an exit curve
-    dn[e] (N_dn, or the cumulative service), and feeds the junction at its
-    downstream node. The junction outputs are the links, then one sink per
-    destination node. Every node is a junction; `moves` lists each (element,
-    output) movement that some path makes.
-
-    Entry compositions are dense over each element's own paths, in one table
-    `shares` whose columns are the slots (element, path), element by element
-    and paths ascending: slot_paths[e] lists e's paths, comp[e] is the view
-    of its columns, comp[e][k] their shares in the vehicles entering in step
-    k, and entered[e, k] the latest step <= k that has a composition (-1 if
-    none). Row N of `shares` stays 0. A link's fill in as it loads; an
-    origin's are the path shares of its departures.
+    entry curve (N_up, or the cumulative departures), an exit curve (N_dn,
+    or the cumulative service), and feeds the junction at its downstream
+    node. The junction outputs are the links, then one sink per destination
+    node. Every node is a junction; `moves` lists each (element, output)
+    movement that some path makes. Entry compositions are dense over each
+    element's own paths: one slot per (element, path), element by element
+    and paths ascending, so that slot_paths[e] lists e's paths and columns
+    bounds[e]:bounds[e + 1] of a loading's `shares` are e's slots.
     """
 
-    def __init__(self, network: Network, departures: np.ndarray, grid: TimeGrid):
+    def __init__(self, network: Network, grid: TimeGrid):
+        self.network = network
         self.grid = grid
         self.path_ids = tuple(network.paths)
         self.link_ids = tuple(network.links)
@@ -345,16 +358,6 @@ class _Loader:
                 "grid times (t - lag == t)"
             )
 
-        h = np.asarray(departures, dtype=float)
-        if h.shape != (nP, N):
-            raise DNLError(
-                f"departure matrix shape {h.shape} does not match "
-                f"(paths, steps) = ({nP}, {N})"
-            )
-        if not np.all(np.isfinite(h) & (h >= 0)):
-            raise DNLError("departure rates must be finite and nonnegative")
-        self.departed = h > 0
-
         self.origin_ids = sorted({network.paths[p].od[0] for p in self.path_ids})
         self.oidx = {o: i for i, o in enumerate(self.origin_ids)}
         nO = len(self.origin_ids)
@@ -362,6 +365,7 @@ class _Loader:
         self.node_ids = tuple(network.nodes)
         sinks = [n for n in self.node_ids if network.nodes[n].destination]
         sink_of = {n: nL + i for i, n in enumerate(sinks)}
+        self.n_outputs = nL + len(sinks)
 
         # route[e, p]: the output path p takes at e's downstream junction, -1
         # where p does not use e; prev[l, p]: the element p leaves to enter l
@@ -375,73 +379,40 @@ class _Loader:
             prev[elems[1:], p] = elems[:-1]
             self.path_elems.append(elems)
         self.slot_elem, slot_path = np.nonzero(route >= 0)
+        slot_path.setflags(write=False)  # every loading's link states share it
         n_slots = len(self.slot_elem)
-        bounds = np.searchsorted(self.slot_elem, np.arange(nE + 1))
-        self.slot_paths = [slot_path[a:b] for a, b in zip(bounds[:-1], bounds[1:])]
+        self.slot_range = np.arange(n_slots)
+        self.bounds = np.searchsorted(self.slot_elem, np.arange(nE + 1))
+        self.slot_paths = [slot_path[a:b] for a, b in zip(self.bounds[:-1], self.bounds[1:])]
         moves, self.slot_move = np.unique(
-            self.slot_elem * (nL + len(sinks)) + route[self.slot_elem, slot_path],
+            self.slot_elem * self.n_outputs + route[self.slot_elem, slot_path],
             return_inverse=True)
         # each link slot is fed by one slot: the same path on the element before
         slot_of = np.full((nE, nP), -1, dtype=np.int64)
-        slot_of[self.slot_elem, slot_path] = np.arange(n_slots)
-        self.n_link_slots = bounds[nL]
+        slot_of[self.slot_elem, slot_path] = self.slot_range
+        self.n_link_slots = self.bounds[nL]
         link_slots = slice(0, self.n_link_slots)
-        self.src_slot = slot_of[prev[self.slot_elem[link_slots], slot_path[link_slots]],
+        self.link_slot_elem = self.slot_elem[link_slots]
+        self.src_slot = slot_of[prev[self.link_slot_elem, slot_path[link_slots]],
                                 slot_path[link_slots]]
         self.src_elem = self.slot_elem[self.src_slot]
 
         node = {n: i for i, n in enumerate(self.node_ids)}
         self.moves = junctions.Movements(
-            *np.divmod(moves, nL + len(sinks)),
+            *np.divmod(moves, self.n_outputs),
             np.array([node[l.head] for l in self.links] + [node[o] for o in self.origin_ids],
                      dtype=np.int64),
             np.array([node[l.tail] for l in self.links] + [node[n] for n in sinks],
                      dtype=np.int64),
             self._priorities(network, lidx), len(self.node_ids))
-        self.sink_supply = np.full(len(sinks), math.inf)  # a sink takes any flow
+        self.no_entry = np.full(nE, N)  # per element, the all-zero row of `shares`
 
-        self.curves = np.zeros((2, nE, N + 1))  # entry curves, then exit curves
-        self.up, self.dn = self.curves
-        self.n_up, self.cum_dep = self.up[:nL], self.up[nL:]
-        self.n_dn, self.cum_srv = self.dn[:nL], self.dn[nL:]
-        self.inflow = np.zeros((nL, N))
-        self.outflow = np.zeros((nL, N))
-        self.shares = np.zeros((N + 1, n_slots))
-        self.comp = [self.shares[:N, a:b] for a, b in zip(bounds[:-1], bounds[1:])]
-        self.entered = np.full((nE, N), -1, dtype=np.int64)
-        self.at_exit = np.zeros(nE, dtype=np.int64)  # entry knot of the exiting vehicles
-
-        with np.errstate(over="ignore"):
-            self.dep_rate = np.array([h[paths].sum(axis=0)
-                                      for paths in self.slot_paths[nL:]]).reshape(nO, N)
-            self.cum_dep[:, 1:] = np.cumsum(self.dep_rate, axis=1) * grid.dt_s
-        for oi in np.flatnonzero(~np.isfinite(self.cum_dep[:, -1])):
-            raise DNLError(f"cumulative departures at origin {self.origin_ids[oi]} "
-                           "are not finite: departure rates too large")
-        # each origin's total is finite; their sum may still overflow
-        with np.errstate(over="ignore"):
-            departed = self.cum_dep[:, -1].sum()
-        if not np.isfinite(departed):
-            raise DNLError("cumulative departures summed over all origins are not "
-                           "finite: departure rates too large")
-        for oi, paths in enumerate(self.slot_paths[nL:]):
-            for j in np.flatnonzero(self.dep_rate[oi] > 0):
-                rates = h[paths, j]
-                tot = rates.sum()
-                if tot > _FLOW_EPS:
-                    self.comp[nL + oi][j] = rates / tot
-                    self.entered[nL + oi, j] = j
-        np.maximum.accumulate(self.entered[nL:], axis=1, out=self.entered[nL:])
-        self.queue = np.zeros((nO, N + 1))
         self.big_m = np.array([
             10.0 * max(network.links[l].capacity_vps for l in network.outgoing[o])
             for o in self.origin_ids
         ])
         self.min_delay = np.append(self.link_params[0], np.zeros(nO))
         self.lags = _lag_table(self.times, grid.dt_s, self.link_params, np.arange(N), nE)
-
-        self.exited = np.zeros(N + 1)
-        self.balance = np.zeros(N + 1)
 
     def _priorities(self, network: Network, lidx: Dict[str, int]) -> np.ndarray:
         """Merge priority of each element at its downstream junction: the
@@ -466,6 +437,81 @@ class _Loader:
             out[inputs] = pri
         return out
 
+
+class _Loader:
+    """One loading of a network with a |P| x N departure-rate matrix, on a
+    layout of the network and grid (built here when none is given).
+
+    Entry compositions are one table `shares` whose columns are the layout's
+    slots: comp[e] is the view of element e's columns, comp[e][k] their
+    shares in the vehicles entering in step k, and entered[e, k] the latest
+    step <= k that has a composition (-1 if none). Row N of `shares` stays
+    0. A link's fill in as it loads; an origin's are the path shares of its
+    departures. Every array here belongs to this loading alone: the result's
+    states are views of them.
+    """
+
+    def __init__(self, network: Network, departures: np.ndarray, grid: TimeGrid,
+                 layout: Optional[_Layout] = None):
+        if layout is None:
+            layout = _Layout(network, grid)
+        elif layout.network is not network or layout.grid != grid:
+            raise DNLError("layout was built for another network or time grid")
+        self.layout = lay = layout
+        self.grid = grid
+        nP, nL, nO, N = len(lay.path_ids), len(lay.links), len(lay.origin_ids), grid.n_steps
+        nE = nL + nO
+
+        h = np.asarray(departures, dtype=float)
+        if h.shape != (nP, N):
+            raise DNLError(
+                f"departure matrix shape {h.shape} does not match "
+                f"(paths, steps) = ({nP}, {N})"
+            )
+        if not np.all(np.isfinite(h) & (h >= 0)):
+            raise DNLError("departure rates must be finite and nonnegative")
+        self.departed = h > 0
+
+        self.curves = np.zeros((2, nE, N + 1))  # entry curves, then exit curves
+        self.up, self.dn = self.curves
+        self.n_up, self.cum_dep = self.up[:nL], self.up[nL:]
+        self.n_dn, self.cum_srv = self.dn[:nL], self.dn[nL:]
+        self.inflow = np.zeros((nL, N))
+        self.outflow = np.zeros((nL, N))
+        self.shares = np.zeros((N + 1, len(lay.slot_elem)))
+        self.comp = [self.shares[:N, a:b] for a, b in zip(lay.bounds[:-1], lay.bounds[1:])]
+        self.entered = np.full((nE, N), -1, dtype=np.int64)
+        self.at_exit = np.zeros(nE, dtype=np.int64)  # entry knot of the exiting vehicles
+
+        with np.errstate(over="ignore"):
+            self.dep_rate = np.array([h[paths].sum(axis=0)
+                                      for paths in lay.slot_paths[nL:]]).reshape(nO, N)
+            self.cum_dep[:, 1:] = np.cumsum(self.dep_rate, axis=1) * grid.dt_s
+        for oi in np.flatnonzero(~np.isfinite(self.cum_dep[:, -1])):
+            raise DNLError(f"cumulative departures at origin {lay.origin_ids[oi]} "
+                           "are not finite: departure rates too large")
+        # each origin's total is finite; their sum may still overflow
+        with np.errstate(over="ignore"):
+            departed = self.cum_dep[:, -1].sum()
+        if not np.isfinite(departed):
+            raise DNLError("cumulative departures summed over all origins are not "
+                           "finite: departure rates too large")
+        # vehicles departed by each knot: each knot's sum over a contiguous
+        # last axis, bit for bit self.cum_dep[:, k].sum()
+        self.departed_veh = np.ascontiguousarray(self.cum_dep.T).sum(axis=1)
+        for oi, paths in enumerate(lay.slot_paths[nL:]):
+            # each cell's path rates along a contiguous last axis, so that
+            # their sum is bit for bit that of the cell's own rate vector
+            rates = np.ascontiguousarray(h[paths].T)
+            tot = rates.sum(axis=1)
+            cells = np.flatnonzero(tot > _FLOW_EPS)
+            self.comp[nL + oi][cells] = rates[cells] / tot[cells, None]
+            self.entered[nL + oi, cells] = cells
+        np.maximum.accumulate(self.entered[nL:], axis=1, out=self.entered[nL:])
+        self.queue = np.zeros((nO, N + 1))
+        self.exited = np.zeros(N + 1)
+        self.balance = np.zeros(N + 1)
+
     # -- per-step machinery ---------------------------------------------------
 
     def _exit_shares(self, D: np.ndarray, k: int) -> np.ndarray:
@@ -473,34 +519,37 @@ class _Loader:
         that of the latest step, up to the one they entered in, that has a
         composition; 0 for elements that demand no flow. An origin whose
         departures are too small to label keeps them queued (D set to 0)."""
-        nL = len(self.links)
-        row = np.full(len(D), self.grid.n_steps)  # the all-zero row
-        dem = np.flatnonzero(D > _FLOW_EPS)
+        lay = self.layout
+        row = lay.no_entry.copy()
+        dem = (D > _FLOW_EPS).nonzero()[0]
         if dem.size:
             # the entry knot only moves forward: search from the last one
-            lo = self.at_exit[dem].min()
+            lo = min(self.at_exit[dem].tolist())
             passed = self.up[dem, lo:k + 1] <= (self.dn[dem, k] + COUNT_TOL)[:, None]
-            self.at_exit[dem] = lo - 1 + passed.sum(axis=1)
-            j = self.entered[dem, self.at_exit[dem]]
-            for e in dem[(j < 0) & (dem < nL)]:
-                raise DNLError(
-                    f"link {self.link_ids[e]} demands flow at step {k} "
-                    "but carries no labeled vehicles"
-                )
-            D[dem[j < 0]] = 0.0
-            row[dem[j >= 0]] = j[j >= 0]
-        return self.shares[row[self.slot_elem], np.arange(len(self.slot_elem))]
+            at = self.at_exit[dem] = lo - 1 + passed.sum(axis=1)
+            j = self.entered[dem, at]
+            unlabelled = dem[j < 0]
+            if unlabelled.size:
+                for e in unlabelled[unlabelled < len(lay.links)]:
+                    raise DNLError(
+                        f"link {lay.link_ids[e]} demands flow at step {k} "
+                        "but carries no labeled vehicles"
+                    )
+                D[unlabelled] = 0.0
+                j = np.where(j < 0, self.grid.n_steps, j)
+            row[dem] = j
+        return self.shares[row[lay.slot_elem], lay.slot_range]
 
     def _check_conservation(self, f_out: np.ndarray, f_in: np.ndarray, k: int) -> None:
         """Each junction passes on what its inputs send out, to 1e-9."""
-        mv = self.moves
+        mv = self.layout.moves
         out = np.bincount(mv.in_junction, f_out, minlength=mv.n_junctions)
         residual = np.abs(out - np.bincount(mv.out_junction, f_in, minlength=mv.n_junctions))
-        bad = ~(residual <= 1e-9 * np.maximum(1.0, out))  # NaN fails too
-        if bad.any():
-            j = bad.argmax()
+        bad = (~(residual <= 1e-9 * np.maximum(1.0, out))).nonzero()[0]  # NaN fails too
+        if bad.size:
+            j = bad[0]
             raise DNLError(
-                f"junction {self.node_ids[j]} conservation residual "
+                f"junction {self.layout.node_ids[j]} conservation residual "
                 f"{residual[j]:.3e} at step {k}"
             )
 
@@ -509,51 +558,59 @@ class _Loader:
         """Entry compositions at step k of the links that take labelled flow:
         each link slot gets its source slot's share of its source's outflow,
         normalised by propagate_composition."""
-        nL = len(self.links)
+        lay = self.layout
         rate = np.where(f_out > _FLOW_EPS, f_out, 0.0)
-        mix = rate[self.src_elem] * exit_shares[self.src_slot]
-        self.shares[k, :self.n_link_slots], fed = propagate_composition(
-            mix, self.slot_elem[:self.n_link_slots], f_in[:nL])
+        mix = rate[lay.src_elem] * exit_shares[lay.src_slot]
+        self.shares[k, :lay.n_link_slots], fed = propagate_composition(
+            mix, lay.link_slot_elem, f_in[:len(lay.links)])
         self.entered[fed, k] = k
 
     def run(self) -> DNLResult:
         """Step from the first departure until the network drains; the
         frozen state fills the rest of the horizon."""
+        lay = self.layout
         N = self.grid.n_steps
         dt = self.grid.dt_s
-        nL = len(self.links)
+        nL = len(lay.links)
+        nE = nL + len(lay.origin_ids)
         departing = np.flatnonzero(self.dep_rate.any(axis=0))
         # Before the first departure every curve, queue and count is 0 and no
         # link has an entry composition: the allocation holds that state.
         k0, k_last = (departing[0], departing[-1]) if departing.size else (N, N)
         settle_tried = False
+        # one step's element demands (links, then origins) and output supplies
+        # (links, then sinks, which take any flow)
+        step_flows = np.empty((2, max(nE, lay.n_outputs)))
+        D, S = step_flows[0, :nE], step_flows[1, :lay.n_outputs]
+        S[nL:] = math.inf
+        link_flows, D_org = step_flows[:, :nL], D[nL:]  # the links' D and S; origin D
+        n_moves = len(lay.moves.src)
+        entered, queue, n_up, dn = self.entered[:nL], self.queue, self.n_up, self.dn
 
         for k in range(k0, N):
             if k:
-                self.entered[:nL, k] = self.entered[:nL, k - 1]
-            D_eff, S_eff = _boundary_flows(self.lags.at(k), self.curves, self.link_params,
-                                           dt)[2:]
-            q_k = self.queue[:, k]
+                entered[:, k] = entered[:, k - 1]
+            _boundary_flows(lay.lags.at(k), self.curves, lay.link_params, dt, out=link_flows)
+            q_k = queue[:, k]
             dep_k = self.dep_rate[:, k]
-            D_org = np.minimum(origin_demand(q_k, dep_k, self.big_m), q_k / dt + dep_k)
-            D = np.concatenate([D_eff, D_org])
+            np.minimum(origin_demand(q_k, dep_k, lay.big_m), q_k / dt + dep_k, out=D_org)
             exit_shares = self._exit_shares(D, k)
-            alpha = np.bincount(self.slot_move, exit_shares, minlength=len(self.moves.src))
-            f_out, f_in = junctions.resolve_network(
-                self.moves, D, np.concatenate([S_eff, self.sink_supply]), alpha)
+            alpha = np.bincount(lay.slot_move, exit_shares, minlength=n_moves)
+            f_out, f_in = junctions.resolve_network(lay.moves, D, S, alpha)
             self._check_conservation(f_out, f_in, k)
             self._enter(exit_shares, f_out, f_in, k)
 
-            self.n_up[:, k + 1] = self.n_up[:, k] + dt * f_in[:nL]
-            self.dn[:, k + 1] = self.dn[:, k] + dt * f_out
-            self.inflow[:, k] = f_in[:nL]
+            f_links = f_in[:nL]
+            n_up[:, k + 1] = n_up[:, k] + dt * f_links
+            dn[:, k + 1] = dn[:, k] + dt * f_out
+            self.inflow[:, k] = f_links
             self.outflow[:, k] = f_out[:nL]
-            self.queue[:, k + 1] = step_origin_queue(q_k, dep_k, f_out[nL:], dt)
+            queue[:, k + 1] = step_origin_queue(q_k, dep_k, f_out[nL:], dt)
             self.exited[k + 1] = self.exited[k] + dt * f_in[nL:].sum()
 
-            departed = self.cum_dep[:, k + 1].sum()
-            stored = (self.n_up[:, k + 1] - self.n_dn[:, k + 1]).sum()
-            queued = self.queue[:, k + 1].sum()
+            departed = self.departed_veh[k + 1]
+            stored = (n_up[:, k + 1] - self.n_dn[:, k + 1]).sum()
+            queued = queue[:, k + 1].sum()
             resid = abs(departed - (stored + queued + self.exited[k + 1]))
             self.balance[k + 1] = resid / max(1.0, departed)
             if not self.balance[k + 1] <= 1e-6:  # NaN fails too
@@ -570,30 +627,38 @@ class _Loader:
         return self._extract_result()
 
     def _drained(self, k: int) -> bool:
-        """Every link holds no vehicles at knot k and no origin queue is left.
-        The origin curves are not compared: cumulative departures and service
-        differ by rounding even when the queue is exactly 0."""
+        """Every link holds no vehicles at knot k and no origin queue is left
+        that a step would serve: the Forward-Euler update can leave a queue
+        of rounding residue (around 1e-16 veh) whose rate q/dt, at or below
+        1e-12 veh/s, is never labelled or served. The origin curves are not
+        compared: cumulative departures and service differ by rounding even
+        when the queue is exactly 0."""
         return bool(np.all(self.n_up[:, k] == self.n_dn[:, k])
-                    and not self.queue[:, k].any())
+                    and np.all(self.queue[:, k] / self.grid.dt_s <= _FLOW_EPS))
 
     def _settle(self, k: int) -> bool:
         """Freeze the drained state at knot k over the rest of the horizon and
         return True if every later step would be a no-op. That holds when no
-        link demands flow at any later step; the demands are read with the
-        step loop's own formula, up to the longest free-flow lag past k (later
-        reads fall on the flat, frozen curves and give exactly 0). On False the
-        caller keeps stepping, overwriting the frozen columns."""
+        link demands flow at any later step, and no origin's queue rate plus
+        later departure rate exceeds 1e-12 veh/s, so that its residue stays
+        queued. Link demands are read with the step loop's own formula, up to
+        the longest free-flow lag past k (later reads fall on the flat, frozen
+        curves and give exactly 0). On False the caller keeps stepping,
+        overwriting the frozen columns."""
+        lay = self.layout
         N = self.grid.n_steps
         dt = self.grid.dt_s
-        nL = len(self.links)
+        nL = len(lay.links)
         self.n_up[:, k + 1:] = self.n_up[:, k, None]
         self.dn[:, k + 1:] = self.dn[:, k, None]
-        reach = k + math.ceil(self.link_params[0].max() / dt) + 2
-        D_eff = _boundary_flows(self.lags.at(slice(k, min(reach, N))), self.curves,
-                                self.link_params, dt)[2]
-        if D_eff.any():
+        reach = k + math.ceil(lay.link_params[0].max() / dt) + 2
+        capped = _boundary_flows(lay.lags.at(slice(k, min(reach, N))), self.curves,
+                                 lay.link_params, dt)[1]
+        origin_rate = self.queue[:, k] / dt + self.dep_rate[:, k:].max(axis=1, initial=0.0)
+        if capped[..., 0, :].any() or np.any(origin_rate > _FLOW_EPS):
             return False
         self.entered[:nL, k:] = self.entered[:nL, k - 1, None]
+        self.queue[:, k + 1:] = self.queue[:, k, None]
         self.exited[k + 1:] = self.exited[k]
         self.balance[k + 1:] = self.balance[k]
         return True
@@ -601,48 +666,53 @@ class _Loader:
     # -- travel-time extraction -------------------------------------------------
 
     def _extract_result(self) -> DNLResult:
+        lay = self.layout
         N = self.grid.n_steps
         tf = self.grid.tf_s
-        dep_times = self.times[:N]
-        tt = np.full((len(self.path_ids), N), np.nan)
+        times = lay.times
+        dep_times = times[:N]
+        tt = np.full((len(lay.path_ids), N), np.nan)
         # Paths that share their first i elements reach element i + 1 at the
         # same times. In lexicographic element order, each path keeps the
         # prefix it shares with the one before and extends it, so every
         # distinct prefix is chained once; `stack` holds the current prefix's
         # (element, exit times).
         stack: List[Tuple[int, np.ndarray]] = []
-        for p in sorted(range(len(self.path_elems)), key=self.path_elems.__getitem__):
-            elems = self.path_elems[p]
+        for p in sorted(range(len(lay.path_elems)), key=lay.path_elems.__getitem__):
+            elems = lay.path_elems[p]
             i = 0
             while i < min(len(stack), len(elems)) and stack[i][0] == elems[i]:
                 i += 1
             del stack[i:]
             for e in elems[i:]:
                 a = stack[-1][1] if stack else dep_times
-                stack.append((e, _exit_times(self.times, self.up[e], self.dn[e], a,
-                                             self.min_delay[e], tf)))
+                stack.append((e, _exit_times(times, self.up[e], self.dn[e], a,
+                                             lay.min_delay[e], tf)))
             tt[p] = stack[-1][1] - dep_times
         origin_states = {
             o: OriginState(o, self.queue[oi], self.cum_dep[oi], self.cum_srv[oi])
-            for o, oi in self.oidx.items()
+            for o, oi in lay.oidx.items()
         }
         link_states = {
             lid: LinkState(link, self.n_up[li], self.n_dn[li], self.inflow[li],
-                           self.outflow[li], self.slot_paths[li], self.comp[li],
+                           self.outflow[li], lay.slot_paths[li], self.comp[li],
                            self.entered[li])
-            for li, (lid, link) in enumerate(zip(self.link_ids, self.links))
+            for li, (lid, link) in enumerate(zip(lay.link_ids, lay.links))
         }
-        return DNLResult(self.grid, self.path_ids, tt, dep_times[None, :] + tt,
+        return DNLResult(self.grid, lay.path_ids, tt, dep_times[None, :] + tt,
                          link_states, origin_states,
                          self.balance, np.isnan(tt), self.departed)
 
 
-def run_dnl(network: Network, departures: np.ndarray, grid: TimeGrid) -> DNLResult:
+def run_dnl(network: Network, departures: np.ndarray, grid: TimeGrid, *,
+            layout: Optional[_Layout] = None) -> DNLResult:
     """Load the network with the given |P| x N departure-rate matrix.
 
     Rows of `departures` follow the iteration order of `network.paths`.
     Raises DNLError on a wrong shape or on negative or non-finite rates.
     Cells whose trips do not finish within the horizon are flagged in
-    `truncated`; the loader itself prints and logs nothing.
+    `truncated`; the loader itself prints and logs nothing. `layout`, built
+    by _Layout(network, grid), lets repeated loadings of one network and grid
+    share their set-up; the result does not depend on it.
     """
-    return _Loader(network, departures, grid).run()
+    return _Loader(network, departures, grid, layout).run()

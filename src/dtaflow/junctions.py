@@ -61,14 +61,13 @@ def _ration_by_priority(D: np.ndarray, S: np.ndarray, pri: np.ndarray,
     for _ in range(m):
         f_out = gamma * D
         f_in = alpha.T @ f_out
-        violated = [j for j in range(n) if f_in[j] > S[j] * (1 + 1e-12) + _EPS]
-        if not violated:
+        violated = (f_in > S * (1 + 1e-12) + _EPS).nonzero()[0]
+        if not violated.size:
             break
         for j in violated:
             move = alpha[:, j] * D  # movement demand i -> j at full service
             alloc = _priority_allocate(S[j], move, pri)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                ratio = np.where(move > _EPS, alloc / move, 1.0)
+            ratio = np.divide(alloc, move, out=np.ones(m), where=move > _EPS)
             gamma = np.minimum(gamma, ratio)
     return gamma
 
@@ -83,7 +82,9 @@ class Movements:
     Inputs and outputs are numbered network-wide, and each belongs to one of
     `n_junctions` junctions. A movement is an (input, output) pair that flow
     can take; movements are listed in ascending (input, output) order.
-    Priorities are checked here, once per table.
+    Priorities are checked here, once per table, and the feeders of each
+    output whose inputs differ in priority are tabulated: only such an
+    output can make a congested merge ration by priority.
     """
 
     src: np.ndarray  # input of each movement
@@ -94,6 +95,13 @@ class Movements:
     n_junctions: int
     movers: np.ndarray = field(init=False)  # inputs that have a movement
     first: np.ndarray = field(init=False)  # index of each mover's first movement
+    mixed: np.ndarray = field(init=False)  # outputs fed by inputs of differing priority
+    feeders: np.ndarray = field(init=False)  # per mixed output, its movements, padded
+    feeding: np.ndarray = field(init=False)  # where `feeders` holds a movement
+    feeder_priority: np.ndarray = field(init=False)  # priority of each feeder's input
+    # per junction of a mixed output: its inputs, its outputs, its movements,
+    # and their rows and columns in the junction's split matrix
+    rationing: Dict[int, Tuple[np.ndarray, ...]] = field(init=False)
 
     def __post_init__(self):
         if not np.all(self.priority >= 0):  # NaN fails too
@@ -103,8 +111,31 @@ class Movements:
         for j in np.flatnonzero(fed & ~(np.abs(sums - 1.0) <= 1e-12)):
             raise JunctionError(f"priorities sum to {sums[j]}, expected 1")
         first = np.flatnonzero(np.diff(self.src, prepend=-1))
-        object.__setattr__(self, "first", first)
-        object.__setattr__(self, "movers", self.src[first])
+
+        n = len(self.out_junction)
+        pri = self.priority[self.src]
+        hi, lo = np.full(n, -np.inf), np.full(n, np.inf)
+        np.maximum.at(hi, self.dst, pri)
+        np.minimum.at(lo, self.dst, pri)
+        mixed = np.flatnonzero(hi - lo > 1e-12)
+        into = [np.flatnonzero(self.dst == o) for o in mixed]
+        width = max(map(len, into), default=0)
+        feeders = np.zeros((len(mixed), width), dtype=np.int64)
+        feeding = np.zeros((len(mixed), width), dtype=bool)
+        for r, moves in enumerate(into):
+            feeders[r, :len(moves)] = moves
+            feeding[r, :len(moves)] = True
+        rationing = {}
+        for j in sorted(set(self.out_junction[mixed].tolist())):
+            ins = np.flatnonzero(self.in_junction == j)
+            outs = np.flatnonzero(self.out_junction == j)
+            own = np.flatnonzero(self.in_junction[self.src] == j)
+            rationing[j] = (ins, outs, own, np.searchsorted(ins, self.src[own]),
+                            np.searchsorted(outs, self.dst[own]))
+        for name, value in (("first", first), ("movers", self.src[first]),
+                            ("mixed", mixed), ("feeders", feeders), ("feeding", feeding),
+                            ("feeder_priority", pri[feeders]), ("rationing", rationing)):
+            object.__setattr__(self, name, value)
 
 
 def resolve_network(
@@ -126,15 +157,18 @@ def resolve_network(
     m, n = len(mv.in_junction), len(mv.out_junction)
     if D.shape != (m,) or S.shape != (n,) or alpha.shape != mv.src.shape:
         raise JunctionError("shape mismatch between demands/supplies and matrix")
-    # written so that NaN fails every check
-    if not ((D >= 0).all() and (S >= 0).all()):
+    # minimum and maximum propagate NaN, so NaN fails every check
+    if not (np.minimum.reduce(D, initial=0.0) >= 0
+            and np.minimum.reduce(S, initial=0.0) >= 0):
         raise JunctionError("junction demands/supplies/priorities must be >= 0")
-    if not ((alpha >= -_EPS) & (alpha <= 1 + 1e-9)).all():
+    if not (np.minimum.reduce(alpha, initial=0.0) >= -_EPS
+            and np.maximum.reduce(alpha, initial=0.0) <= 1 + 1e-9):
         raise JunctionError("split fractions must lie in [0, 1]")
+    # the fractions are finite here, and so are their row sums
     sums = np.bincount(mv.src, alpha, minlength=m)
-    bad = (D > _EPS) & ~(np.abs(sums - 1.0) <= 1e-6)
-    if bad.any():
-        i = bad.argmax()
+    off = np.abs(sums - 1.0)
+    if np.maximum.reduce(off, where=D > _EPS, initial=0.0) > 1e-6:
+        i = ((D > _EPS) & (off > 1e-6)).argmax()
         raise JunctionError(
             f"distribution row {i} sums to {sums[i]:.9f} with positive demand"
         )
@@ -143,33 +177,28 @@ def resolve_network(
     D = np.where(busy[mv.in_junction], D, 0.0)
     move = alpha * D[mv.src]  # movement demand at full service
     oriented = np.bincount(mv.dst, move, minlength=n)
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        beta = np.where(oriented > _EPS, np.minimum(1.0, S / oriented), 1.0)
+    # min(1, S / oriented), dividing only where that is below 1: no overflow
+    beta = np.divide(S, oriented, out=np.ones(n), where=(S < oriented) & (oriented > _EPS))
     gamma = np.ones(m)
     if mv.first.size:
         gamma[mv.movers] = np.minimum.reduceat(
             np.where(alpha > _EPS, beta[mv.dst], 1.0), mv.first)
 
-    congested = beta < 1.0 - _EPS
-    if congested.any():
-        # feeders of a congested exit: movements above 1e-12 of its largest
-        into = np.flatnonzero(congested[mv.dst])
-        top = np.zeros(n)
-        np.maximum.at(top, mv.dst[into], move[into])
-        fed = into[move[into] > 1e-12 * top[mv.dst[into]]]
-        pri = mv.priority[mv.src[fed]]
-        hi, lo = np.full(n, -np.inf), np.full(n, np.inf)
-        np.maximum.at(hi, mv.dst[fed], pri)
-        np.minimum.at(lo, mv.dst[fed], pri)
-        mixed = np.bincount(mv.out_junction[hi - lo > 1e-12], minlength=mv.n_junctions)
-        for j in np.flatnonzero(mixed):
-            ins = np.flatnonzero(mv.in_junction == j)
-            outs = np.flatnonzero(mv.out_junction == j)
-            own = np.flatnonzero(mv.in_junction[mv.src] == j)
-            a = np.zeros((len(ins), len(outs)))
-            a[np.searchsorted(ins, mv.src[own]),
-              np.searchsorted(outs, mv.dst[own])] = alpha[own]
-            gamma[ins] = _ration_by_priority(D[ins], S[outs], mv.priority[ins], a)
+    if mv.mixed.size:
+        jam = (beta[mv.mixed] < 1.0 - _EPS).nonzero()[0]
+        if jam.size:
+            # feeders of a congested exit: movements above 1e-12 of its largest
+            feeding, fmove = mv.feeding[jam], move[mv.feeders[jam]]
+            top = np.where(feeding, fmove, 0.0).max(axis=1, initial=0.0)
+            fed = feeding & (fmove > 1e-12 * top[:, None])
+            pri = mv.feeder_priority[jam]
+            spread = (np.where(fed, pri, -np.inf).max(axis=1)
+                      - np.where(fed, pri, np.inf).min(axis=1))
+            for j in sorted(set(mv.out_junction[mv.mixed[jam[spread > 1e-12]]].tolist())):
+                ins, outs, own, rows, cols = mv.rationing[j]
+                a = np.zeros((len(ins), len(outs)))
+                a[rows, cols] = alpha[own]
+                gamma[ins] = _ration_by_priority(D[ins], S[outs], mv.priority[ins], a)
 
     f_out = gamma * D
     return f_out, np.bincount(mv.dst, alpha * f_out[mv.src], minlength=n)

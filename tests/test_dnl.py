@@ -23,6 +23,7 @@ from dtaflow import dnl, junctions
 from dtaflow.dnl import (
     DNLError,
     LinkState,
+    _Layout,
     _Loader,
     _exit_times,
     _read,
@@ -514,6 +515,101 @@ def test_second_pulse_after_draining_is_loaded():
     np.testing.assert_allclose(second, first, rtol=0.0, atol=1e-6)
 
 
+def assert_results_equal(res, ref):
+    """Every array of two loadings is equal, NaN pattern included."""
+    for name in ("travel_time", "arrival_time", "diagnostics", "truncated", "departed"):
+        np.testing.assert_array_equal(getattr(res, name), getattr(ref, name), err_msg=name)
+    assert res.link_states.keys() == ref.link_states.keys()
+    for lid, state in res.link_states.items():
+        for name in ("n_up", "n_dn", "inflow", "outflow", "paths", "composition",
+                     "entered"):
+            np.testing.assert_array_equal(getattr(state, name),
+                                          getattr(ref.link_states[lid], name),
+                                          err_msg=f"link {lid} {name}")
+    assert res.origin_states.keys() == ref.origin_states.keys()
+    for o, state in res.origin_states.items():
+        for name in ("queue_veh", "cum_departures", "cum_served"):
+            np.testing.assert_array_equal(getattr(state, name),
+                                          getattr(ref.origin_states[o], name),
+                                          err_msg=f"origin {o} {name}")
+
+
+def test_origin_queue_rounding_residue_settles(monkeypatch):
+    # 0.8 veh/s for 100 s onto a 0.5 veh/s link: the Forward-Euler update
+    # drains the origin queue to a residue of a few 1e-15 veh, whose rate
+    # q/dt is too small to label or serve. The loading stops stepping soon
+    # after the last trip has left, and fills the rest of the horizon with
+    # exactly what stepping every step would have written.
+    net = single_link_network(1200.0, 12.0, 0.5)
+    grid = TimeGrid(0.0, 1500.0, 5.0)
+    h = path_matrix(net, grid, {"p1": 0.8}, until_s=100.0)
+    steps = 0
+
+    def counted(*args):
+        nonlocal steps
+        steps += 1
+        return propagate_composition(*args)
+
+    monkeypatch.setattr(dnl, "propagate_composition", counted)
+    res = run_dnl(net, h, grid)
+    queue = res.origin_states["a"].queue_veh
+    assert queue.max() > 10.0
+    assert 0.0 < queue[-1] <= 1e-12 * grid.dt_s  # the residue stays queued
+    k_last = np.flatnonzero(h.any(axis=0))[-1]
+    lag = max(l.free_flow_time_s for l in net.links.values()) / grid.dt_s
+    assert steps < k_last + 2 * lag + 10 < grid.n_steps
+
+    monkeypatch.setattr(_Loader, "_drained", lambda self, k: False)
+    steps = 0
+    full = run_dnl(net, h, grid)
+    assert steps == grid.n_steps
+    assert_results_equal(res, full)
+
+
+def test_settle_refuses_while_an_origin_may_still_send():
+    # links empty and no queue yet, but departures to come: not settled
+    net = single_link_network()
+    grid = TimeGrid(0.0, 600.0, 10.0)
+    h = path_matrix(net, grid, {"p1": 0.4})
+    h[:, :10] = 0.0
+    loader = _Loader(net, h, grid)
+    assert loader._drained(5) and not loader._settle(5)
+    # and a queue whose rate is above 1e-12 veh/s will be served
+    loader = _Loader(net, np.zeros_like(h), grid)
+    loader.queue[:, 5] = 2e-12 * grid.dt_s
+    assert not loader._drained(5) and not loader._settle(5)
+    loader.queue[:, 5] = 0.5e-12 * grid.dt_s
+    assert loader._drained(5) and loader._settle(5)
+    assert np.all(loader.queue[:, 5:] == 0.5e-12 * grid.dt_s)
+
+
+def _shifted(h, steps, scale):
+    """The departures of h, `steps` steps later and scaled."""
+    out = np.zeros_like(h)
+    out[:, steps:] = scale * h[:, :h.shape[1] - steps]
+    return out
+
+
+@pytest.mark.parametrize("case", [_braess_dt7, _random_dt5])
+def test_reused_layout_leaks_nothing_between_loadings(case):
+    net, grid, h1 = case()
+    h2 = _shifted(h1, 20, 1.7)
+    layout = _Layout(net, grid)
+    first = run_dnl(net, h1, grid, layout=layout)
+    second = run_dnl(net, h2, grid, layout=layout)
+    # the first result shares no array with the loading after it
+    assert_results_equal(first, run_dnl(net, h1, grid))
+    assert_results_equal(second, run_dnl(net, h2, grid))
+
+
+def test_layout_of_another_network_or_grid_rejected():
+    net, grid, h = _braess_dt7()
+    with pytest.raises(DNLError, match="another network or time grid"):
+        run_dnl(net, h, grid, layout=_Layout(braess_network(), grid))
+    with pytest.raises(DNLError, match="another network or time grid"):
+        run_dnl(net, h, grid, layout=_Layout(net, TimeGrid(0.0, 2400.0, 5.0)))
+
+
 def test_zero_departures_give_empty_curves_and_free_flow_times():
     net = braess_network()
     grid = TimeGrid(0.0, 2400.0, 5.0)
@@ -550,7 +646,7 @@ def test_split_rows_not_summing_to_one_stop_the_loading():
     # 0.5 at the first step with departures
     net, grid, h = _braess_dt7()
     loader = _Loader(net, h, grid)
-    loader.shares[:, loader.n_link_slots:] *= 0.5
+    loader.shares[:, loader.layout.n_link_slots:] *= 0.5
     with pytest.raises(JunctionError, match=r"distribution row \d+ sums to 0\.500000000"):
         loader.run()
 
@@ -621,14 +717,15 @@ def test_chained_exit_times_give_travel_time():
 def reference_travel_times(loader):
     """The per-path chain: each path's elements chained from its departure
     times, origin queue first, sharing nothing with other paths."""
+    lay = loader.layout
     N = loader.grid.n_steps
-    dep_times = loader.times[:N]
-    tt = np.full((len(loader.path_ids), N), np.nan)
-    for p, elems in enumerate(loader.path_elems):
+    dep_times = lay.times[:N]
+    tt = np.full((len(lay.path_ids), N), np.nan)
+    for p, elems in enumerate(lay.path_elems):
         a = dep_times
         for e in elems:
-            a = _exit_times(loader.times, loader.up[e], loader.dn[e], a,
-                            loader.min_delay[e], loader.grid.tf_s)
+            a = _exit_times(lay.times, loader.up[e], loader.dn[e], a,
+                            lay.min_delay[e], loader.grid.tf_s)
         tt[p] = a - dep_times
     return tt
 
@@ -674,6 +771,38 @@ def test_shared_prefix_extraction_matches_per_path_chain(case):
     assert res.truncated.any() and not res.truncated.all()
 
 
+def _grid_k4_random_rates():
+    # the grid-replay departures with random magnitudes, so that the order
+    # in which a cell's rates are summed shows in the shares
+    net, grid, h = _grid_k4()
+    rng = np.random.default_rng(3)
+    h = h * rng.uniform(0.0, 1.0, h.shape) * 10.0 ** rng.integers(-6, 3, h.shape)
+    h[:, 40:45] *= 1e-14  # cells too small to label
+    return net, grid, h
+
+
+@pytest.mark.parametrize("case", [_grid_k4, _grid_k4_random_rates])
+def test_origin_compositions_match_per_cell_shares(case):
+    # grid origins send 92 paths each, so numpy pairs the rates of a cell
+    # when it sums them
+    net, grid, h = case()
+    loader = _Loader(net, h, grid)
+    nL = len(loader.layout.links)
+    for oi, paths in enumerate(loader.layout.slot_paths[nL:]):
+        assert len(paths) > 8
+        shares = np.zeros((grid.n_steps, len(paths)))
+        entered = np.full(grid.n_steps, -1)
+        for j in range(grid.n_steps):
+            rates = h[paths, j]
+            total = rates.sum()
+            if total > 1e-12:
+                shares[j] = rates / total
+                entered[j] = j
+        np.testing.assert_array_equal(loader.comp[nL + oi], shares)
+        np.testing.assert_array_equal(loader.entered[nL + oi],
+                                      np.maximum.accumulate(entered))
+
+
 def test_exit_times_chained_once_per_distinct_prefix(monkeypatch):
     net, grid, h = _grid_k4()
     calls = 0
@@ -686,9 +815,10 @@ def test_exit_times_chained_once_per_distinct_prefix(monkeypatch):
     monkeypatch.setattr(dnl, "_exit_times", counted)
     loader = _Loader(net, h, grid)
     loader.run()
-    prefixes = {tuple(elems[:i]) for elems in loader.path_elems
+    path_elems = loader.layout.path_elems
+    prefixes = {tuple(elems[:i]) for elems in path_elems
                 for i in range(1, len(elems) + 1)}
-    assert calls == len(prefixes) < sum(map(len, loader.path_elems))
+    assert calls == len(prefixes) < sum(map(len, path_elems))
 
 
 def test_queued_origin_serves_paths_first_in_first_out():

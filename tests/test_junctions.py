@@ -372,6 +372,9 @@ NETWORK_BAD_INPUTS = {
     "nan fraction": ([1.0, 1.0], [1.0], [np.nan, 1.0], r"\[0, 1\]"),
     "shape mismatch": ([1.0, 1.0], [1.0, 1.0], [1.0, 1.0], "shape"),
     "row sum": ([1.0, 1.0], [1.0], [1.0, 0.5], "row 1 sums to 0.5"),
+    "nan demand": ([np.nan, 1.0], [1.0], [1.0, 1.0], ">= 0"),
+    "negative supply": ([1.0, 1.0], [-1.0], [1.0, 1.0], ">= 0"),
+    "fraction 1 + 1e-8": ([1.0, 1.0], [1.0], [1.0 + 1e-8, 1.0], r"\[0, 1\]"),
 }
 
 
@@ -382,6 +385,26 @@ def test_network_kernel_bad_inputs_rejected(case):
     with pytest.raises(JunctionError, match=message):
         resolve_network(mv, np.array(demands), np.array(supplies), np.array(alpha))
 
+
+
+def test_network_kernel_tolerates_rounding_in_fractions():
+    # a diverge whose fractions stray by rounding, within 1e-12 below 0 and
+    # 1e-9 above 1, with a row sum of exactly 1
+    mv, _, _, _ = network_table([DIVERGE])
+    f_out, f_in = resolve_network(mv, np.array([1.0]), np.array([5.0, np.inf]),
+                                  np.array([1.0 + 1e-13, -1e-13]))
+    assert f_out.tolist() == [1.0]
+    assert f_in == pytest.approx([1.0, 0.0], abs=1e-12)
+
+
+def test_huge_supply_over_tiny_oriented_demand_warns_nothing():
+    # 1e300 / 1.1e-12 overflows: the supply ratio is only formed where it is
+    # below 1, so no RuntimeWarning (an error under this suite's filter)
+    mv, _, _, _ = network_table([DIVERGE])
+    f_out, f_in = resolve_network(mv, np.array([1.1e-12]), np.array([1e300, np.inf]),
+                                  np.array([1.0, 0.0]))
+    assert f_out.tolist() == [1.1e-12]
+    assert f_in.tolist() == [1.1e-12, 0.0]
 
 
 @pytest.mark.parametrize("priorities, message", [([0.5, 0.4], "sum to"),

@@ -1,5 +1,7 @@
 """Projection-solver tests: dual root finding, updates, convergence."""
 
+import os
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -297,3 +299,23 @@ class TestSolveDue:
         second = solve_due(net, grid, cfg, h0=first.h_final)
         assert second.iterations_used <= 3
         assert np.abs(second.h_final - first.h_final).max() < 0.01
+
+
+def test_criterion_10_solve_matches_pinned_iterates():
+    """The criterion-10 Braess solve (the benchmark's seed 0) gives the
+    pinned final departures and costs, so that a change meant to be
+    numerically neutral cannot move them unnoticed. A change that alters
+    the solve on purpose, such as a new cell cost or a new stopping rule,
+    regenerates tests/data/braess_c10_seed0.npz and says so."""
+    demands = {("1", "3"): 25.0, ("2", "3"): 15.0,
+               ("1", "4"): 35.0, ("2", "4"): 25.0}
+    net = braess_network(demands=demands, target=1200.0)
+    grid = TimeGrid(0.0, 2400.0, 5.0)
+    cfg = SolverConfig(alpha=5e-3, epsilon=1e-4, max_iters=200,
+                       initial_window_s=(0.0, 1200.0))
+    report = solve_due(net, grid, cfg)
+    pinned = np.load(os.path.join(os.path.dirname(__file__), "data",
+                                  "braess_c10_seed0.npz"))
+    assert report.iterations_used == 60
+    np.testing.assert_allclose(report.h_final, pinned["h_final"], rtol=1e-12, atol=0)
+    np.testing.assert_allclose(report.psi_final, pinned["psi_final"], rtol=1e-12, atol=0)
