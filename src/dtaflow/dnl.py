@@ -421,11 +421,11 @@ class _Layout:
         out = np.zeros(nL + len(self.origin_ids))
         for nid, node in network.nodes.items():
             inputs = [lidx[l] for l in network.incoming[nid]]
+            if not inputs and nid not in self.oidx:
+                continue  # no link enters and no path leaves: no junction input
             pri = [network.priorities[nid][l] for l in network.incoming[nid]]
             if node.origin:
                 pri.append(network.priorities[nid][SOURCE_KEY])
-            if not pri:
-                continue
             pri = np.asarray(pri, dtype=float)
             pri = pri / pri.sum()
             if nid in self.oidx:

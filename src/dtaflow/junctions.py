@@ -1,12 +1,14 @@
 """Junction flow resolution from demands, supplies and split fractions.
 
 The model is a FIFO diverge combined with a priority merge: each outgoing
-link's supply limits the oriented demand routed to it, the worst movement
-throttles its whole incoming link (FIFO), and when a congested merge has
-unequal incoming priorities the supply is rationed by priority with
-redistribution of unused shares. resolve_network applies it, with input
-checks, to every junction of a network at once, as the loader does at each
-step; resolve_junction is the one-junction case of resolve_network.
+link's supply limits the oriented demand routed to it, and the worst
+movement throttles its whole incoming link (FIFO). When the feeders of a
+congested exit differ in priority, each exit of that junction that full
+demand overfills rations its supply among the movements into it by
+priority, with redistribution of unused shares, and each input again keeps
+its worst ratio. resolve_network applies it, with input checks, to every
+junction of a network at once on one table of movements, as the loader does
+at each step; resolve_junction is the one-junction case of resolve_network.
 """
 
 from __future__ import annotations
@@ -51,27 +53,6 @@ def _priority_allocate(
     return alloc
 
 
-def _ration_by_priority(D: np.ndarray, S: np.ndarray, pri: np.ndarray,
-                        alpha: np.ndarray) -> np.ndarray:
-    """Service ratios of the inputs of a congested merge whose feeders differ
-    in priority: each exit short of supply rations it by priority, and an
-    input is throttled by its worst movement, until no exit is overfilled."""
-    m, n = alpha.shape
-    gamma = np.ones(m)
-    for _ in range(m):
-        f_out = gamma * D
-        f_in = alpha.T @ f_out
-        violated = (f_in > S * (1 + 1e-12) + _EPS).nonzero()[0]
-        if not violated.size:
-            break
-        for j in violated:
-            move = alpha[:, j] * D  # movement demand i -> j at full service
-            alloc = _priority_allocate(S[j], move, pri)
-            ratio = np.divide(alloc, move, out=np.ones(m), where=move > _EPS)
-            gamma = np.minimum(gamma, ratio)
-    return gamma
-
-
 # -- whole-network resolution -------------------------------------------------
 
 
@@ -83,8 +64,8 @@ class Movements:
     `n_junctions` junctions. A movement is an (input, output) pair that flow
     can take; movements are listed in ascending (input, output) order.
     Priorities are checked here, once per table, and the feeders of each
-    output whose inputs differ in priority are tabulated: only such an
-    output can make a congested merge ration by priority.
+    output whose inputs differ in priority are tabulated: only a jam at such
+    an output can make its junction ration by priority.
     """
 
     src: np.ndarray  # input of each movement
@@ -99,9 +80,6 @@ class Movements:
     feeders: np.ndarray = field(init=False)  # per mixed output, its movements, padded
     feeding: np.ndarray = field(init=False)  # where `feeders` holds a movement
     feeder_priority: np.ndarray = field(init=False)  # priority of each feeder's input
-    # per junction of a mixed output: its inputs, its outputs, its movements,
-    # and their rows and columns in the junction's split matrix
-    rationing: Dict[int, Tuple[np.ndarray, ...]] = field(init=False)
 
     def __post_init__(self):
         if not np.all(self.priority >= 0):  # NaN fails too
@@ -125,16 +103,9 @@ class Movements:
         for r, moves in enumerate(into):
             feeders[r, :len(moves)] = moves
             feeding[r, :len(moves)] = True
-        rationing = {}
-        for j in sorted(set(self.out_junction[mixed].tolist())):
-            ins = np.flatnonzero(self.in_junction == j)
-            outs = np.flatnonzero(self.out_junction == j)
-            own = np.flatnonzero(self.in_junction[self.src] == j)
-            rationing[j] = (ins, outs, own, np.searchsorted(ins, self.src[own]),
-                            np.searchsorted(outs, self.dst[own]))
         for name, value in (("first", first), ("movers", self.src[first]),
                             ("mixed", mixed), ("feeders", feeders), ("feeding", feeding),
-                            ("feeder_priority", pri[feeders]), ("rationing", rationing)):
+                            ("feeder_priority", pri[feeders])):
             object.__setattr__(self, name, value)
 
 
@@ -147,8 +118,8 @@ def resolve_network(
     alpha: per movement, the share of its input's exit flow that takes it.
     Each junction whose demands sum above 1e-12 follows the rule in the
     module docstring; the other junctions pass nothing. A junction with a
-    congested exit whose feeders differ in priority is rationed by
-    _ration_by_priority; all others are resolved in one array pass.
+    congested exit whose feeders differ in priority is rationed exit by exit
+    on the movement table; all others are resolved in one array pass.
     """
     mv = movements
     D = np.asarray(demands, dtype=float)
@@ -194,11 +165,19 @@ def resolve_network(
             pri = mv.feeder_priority[jam]
             spread = (np.where(fed, pri, -np.inf).max(axis=1)
                       - np.where(fed, pri, np.inf).min(axis=1))
-            for j in sorted(set(mv.out_junction[mv.mixed[jam[spread > 1e-12]]].tolist())):
-                ins, outs, own, rows, cols = mv.rationing[j]
-                a = np.zeros((len(ins), len(outs)))
-                a[rows, cols] = alpha[own]
-                gamma[ins] = _ration_by_priority(D[ins], S[outs], mv.priority[ins], a)
+            rationed = np.zeros(mv.n_junctions, dtype=bool)
+            rationed[mv.out_junction[mv.mixed[jam[spread > 1e-12]]]] = True
+            # a rationed junction's inputs restart from full service; each of
+            # its exits that full demand overfills shares its supply among its
+            # feeders by priority, and an input keeps its worst ratio
+            gamma[rationed[mv.in_junction]] = 1.0
+            over = rationed[mv.out_junction] & (oriented > S * (1 + 1e-12) + _EPS)
+            for o in over.nonzero()[0]:
+                into = (mv.dst == o).nonzero()[0]
+                ins, fmove = mv.src[into], move[into]  # distinct inputs
+                alloc = _priority_allocate(S[o], fmove, mv.priority[ins])
+                ratio = np.divide(alloc, fmove, out=np.ones(len(into)), where=fmove > _EPS)
+                gamma[ins] = np.minimum(gamma[ins], ratio)
 
     f_out = gamma * D
     return f_out, np.bincount(mv.dst, alpha * f_out[mv.src], minlength=n)

@@ -41,6 +41,10 @@ class SolverConfig:
             raise ValueError(f"max_iters {self.max_iters!r} must be an integer >= 1")
         if not (math.isfinite(self.br_tolerance) and self.br_tolerance >= 0):
             raise ValueError(f"br_tolerance {self.br_tolerance} must be finite and >= 0")
+        w = self.initial_window_s
+        if w is not None and not (len(w) == 2 and all(map(math.isfinite, w)) and w[0] < w[1]):
+            raise ValueError(f"initial_window_s {w!r} must be None or two finite "
+                             "numbers lo < hi")
 
 
 @dataclass

@@ -323,6 +323,21 @@ class TestDueCommand:
         err = capsys.readouterr().err + caplog.text
         assert "used departure cells" not in err
 
+    def test_origin_without_paths_or_entering_links(self, tmp_path, capsys):
+        # origin 1 has no incoming link and, with only 2-3 and 2-4 demanded,
+        # no path leaves it: it has no junction input to weigh
+        demand = tmp_path / "demand.txt"
+        demand.write_text("[demand]\norigin,destination,demand_veh,target_arrival_s\n"
+                          "2,3,150,2400\n2,4,250,2400\n")
+        argv = ["due", "--network", os.path.join(DATA, "network.txt"),
+                "--auto-paths", "3", "--demand", str(demand),
+                "--out", str(tmp_path / "out"), "--dt", "30", "--horizon", "2400",
+                "--alpha", "5e-4", "--max-iters", "2"]
+        assert main(argv) == 0
+        out, err = capsys.readouterr()
+        assert "error" not in err
+        assert "after 2 iterations" in out
+
 
 class TestPathsCommand:
     def test_enumerates_braess(self, tmp_path, capsys):

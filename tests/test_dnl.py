@@ -36,6 +36,7 @@ from dtaflow.dnl import (
 )
 from dtaflow.junctions import resolve_network
 from helpers import (
+    braess_components,
     braess_network,
     grid_network,
     parallel_network,
@@ -627,6 +628,20 @@ def test_zero_departures_give_empty_curves_and_free_flow_times():
         done = dep + ff <= grid.tf_s
         np.testing.assert_allclose(res.travel_time[p, done], ff, rtol=1e-12)
         assert np.array_equal(res.truncated[p], ~done)
+
+
+def test_origin_without_paths_or_entering_links_is_no_junction_input():
+    # origin 1 has no incoming link, and with only origin 2's paths no path
+    # leaves it: no merge priority is formed for it
+    nodes, links, paths, ods = braess_components(
+        demands={("2", "3"): 150.0, ("2", "4"): 250.0})
+    net = validate_network(nodes, links, [p for p in paths if p.od[0] == "2"], ods)
+    grid = TimeGrid(0.0, 2400.0, 30.0)
+    res = run_dnl(net, init_departures(net, grid, (0.0, 1200.0)), grid)
+    assert list(res.origin_states) == ["2"]
+    served = res.origin_states["2"].cum_served[-1]
+    assert served == pytest.approx(400.0, rel=1e-9)
+    assert not res.link_states["1"].n_up.any()
 
 
 def test_nan_junction_flows_stop_the_loading(monkeypatch):

@@ -8,7 +8,6 @@ from dtaflow.junctions import (
     _EPS,
     Movements,
     _priority_allocate,
-    _ration_by_priority,
     get_junction_model,
     resolve_network,
 )
@@ -20,7 +19,9 @@ EVEN2 = [0.5, 0.5]  # equal merge priorities of two incoming links
 #
 # The dense per-junction form of the junction rule, kept as an independent
 # reference for resolve_network (and so for resolve_junction, one junction
-# of it). Only the priority-rationing kernel is shared with the package.
+# of it). It rations on the junction's split matrix, round by round, where
+# the package rations exit by exit on its movement table; only
+# _priority_allocate, the split of one exit's supply, is shared.
 
 
 def reference_junction(demands, supplies, priorities, alpha):
@@ -76,7 +77,20 @@ def reference_junction(demands, supplies, priorities, alpha):
             if used.any():
                 gamma[i] = beta[used].min()
     else:
-        gamma = _ration_by_priority(D, S, pri, alpha)
+        # each exit short of supply rations it by priority, and an input is
+        # throttled by its worst movement, until no exit is overfilled
+        gamma = np.ones(m)
+        for _ in range(m):
+            f_out = gamma * D
+            f_in = alpha.T @ f_out
+            violated = (f_in > S * (1 + 1e-12) + _EPS).nonzero()[0]
+            if not violated.size:
+                break
+            for j in violated:
+                move = alpha[:, j] * D  # movement demand i -> j at full service
+                alloc = _priority_allocate(S[j], move, pri)
+                ratio = np.divide(alloc, move, out=np.ones(m), where=move > _EPS)
+                gamma = np.minimum(gamma, ratio)
 
     f_out = gamma * D
     f_in = alpha.T @ f_out
@@ -122,6 +136,16 @@ class TestResolveJunction:
                                        np.ones((2, 1)))
         assert f_out == pytest.approx([3.0, 1.0])
         assert f_in == pytest.approx([4.0])
+
+    def test_zero_priority_feeder_shares_what_is_left_equally(self):
+        # once every positive-priority feeder is served, the remaining supply
+        # is split equally among the hungry feeders, whatever their weight
+        f_out, f_in = resolve_junction([1.0, 6.0], [4.0], [1.0, 0.0], np.ones((2, 1)))
+        assert f_out.tolist() == [1.0, 3.0]
+        assert f_in.tolist() == [4.0]
+        # while a positive-priority feeder is hungry, a zero one gets nothing
+        f_out, _ = resolve_junction([6.0, 6.0], [4.0], [1.0, 0.0], np.ones((2, 1)))
+        assert f_out.tolist() == [4.0, 0.0]
 
     def test_zero_demand_rows_skipped(self):
         f_out, f_in = resolve_junction([0.0, 0.5], [1.0], EVEN2,
@@ -336,11 +360,19 @@ UNEQUAL_MERGE = (np.array([6.0, 6.0]), np.array([4.0]), np.array([0.75, 0.25]),
                  np.ones((2, 1)), np.ones((2, 1), bool))
 DIVERGE = (np.array([1.0]), np.array([5.0, np.inf]), np.array([1.0]),
            np.array([[0.4, 0.6]]), np.ones((1, 2), bool))
+# a congested merge of unequal priorities whose second exit, fed by two
+# inputs of equal priority, is overfilled too: each overfilled exit of a
+# rationed junction is rationed, and input 1 keeps its full demand
+OVERFILLED_PAIR_ALPHA = np.array([[1.0, 0.0], [0.5, 0.5], [0.5, 0.5]])
+RATIONED_PAIR = (np.array([6.0, 2.0, 8.0]), np.array([4.0, 2.0]),
+                 np.array([0.5, 0.25, 0.25]), OVERFILLED_PAIR_ALPHA,
+                 OVERFILLED_PAIR_ALPHA > 0)
 
 
 @settings(max_examples=200, deadline=None)
 @given(st.lists(junction_block(), min_size=1, max_size=4))
 @example([UNEQUAL_MERGE, DIVERGE])
+@example([RATIONED_PAIR])
 def test_network_kernel_matches_per_junction(junctions):
     mv, D, S, alpha = network_table(junctions)
     f_out, f_in = resolve_network(mv, D, S, alpha)
@@ -361,6 +393,16 @@ def test_unequal_merge_is_rationed_by_priority():
     f_out, f_in = resolve_network(mv, D, S, alpha)
     assert f_out == pytest.approx([3.0, 1.0, 1.0])
     assert f_in == pytest.approx([4.0, 0.4, 0.6])
+
+
+def test_every_overfilled_exit_of_a_rationed_junction_is_rationed():
+    # exit 0 rations 4 veh/s by priority: 2, 1, 1 of demands 6, 1, 4; exit 1
+    # splits 2 veh/s equally between inputs 1 and 2, so input 2 keeps 1/4
+    # of its demand and input 1 all of it, not exit 1's supply ratio 2/5
+    mv, D, S, alpha = network_table([RATIONED_PAIR])
+    f_out, f_in = resolve_network(mv, D, S, alpha)
+    assert f_out == pytest.approx([2.0, 2.0, 2.0], rel=1e-15)
+    assert f_in == pytest.approx([4.0, 2.0], rel=1e-15)
 
 
 # the valid table is one 2-in, 1-out merge

@@ -151,6 +151,8 @@ NONFINITE_BUILDS = {
     "SolverConfig epsilon": lambda x: SolverConfig(epsilon=x),
     "SolverConfig br_tolerance": lambda x: SolverConfig(br_tolerance=x),
     "SolverConfig max_iters": lambda x: SolverConfig(max_iters=x),
+    "SolverConfig window lo": lambda x: SolverConfig(initial_window_s=(x, 100.0)),
+    "SolverConfig window hi": lambda x: SolverConfig(initial_window_s=(0.0, x)),
     "PenaltyParams early": lambda x: PenaltyParams(early_weight=x),
     "PenaltyParams late": lambda x: PenaltyParams(late_weight=x),
 }
@@ -162,3 +164,10 @@ def test_constructors_reject_nonfinite(build, value):
     # NetworkError and the solver's ValueError are both ValueErrors
     with pytest.raises(ValueError):
         build(value)
+
+
+@pytest.mark.parametrize("window", [(300.0, 100.0), (100.0, 100.0), (0.0,),
+                                    (0.0, 100.0, 200.0)])
+def test_solver_config_rejects_window_not_lo_below_hi(window):
+    with pytest.raises(ValueError, match="initial_window_s"):
+        SolverConfig(initial_window_s=window)
