@@ -6,7 +6,8 @@ Exit codes: 0 success, 1 usage, 2 parse, 3 validation, 4 runtime failure
 Usage (1) covers number flags out of range: every float flag must be
 finite; --dt, --horizon, --alpha and --epsilon must be > 0; --br-tolerance,
 --early-weight and --late-weight >= 0; --max-iters, --auto-paths and
-paths --k must be integers >= 1; --init-window LO:HI needs finite LO < HI.
+paths --k must be integers >= 1; --init-window LO:HI needs finite LO < HI
+and a step start time in [LO, HI).
 Warnings go to stderr once per command: a time step longer than the
 shortest free-flow time, and the count of path/departure cells of the
 final loading that carry departures whose trips do not finish within the
@@ -29,7 +30,7 @@ from .delays import PenaltyParams
 from .dnl import DNLError, run_dnl
 from .fileio import ParseError
 from .network import NetworkError, TimeGrid, validate_network
-from .solver import SolverConfig, solve_due
+from .solver import SolverConfig, init_departures, solve_due
 
 EXIT_USAGE = 1
 EXIT_PARSE = 2
@@ -189,7 +190,7 @@ def cmd_due(args) -> int:
     net = _load_bundle(args)
     grid = _make_grid(args)
     _warn_dt(net, grid)
-    window = None
+    h0 = None
     if args.init_window:
         try:
             lo, hi = (_number()(x) for x in args.init_window.split(":"))
@@ -197,16 +198,18 @@ def cmd_due(args) -> int:
             return _usage_error("--init-window must look like LO:HI")
         if lo >= hi:
             return _usage_error(f"--init-window needs LO < HI, got {args.init_window!r}")
-        window = (lo, hi)
+        try:
+            h0 = init_departures(net, grid, (lo, hi))
+        except ValueError as e:  # the window holds no step start
+            return _usage_error(f"--init-window {args.init_window}: {e}")
     config = SolverConfig(
         alpha=args.alpha,
         epsilon=args.epsilon,
         max_iters=args.max_iters,
         br_tolerance=args.br_tolerance,
         penalty=PenaltyParams(args.early_weight, args.late_weight),
-        initial_window_s=window,
     )
-    report = solve_due(net, grid, config)
+    report = solve_due(net, grid, config, h0)
     _warn_truncated(report.final_dnl)
     for i, g in enumerate(report.relative_gap_history, start=1):
         print(f"iter {i:4d}  log10(relative gap) = "

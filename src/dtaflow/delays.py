@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict
 
 import numpy as np
 
@@ -44,27 +43,21 @@ def truncation_sentinel(grid_t0: float, grid_tf: float, dep_t,
 
 def effective_delay(result: DNLResult, network: Network,
                     params: PenaltyParams = PenaltyParams()) -> np.ndarray:
-    """Generalized cost psi[p, k] (seconds) per path (in result.path_order)
-    and departure step: travel time plus arrival penalty against each O-D
-    pair's target time.
+    """Generalized cost psi[p, k] (seconds) per path (rows in `network.paths`
+    order, which the result must follow) and departure step: travel time
+    plus arrival penalty against each O-D pair's target time.
 
     Horizon-truncated cells receive a finite sentinel cost so downstream
     updates push flow away from them.
     """
-    target: Dict[str, float] = {}
-    for od in network.od_pairs:
-        for pid in od.paths:
-            target[pid] = od.target_arrival_s
-    missing = [pid for pid in result.path_order if pid not in target]
-    if missing:
-        raise ValueError(f"path {missing[0]} belongs to no O-D pair")
-
+    if result.path_order != tuple(network.paths):
+        raise ValueError("result rows do not follow the network's path table")
+    t_a = np.empty((len(result.path_order), 1))
+    for od, rows in network.od_rows:
+        t_a[rows] = od.target_arrival_s
     grid = result.grid
-    dep_times = grid.times()[: grid.n_steps]
-    t_a = np.array([target[pid] for pid in result.path_order])[:, None]
-    tt = result.travel_time
-    psi = tt + arrival_penalty(dep_times + tt, t_a, params)
+    psi = result.travel_time + arrival_penalty(result.arrival_time, t_a, params)
     bad = result.truncated
-    psi[bad] = truncation_sentinel(
-        grid.t0_s, grid.tf_s, np.broadcast_to(dep_times, bad.shape)[bad], params)
+    psi[bad] = truncation_sentinel(grid.t0_s, grid.tf_s,
+                                   grid.times()[np.nonzero(bad)[1]], params)
     return psi

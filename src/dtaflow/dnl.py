@@ -82,12 +82,20 @@ class DNLResult:
     grid: TimeGrid
     path_order: Tuple[str, ...]
     travel_time: np.ndarray  # (|P|, N), seconds; NaN where trip not completed
-    arrival_time: np.ndarray  # (|P|, N)
     link_states: Dict[str, LinkState]
     origin_states: Dict[str, OriginState]
     diagnostics: np.ndarray  # per-knot relative vehicle-balance residual
-    truncated: np.ndarray  # bool (|P|, N)
     departed: np.ndarray  # bool (|P|, N): cells with departures
+
+    @property
+    def arrival_time(self) -> np.ndarray:
+        """(|P|, N) departure time plus travel time; NaN where truncated."""
+        return self.grid.times()[:self.grid.n_steps] + self.travel_time
+
+    @property
+    def truncated(self) -> np.ndarray:
+        """bool (|P|, N): cells whose trip does not finish within the horizon."""
+        return np.isnan(self.travel_time)
 
     @property
     def truncated_trips(self) -> np.ndarray:
@@ -699,9 +707,8 @@ class _Loader:
                            self.entered[li])
             for li, (lid, link) in enumerate(zip(lay.link_ids, lay.links))
         }
-        return DNLResult(self.grid, lay.path_ids, tt, dep_times[None, :] + tt,
-                         link_states, origin_states,
-                         self.balance, np.isnan(tt), self.departed)
+        return DNLResult(self.grid, lay.path_ids, tt, link_states, origin_states,
+                         self.balance, self.departed)
 
 
 def run_dnl(network: Network, departures: np.ndarray, grid: TimeGrid, *,

@@ -61,6 +61,8 @@ def _read_sections(path: str) -> Dict[str, List[Tuple[int, List[str]]]]:
                 continue
             if line.startswith("[") and line.endswith("]"):
                 current = line[1:-1].strip().lower()
+                if current in sections:
+                    raise ParseError(f"{path}:{lineno}: repeated section [{current}]")
                 sections[current] = []
                 continue
             if current is None:

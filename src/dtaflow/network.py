@@ -11,7 +11,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Dict, List, Optional, Sequence, Tuple
+
+import numpy as np
 
 
 class NetworkError(ValueError):
@@ -167,9 +170,7 @@ class TimeGrid:
     def n_steps(self) -> int:
         return int(math.ceil((self.tf_s - self.t0_s) / self.dt_s - 1e-12))
 
-    def times(self):
-        import numpy as np
-
+    def times(self) -> np.ndarray:
         return self.t0_s + self.dt_s * np.arange(self.n_steps + 1)
 
 
@@ -188,6 +189,15 @@ class Network:
     @property
     def min_free_flow_time_s(self) -> float:
         return min(l.free_flow_time_s for l in self.links.values())
+
+    @cached_property
+    def od_rows(self) -> Tuple[Tuple[ODPair, np.ndarray], ...]:
+        """Each O-D pair, in `od_pairs` order, with the ascending rows of
+        its paths in a |P|-row array ordered as `paths`. Built once per
+        network; the rows do not depend on the order the pair lists them."""
+        row = {pid: i for i, pid in enumerate(self.paths)}
+        return tuple((od, np.array(sorted(row[p] for p in od.paths), dtype=np.intp))
+                     for od in self.od_pairs)
 
 
 SOURCE_KEY = ""  # priority-map key for the virtual source at an origin node

@@ -66,9 +66,7 @@ def init_departures(network: Network, grid: TimeGrid,
     """Uniform feasible start: each O-D's demand spread evenly over its paths
     and over the departure window (full horizon by default)."""
     N = grid.n_steps
-    path_ids = tuple(network.paths)
-    pidx = {p: i for i, p in enumerate(path_ids)}
-    h = np.zeros((len(path_ids), N))
+    h = np.zeros((len(network.paths), N))
     times = grid.times()[:N]
     if window is None:
         mask = np.ones(N, dtype=bool)
@@ -78,16 +76,14 @@ def init_departures(network: Network, grid: TimeGrid,
         if not mask.any():
             raise ValueError("initial departure window contains no grid steps")
     n_active = int(mask.sum())
-    for od in network.od_pairs:
+    for od, rows in network.od_rows:
         if od.demand_veh == 0:
             continue
         if not od.paths:
             raise ValueError(
                 f"O-D ({od.origin}, {od.destination}) has demand but no paths"
             )
-        rate = od.demand_veh / (len(od.paths) * n_active * grid.dt_s)
-        for pid in od.paths:
-            h[pidx[pid], mask] = rate
+        h[np.ix_(rows, mask)] = od.demand_veh / (len(rows) * n_active * grid.dt_s)
     return h
 
 
@@ -116,17 +112,8 @@ def solve_dual(h_block: np.ndarray, psi_block: np.ndarray, q_veh: float,
     return float(x[past[-1]] if past.size else x[0])
 
 
-def _od_blocks(network: Network, path_order: tuple) -> Dict[Tuple[str, str], np.ndarray]:
-    pidx = {p: i for i, p in enumerate(path_order)}
-    return {
-        (od.origin, od.destination): np.array([pidx[p] for p in od.paths], dtype=int)
-        for od in network.od_pairs
-    }
-
-
 def fixed_point_update(h: np.ndarray, psi: np.ndarray, network: Network,
-                       grid: TimeGrid, config: SolverConfig,
-                       path_order: tuple) -> np.ndarray:
+                       grid: TimeGrid, config: SolverConfig) -> np.ndarray:
     """One projection step h <- [h - alpha*psi + v]_+ per O-D pair.
 
     With a positive indifference band, cells whose cost sits within the band
@@ -135,9 +122,7 @@ def fixed_point_update(h: np.ndarray, psi: np.ndarray, network: Network,
     """
     dt = grid.dt_s
     out = h.copy()
-    blocks = _od_blocks(network, path_order)
-    for od in network.od_pairs:
-        rows = blocks[(od.origin, od.destination)]
+    for od, rows in network.od_rows:
         if len(rows) == 0 or od.demand_veh <= 0:
             out[rows] = 0.0
             continue
@@ -177,17 +162,16 @@ def relative_gap(h_new: np.ndarray, h_old: np.ndarray, dt_s: float) -> float:
     return num / den
 
 
-def od_gap(h: np.ndarray, psi: np.ndarray, network: Network,
-           path_order: tuple) -> Dict[Tuple[str, str], float]:
+def od_gap(h: np.ndarray, psi: np.ndarray,
+           network: Network) -> Dict[Tuple[str, str], float]:
     """Per O-D spread (max - min) of cost over used departure cells."""
-    blocks = _od_blocks(network, path_order)
     gaps: Dict[Tuple[str, str], float] = {}
-    for key, rows in blocks.items():
+    for od, rows in network.od_rows:
         hb = h[rows]
         peak = hb.max() if hb.size else 0.0
         used = hb > USED_FLOW_FRACTION * peak if peak > 0 else np.zeros_like(hb, bool)
         vals = psi[rows][used]
-        gaps[key] = float(vals.max() - vals.min()) if vals.size else 0.0
+        gaps[od.origin, od.destination] = float(np.ptp(vals)) if vals.size else 0.0
     return gaps
 
 
@@ -195,7 +179,6 @@ def solve_due(network: Network, grid: TimeGrid, config: SolverConfig,
               h0: Optional[np.ndarray] = None) -> SolveReport:
     """Iterate loading -> delays -> projection until the relative gap falls
     below epsilon or the iteration cap is reached."""
-    path_order = tuple(network.paths)
     if h0 is None:
         h = init_departures(network, grid, config.initial_window_s)
     else:
@@ -214,7 +197,7 @@ def solve_due(network: Network, grid: TimeGrid, config: SolverConfig,
         dnl_time += time.perf_counter() - t0
 
         t0 = time.perf_counter()
-        h_new = fixed_point_update(h, psi, network, grid, config, path_order)
+        h_new = fixed_point_update(h, psi, network, grid, config)
         upd_time += time.perf_counter() - t0
 
         eps_k = relative_gap(h_new, h, grid.dt_s)
@@ -229,7 +212,7 @@ def solve_due(network: Network, grid: TimeGrid, config: SolverConfig,
     result = run_dnl(network, h, grid, layout=layout)
     psi_final = effective_delay(result, network, config.penalty)
     dnl_time += time.perf_counter() - t0
-    gaps = od_gap(h, psi_final, network, path_order)
+    gaps = od_gap(h, psi_final, network)
 
     return SolveReport(
         converged=converged,
@@ -238,7 +221,7 @@ def solve_due(network: Network, grid: TimeGrid, config: SolverConfig,
         od_gaps=gaps,
         h_final=h,
         psi_final=psi_final,
-        path_order=path_order,
+        path_order=tuple(network.paths),
         dnl_time_s=dnl_time,
         update_time_s=upd_time,
         final_dnl=result,

@@ -209,7 +209,7 @@ def test_criterion_07_projection_feasibility():
     h = init_departures(net, grid)
     for _ in range(50):
         psi = rng.uniform(50.0, 2000.0, h.shape)
-        h = fixed_point_update(h, psi, net, grid, cfg, order)
+        h = fixed_point_update(h, psi, net, grid, cfg)
         assert np.all(h >= 0.0)
         for od in net.od_pairs:
             rows = [order.index(p) for p in od.paths]
@@ -252,7 +252,6 @@ def test_criterion_09_equilibrium_fixed_point():
     net = parallel_network(2, length=1200.0, v=12.0, cap=0.8, demand=6.0,
                            target=600.0)
     grid = TimeGrid(0.0, 900.0, 10.0)
-    order = tuple(net.paths)
     h = np.zeros((2, grid.n_steps))
     k_on_time = int(np.where(grid.times()[: grid.n_steps] == 500.0)[0][0])
     h[:, k_on_time] = 6.0 / (2 * grid.dt_s)
@@ -267,7 +266,7 @@ def test_criterion_09_equilibrium_fixed_point():
     assert psi[used].min() <= psi[~used].min()
 
     cfg = SolverConfig(alpha=1e-3)
-    h_new = fixed_point_update(h, psi, net, grid, cfg, order)
+    h_new = fixed_point_update(h, psi, net, grid, cfg)
     moved = np.abs(h_new - h).sum() * grid.dt_s
     assert moved <= 6e-8
 

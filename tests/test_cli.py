@@ -99,6 +99,17 @@ class TestUsageErrors:
         err = capsys.readouterr().err
         assert err.startswith("error: --init-window") and "LO < HI" in err
 
+    @pytest.mark.parametrize("window", ["5000:6000", "10:20"])
+    def test_init_window_without_step_is_usage_error(self, tiny, capsys, window):
+        # past the horizon, or between the 0 s and 30 s step starts
+        files, tmp = tiny
+        argv = due_args(files, str(tmp / "out"), **{"--dt": "30", "--horizon": "2400",
+                                                    "--init-window": window})
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: --init-window {window}:")
+        assert "no grid steps" in err
+
 
 FLOAT_FLAGS = ["--dt", "--horizon", "--t0", "--alpha", "--epsilon",
                "--br-tolerance", "--early-weight", "--late-weight"]

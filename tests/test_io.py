@@ -67,6 +67,20 @@ class TestLoadNetwork:
         with pytest.raises(ParseError, match="unknown section"):
             load_network(str(f))
 
+    @pytest.mark.parametrize("name, load, section", [
+        ("network.txt", load_network, "links"), ("demand.txt", load_demand, "demand")])
+    def test_repeated_section_is_rejected(self, tmp_path, name, load, section):
+        # a second header must not drop the rows read under the first one
+        with open(os.path.join(DATA, name)) as fh:
+            lines = fh.readlines()
+        at = lines.index(f"[{section}]\n")
+        cut = at + 4  # after the header row and two data rows
+        f = tmp_path / name
+        f.write_text("".join(lines[:cut] + lines[at:at + 2] + lines[cut:]))
+        with pytest.raises(ParseError,
+                           match=rf"{name}:{cut + 1}: repeated section \[{section}\]"):
+            load(str(f))
+
     def test_unknown_field_reports_line(self, tmp_path):
         f = tmp_path / "bad.txt"
         f.write_text("[nodes]\nid,x,y,origin,destination,colour\n[links]\n")

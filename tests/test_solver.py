@@ -1,5 +1,6 @@
 """Projection-solver tests: dual root finding, updates, convergence."""
 
+import dataclasses
 import os
 
 import numpy as np
@@ -20,8 +21,10 @@ from dtaflow import (
     run_dnl,
     solve_due,
     solve_dual,
+    validate_network,
 )
-from helpers import braess_network, parallel_network, single_link_network
+from helpers import (braess_components, braess_network, parallel_network,
+                     single_link_network)
 
 
 def exact_dual_root(h, psi, q, alpha, dt):
@@ -169,7 +172,7 @@ class TestFixedPointUpdate:
         rng = np.random.default_rng(5)
         psi = rng.uniform(100, 700, h.shape)
         cfg = SolverConfig(alpha=1e-3)
-        h_new = fixed_point_update(h, psi, net, grid, cfg, tuple(net.paths))
+        h_new = fixed_point_update(h, psi, net, grid, cfg)
         assert h_new.sum() * grid.dt_s == pytest.approx(60.0, abs=1e-6)
         assert np.all(h_new >= 0)
 
@@ -177,7 +180,7 @@ class TestFixedPointUpdate:
         net, grid, h = setup
         psi = np.full(h.shape, 300.0)
         cfg = SolverConfig(alpha=1e-3)
-        h_new = fixed_point_update(h, psi, net, grid, cfg, tuple(net.paths))
+        h_new = fixed_point_update(h, psi, net, grid, cfg)
         assert np.abs(h_new - h).max() < 1e-8
 
     def test_exact_equilibrium_is_a_fixed_point(self):
@@ -189,8 +192,7 @@ class TestFixedPointUpdate:
         h = np.zeros((2, grid.n_steps))
         h[:, 50] = 6.0 / (2 * grid.dt_s)  # the 500 s cell arrives on time
         psi = effective_delay(run_dnl(net, h, grid), net)
-        h_new = fixed_point_update(h, psi, net, grid, SolverConfig(alpha=1e-3),
-                                   tuple(net.paths))
+        h_new = fixed_point_update(h, psi, net, grid, SolverConfig(alpha=1e-3))
         assert np.abs(h_new - h).max() <= 1e-12
 
     def test_flow_moves_toward_cheaper_cells(self, setup):
@@ -198,7 +200,7 @@ class TestFixedPointUpdate:
         psi = np.full(h.shape, 500.0)
         psi[0] = 100.0  # first path strictly cheaper everywhere
         cfg = SolverConfig(alpha=1e-3)
-        h_new = fixed_point_update(h, psi, net, grid, cfg, tuple(net.paths))
+        h_new = fixed_point_update(h, psi, net, grid, cfg)
         assert h_new[0].sum() > h[0].sum()
         assert h_new[1].sum() < h[1].sum()
 
@@ -207,7 +209,7 @@ class TestFixedPointUpdate:
         rng = np.random.default_rng(9)
         psi = 300.0 + rng.uniform(0, 200, h.shape)
         cfg = SolverConfig(alpha=1e-3, br_tolerance=100.0)
-        h_new = fixed_point_update(h, psi, net, grid, cfg, tuple(net.paths))
+        h_new = fixed_point_update(h, psi, net, grid, cfg)
         keep = psi <= psi.min() + 100.0
         assert keep.any() and not keep.all()
         assert np.array_equal(h_new[keep], h[keep])
@@ -217,13 +219,34 @@ class TestFixedPointUpdate:
         net, grid, h = setup
         rng = np.random.default_rng(11)
         psi = rng.uniform(100, 700, h.shape)
-        order = tuple(net.paths)
-        strict = fixed_point_update(h, psi, net, grid,
-                                    SolverConfig(alpha=1e-3), order)
+        strict = fixed_point_update(h, psi, net, grid, SolverConfig(alpha=1e-3))
         banded = fixed_point_update(h, psi, net, grid,
-                                    SolverConfig(alpha=1e-3, br_tolerance=300.0),
-                                    order)
+                                    SolverConfig(alpha=1e-3, br_tolerance=300.0))
         assert not np.allclose(strict, banded)
+
+
+def test_od_path_order_does_not_change_results():
+    # an O-D pair may pin its paths in another order than the path table;
+    # every per-O-D consumer reads the same rows either way
+    nodes, links, paths, ods = braess_components(target=1200.0)
+    plain = validate_network(nodes, links, paths, ods)
+    pinned = validate_network(nodes, links, paths, [
+        dataclasses.replace(od, paths=od.paths[::-1]) for od in plain.od_pairs])
+    assert [od.paths for od in pinned.od_pairs] != [od.paths for od in plain.od_pairs]
+    grid = TimeGrid(0.0, 2400.0, 10.0)
+    h = init_departures(plain, grid, (0.0, 1200.0))
+    np.testing.assert_array_equal(init_departures(pinned, grid, (0.0, 1200.0)), h)
+    res = run_dnl(plain, h, grid)
+    psi = effective_delay(res, plain)
+    np.testing.assert_array_equal(effective_delay(res, pinned), psi)
+    for cfg in (SolverConfig(alpha=1e-3), SolverConfig(alpha=1e-3, br_tolerance=60.0)):
+        np.testing.assert_array_equal(fixed_point_update(h, psi, pinned, grid, cfg),
+                                      fixed_point_update(h, psi, plain, grid, cfg))
+    assert od_gap(h, psi, pinned) == od_gap(h, psi, plain)
+    # rows ordered otherwise than the network's path table are refused
+    reordered = validate_network(nodes, links, paths[::-1], ods)
+    with pytest.raises(ValueError, match="path table"):
+        effective_delay(res, reordered)
 
 
 class TestGapMeasures:
@@ -245,7 +268,7 @@ class TestGapMeasures:
         net = parallel_network(2, demand=60.0)
         h = np.array([[0.5, 0.5], [0.0, 0.0]])
         psi = np.array([[100.0, 110.0], [900.0, 950.0]])
-        gaps = od_gap(h, psi, net, tuple(net.paths))
+        gaps = od_gap(h, psi, net)
         assert gaps[("a", "b")] == pytest.approx(10.0)
 
 
