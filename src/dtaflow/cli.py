@@ -261,6 +261,7 @@ def cmd_report(args) -> int:
 
     if args.selected:
         wanted = [p.strip() for p in args.selected.split(",") if p.strip()]
+        tables = []  # every file is read and checked before any curve is written
         for name in ("h_final.csv", "eff_delay.csv"):
             src = os.path.join(run_dir, name)
             if not os.path.exists(src):
@@ -280,6 +281,9 @@ def cmd_report(args) -> int:
                     print(f"error: path {pid} not present in {name}",
                           file=sys.stderr)
                     return EXIT_PARSE
+            tables.append((name, header, body))
+        for name, header, body in tables:
+            for pid in wanted:
                 fileio._write_csv(os.path.join(run_dir, f"curve_{pid}_{name}"),
                                   header, [body[pid]])
         print(f"wrote curve files for {len(wanted)} paths")

@@ -12,7 +12,8 @@ at every element's exit, mixed into link entry shares by one call of
 propagate_composition. Path travel times are chained horizontal
 differences between the curves (origin queue first, then links in path
 order). Paths that share a prefix of elements share its exit times, so
-each distinct prefix is chained once.
+each distinct prefix is chained once, a path depth at a time: one call per
+(depth, element) over all the prefixes of that depth that end there.
 """
 
 from __future__ import annotations
@@ -326,14 +327,48 @@ def propagate_composition(mix: np.ndarray, slot_link: np.ndarray,
     return mix / np.where(fed, total, math.inf)[slot_link], fed.nonzero()[0]
 
 
+class _Depth(NamedTuple):
+    """The distinct path prefixes of one length (a depth of travel-time
+    extraction), one row each, grouped by their last element."""
+
+    groups: List[Tuple[int, int, int]]  # (element, lo, hi): rows lo:hi end at element
+    parent: np.ndarray  # per row, its prefix's row at the depth before
+    ends: np.ndarray  # the paths this depth completes
+    end_rows: np.ndarray  # and their rows
+
+
+def _extraction_depths(path_elems: Sequence[Sequence[int]]) -> List[_Depth]:
+    """Per depth d, the prefixes of length d + 1 of the paths `path_elems`.
+    Paths that share a prefix reach its last element at the same times, so
+    each distinct prefix is one row; depth 0's only parent row is the
+    departure times."""
+    depths = []
+    row = [0] * len(path_elems)  # each path's prefix row at the depth before
+    for d in range(max(map(len, path_elems), default=0)):
+        live = [p for p, elems in enumerate(path_elems) if len(elems) > d]
+        keys = sorted({(path_elems[p][d], row[p]) for p in live})
+        rank = {k: i for i, k in enumerate(keys)}
+        for p in live:
+            row[p] = rank[path_elems[p][d], row[p]]
+        elems, parent = np.array(keys, dtype=np.int64).reshape(-1, 2).T
+        group_elems, lo = np.unique(elems, return_index=True)
+        hi = np.append(lo[1:], len(keys))
+        ends = [p for p in live if len(path_elems[p]) == d + 1]
+        depths.append(_Depth(list(zip(group_elems.tolist(), lo.tolist(), hi.tolist())),
+                             parent, np.array(ends, dtype=np.int64),
+                             np.array([row[p] for p in ends], dtype=np.int64)))
+    return depths
+
+
 # -- engine --------------------------------------------------------------------
 
 
 class _Layout:
     """What every loading of a network on a time grid shares: the element,
-    slot and movement tables, the link parameters and the lagged-read table.
-    It holds no state of a loading, so a solve builds it once and passes it
-    to each of its loadings.
+    slot and movement tables, the link parameters, the lagged-read table and
+    the path prefixes that travel-time extraction chains, depth by depth. It
+    holds no state of a loading, so a solve builds it once and passes it to
+    each of its loadings.
 
     The junction inputs are uniform elements: the links (0 .. L-1), then one
     origin queue per origin (L + i for origin_ids[i]). Element e has an
@@ -421,6 +456,7 @@ class _Layout:
         ])
         self.min_delay = np.append(self.link_params[0], np.zeros(nO))
         self.lags = _lag_table(self.times, grid.dt_s, self.link_params, np.arange(N), nE)
+        self.depths = _extraction_depths(self.path_elems)
 
     def _priorities(self, network: Network, lidx: Dict[str, int]) -> np.ndarray:
         """Merge priority of each element at its downstream junction: the
@@ -680,23 +716,16 @@ class _Loader:
         times = lay.times
         dep_times = times[:N]
         tt = np.full((len(lay.path_ids), N), np.nan)
-        # Paths that share their first i elements reach element i + 1 at the
-        # same times. In lexicographic element order, each path keeps the
-        # prefix it shares with the one before and extends it, so every
-        # distinct prefix is chained once; `stack` holds the current prefix's
-        # (element, exit times).
-        stack: List[Tuple[int, np.ndarray]] = []
-        for p in sorted(range(len(lay.path_elems)), key=lay.path_elems.__getitem__):
-            elems = lay.path_elems[p]
-            i = 0
-            while i < min(len(stack), len(elems)) and stack[i][0] == elems[i]:
-                i += 1
-            del stack[i:]
-            for e in elems[i:]:
-                a = stack[-1][1] if stack else dep_times
-                stack.append((e, _exit_times(times, self.up[e], self.dn[e], a,
-                                             lay.min_delay[e], tf)))
-            tt[p] = stack[-1][1] - dep_times
+        # exit times of the previous depth's prefixes; before the first
+        # element, the departure times
+        prev = dep_times[None]
+        for depth in lay.depths:
+            cur = np.empty((len(depth.parent), N))
+            for e, lo, hi in depth.groups:
+                cur[lo:hi] = _exit_times(times, self.up[e], self.dn[e],
+                                         prev[depth.parent[lo:hi]], lay.min_delay[e], tf)
+            tt[depth.ends] = cur[depth.end_rows] - dep_times
+            prev = cur
         origin_states = {
             o: OriginState(o, self.queue[oi], self.cum_dep[oi], self.cum_srv[oi])
             for o, oi in lay.oidx.items()

@@ -29,6 +29,7 @@ departures file: plain CSV, one row per path: path id followed by N rates.
 from __future__ import annotations
 
 import csv
+import io
 import json
 import math
 import os
@@ -203,7 +204,10 @@ def load_demand(path: str) -> List[ODPair]:
 def load_departures(path: str, path_order: Sequence[str], n_steps: int) -> np.ndarray:
     """Read the |P| x N departure-rate matrix, checking dimensions, signs and
     that every rate is finite."""
-    rows: Dict[str, np.ndarray] = {}
+    row_of = {p: i for i, p in enumerate(path_order)}
+    out = np.empty((len(path_order), n_steps))
+    seen = set()
+    unknown: List[str] = []
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         for lineno, row in enumerate(reader, start=1):
@@ -212,15 +216,18 @@ def load_departures(path: str, path_order: Sequence[str], n_steps: int) -> np.nd
             pid, values = row[0].strip(), row[1:]
             if pid == "path_id":  # optional header row
                 continue
-            if pid in rows:
+            if pid in seen:
                 raise ParseError(f"{path}:{lineno}: duplicate path id {pid}")
+            seen.add(pid)
             if len(values) != n_steps:
                 raise ParseError(
                     f"{path}:{lineno}: row for {pid} has {len(values)} columns, "
                     f"expected N = {n_steps}"
                 )
             try:
-                vals = np.array([float(v) for v in values])
+                # a list of str converts value by value through float(), so it
+                # accepts exactly the strings float() accepts
+                vals = np.array(values, dtype=float)
             except ValueError:
                 raise ParseError(f"{path}:{lineno}: non-numeric rate") from None
             bad = np.flatnonzero(~(np.isfinite(vals) & (vals >= 0)))
@@ -230,15 +237,16 @@ def load_departures(path: str, path_order: Sequence[str], n_steps: int) -> np.nd
                 raise ParseError(
                     f"{path}:{lineno}: {kind} rate at (path {pid}, step {j})"
                 )
-            rows[pid] = vals
-    missing = [p for p in path_order if p not in rows]
+            if pid in row_of:
+                out[row_of[pid]] = vals
+            else:
+                unknown.append(pid)
+    missing = [p for p in path_order if p not in seen]
     if missing:
         raise ParseError(f"{path}: missing rows for paths {missing[:5]}")
-    known = set(path_order)
-    unknown = [p for p in rows if p not in known]
     if unknown:
         raise ParseError(f"{path}: rows for unknown paths {unknown[:5]}")
-    return np.array([rows[p] for p in path_order], dtype=float)
+    return out
 
 
 def enumerate_paths(nodes: Sequence[Node], links: Sequence[Link],
@@ -295,11 +303,50 @@ def _fmt(x: float) -> str:
     return repr(float(x))
 
 
-def _matrix_rows(ids, matrix):
-    """One row per matrix row: its id, then every cell as _fmt writes it
-    (the repr of a Python float), converted a row at a time."""
-    for rid, row in zip(ids, np.asarray(matrix, dtype=float)):
-        yield [rid, *map(repr, row.tolist())]
+_BLOCK_CELLS = 4096  # cells formatted at a time: bounds the strings held
+
+
+def _write_matrix(fh, ids, matrix) -> None:
+    """One line per matrix row, as csv.writer writes [id, *cells]: the id as
+    csv quotes it, then every cell as _fmt writes it (the shortest repr of a
+    Python float). A block of rows at a time, each distinct value of the
+    block is formatted once; values are told apart by their bits, so -0.0
+    and 0.0 keep their own text."""
+    m = np.ascontiguousarray(matrix, dtype=float)
+    buf = io.StringIO()
+    quoter = csv.writer(buf)
+    cells_after = ("",) if m.shape[1] else ()
+    prefixes: Dict[object, str] = {}
+
+    def prefix(rid) -> str:
+        """The line up to the first cell: rid as csv.writer writes it as a
+        first field, and the delimiter after it."""
+        if rid not in prefixes:
+            buf.seek(0)
+            buf.truncate()
+            quoter.writerow((rid, *cells_after))
+            prefixes[rid] = buf.getvalue()[:-2]  # less the "\r\n"
+        return prefixes[rid]
+
+    rid_iter = iter(ids)
+    step = max(1, _BLOCK_CELLS // max(1, m.shape[1]))
+    for lo in range(0, len(m), step):
+        block = m[lo:lo + step]
+        # a 1-D input, so that the inverse is flat under numpy 1.x and 2.x
+        bits, inv = np.unique(block.view(np.int64).ravel(), return_inverse=True)
+        text = np.array([repr(x) for x in bits.view(np.float64).tolist()], dtype=object)
+        cells = text[inv].reshape(block.shape).tolist()
+        # cells first: zip stops on them without taking an id of the next block
+        fh.write("".join([prefix(rid) + ",".join(row) + "\r\n"
+                          for row, rid in zip(cells, rid_iter)]))
+
+
+def _write_table(path: str, header: Optional[List[str]], ids, matrix) -> None:
+    """A numeric table: an optional header row, then _write_matrix's rows."""
+    with open(path, "w", newline="") as fh:
+        if header is not None:
+            csv.writer(fh).writerow(header)
+        _write_matrix(fh, ids, matrix)
 
 
 def _time_header(grid) -> List[str]:
@@ -317,8 +364,8 @@ def _write_loading_tables(result, out_dir: str) -> None:
     step), links in id order."""
     grid = result.grid
     N = grid.n_steps
-    _write_csv(os.path.join(out_dir, "travel_times.csv"), _time_header(grid),
-               _matrix_rows(result.path_order, result.travel_time))
+    _write_table(os.path.join(out_dir, "travel_times.csv"), _time_header(grid),
+                 result.path_order, result.travel_time)
 
     ids = sorted(result.link_states)
     states = [result.link_states[lid] for lid in ids]
@@ -330,11 +377,11 @@ def _write_loading_tables(result, out_dir: str) -> None:
     jam = np.array([[st.link.jam_density_vpm] for st in states])
     columns = (np.broadcast_to(grid.times()[:N], dens.shape), inflow, outflow,
                dens, dens / jam, inflow / cap, outflow / cap)
-    _write_csv(
+    _write_table(
         os.path.join(out_dir, "link_timeseries.csv"),
         ["link_id", "time_s", "inflow_vps", "outflow_vps", "density_vpm",
          "relative_density", "relative_inflow", "relative_outflow"],
-        _matrix_rows(np.repeat(ids, N), np.stack(columns, axis=-1).reshape(-1, 7)),
+        np.repeat(ids, N), np.stack(columns, axis=-1).reshape(-1, 7),
     )
 
 
@@ -365,10 +412,10 @@ def write_due_results(report, out_dir: str) -> None:
     grid = report.final_dnl.grid
     header = _time_header(grid)
 
-    _write_csv(os.path.join(out_dir, "h_final.csv"), header,
-               _matrix_rows(report.path_order, report.h_final))
-    _write_csv(os.path.join(out_dir, "eff_delay.csv"), header,
-               _matrix_rows(report.path_order, report.psi_final))
+    _write_table(os.path.join(out_dir, "h_final.csv"), header,
+                 report.path_order, report.h_final)
+    _write_table(os.path.join(out_dir, "eff_delay.csv"), header,
+                 report.path_order, report.psi_final)
     _write_csv(os.path.join(out_dir, "od_gaps.csv"), OD_GAP_FIELDS,
                [[o, d, _fmt(gap)] for (o, d), gap in sorted(report.od_gaps.items())])
     _write_csv(os.path.join(out_dir, "convergence.csv"),
@@ -453,5 +500,4 @@ def write_paths(paths: Sequence[Path], out_path: str) -> None:
 
 def write_departures(path_order: Sequence[str], matrix: np.ndarray,
                      out_path: str) -> None:
-    with open(out_path, "w", newline="") as fh:
-        csv.writer(fh).writerows(_matrix_rows(path_order, matrix))
+    _write_table(out_path, None, path_order, matrix)

@@ -385,6 +385,22 @@ class TestReportCommand:
         assert main(["report", "--in", finished_run, "--paths", "zz"]) == 2
         assert "not present" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("selected,drop,message", [
+        ("p1,../../x", None, "path ../../x not present in h_final.csv"),
+        ("p1", "p1", "path p1 not present in eff_delay.csv"),
+    ], ids=["second-id-unknown", "id-missing-from-second-file"])
+    def test_failed_report_writes_no_curve(self, finished_run, capsys, selected,
+                                           drop, message):
+        if drop is not None:  # eff_delay.csv loses a row that h_final.csv keeps
+            name = os.path.join(finished_run, "eff_delay.csv")
+            with open(name) as fh:
+                lines = [ln for ln in fh if not ln.startswith(drop + ",")]
+            with open(name, "w") as fh:
+                fh.writelines(lines)
+        assert main(["report", "--in", finished_run, "--paths", selected]) == 2
+        assert message in capsys.readouterr().err
+        assert not [f for f in os.listdir(finished_run) if f.startswith("curve_")]
+
     @pytest.mark.parametrize("name,text,message", [
         ("h_final.csv", "", "h_final.csv: empty file"),
         ("eff_delay.csv", "path_id,0.0,10.0\np1,5.0\n",

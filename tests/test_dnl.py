@@ -818,22 +818,27 @@ def test_origin_compositions_match_per_cell_shares(case):
                                       np.maximum.accumulate(entered))
 
 
-def test_exit_times_chained_once_per_distinct_prefix(monkeypatch):
+def test_exit_times_chained_once_per_depth_and_element(monkeypatch):
     net, grid, h = _grid_k4()
     calls = 0
+    rows = 0
 
-    def counted(*args):
-        nonlocal calls
+    def counted(times, n_in, n_out, a, *args):
+        nonlocal calls, rows
         calls += 1
-        return _exit_times(*args)
+        rows += len(a)
+        return _exit_times(times, n_in, n_out, a, *args)
 
     monkeypatch.setattr(dnl, "_exit_times", counted)
     loader = _Loader(net, h, grid)
     loader.run()
     path_elems = loader.layout.path_elems
+    groups = {(i, e) for elems in path_elems for i, e in enumerate(elems)}
     prefixes = {tuple(elems[:i]) for elems in path_elems
                 for i in range(1, len(elems) + 1)}
-    assert calls == len(prefixes) < sum(map(len, path_elems))
+    # one call per (depth, element), over one row per distinct prefix
+    assert calls == len(groups) == 441
+    assert rows == len(prefixes) == 2256 < sum(map(len, path_elems))
 
 
 def test_queued_origin_serves_paths_first_in_first_out():

@@ -1,7 +1,9 @@
 """Data-file parsing, round-trips and result export."""
 
 import csv
+import dataclasses
 import json
+import math
 import os
 
 import numpy as np
@@ -17,6 +19,8 @@ from dtaflow import (
     run_dnl,
     validate_network,
 )
+from dtaflow import fileio
+from dtaflow.cli import main
 from dtaflow.fileio import (
     ParseError,
     enumerate_paths,
@@ -216,6 +220,19 @@ class TestDepartures:
         h = load_departures(str(f), ("p1",), 3)
         assert h[0] == pytest.approx([0.1, 0.2, 0.3])
 
+    @pytest.mark.parametrize("value,rate", [(" 1.5", 1.5), ("1_0", 10.0), ("+2", 2.0)])
+    def test_rate_parses_as_float_does(self, tmp_path, value, rate):
+        f = tmp_path / "h.csv"
+        f.write_text(f"p1,0.5,{value}\n")
+        assert load_departures(str(f), ("p1",), 2).tolist() == [[0.5, rate]]
+
+    @pytest.mark.parametrize("value", ["0x10", "", "1e5j"])
+    def test_rate_float_rejects_is_non_numeric(self, tmp_path, value):
+        f = tmp_path / "h.csv"
+        f.write_text(f"p1,0.5,0.5\np2,0.5,{value}\n")
+        with pytest.raises(ParseError, match=r"h.csv:2: non-numeric rate$"):
+            load_departures(str(f), ("p1", "p2"), 2)
+
 
 class TestEnumeratePaths:
     def test_braess_origin1_to_4(self):
@@ -345,3 +362,86 @@ def test_link_timeseries_matches_reference_rows(tmp_path):
     assert [r[0] for r in rows[::grid.n_steps]] == ["a", "z"]
     for col in range(4, 8):  # density and the three relative columns move
         assert any(float(r[col]) > 0 for r in rows)
+
+
+def reference_write_matrix(fh, ids, matrix):
+    """The numeric-table writer formatting every cell: csv.writer over [id,
+    *repr of each cell as a Python float], a row at a time."""
+    csv.writer(fh).writerows([rid, *map(repr, row.tolist())]
+                             for rid, row in zip(ids, np.asarray(matrix, dtype=float)))
+
+
+def assert_writes_as_reference(monkeypatch, tmp_path, write):
+    """write(out_dir) gives the same files, byte for byte, with the package's
+    numeric-table writer as with the reference writer."""
+    write(str(tmp_path / "new"))
+    with monkeypatch.context() as m:
+        m.setattr(fileio, "_write_matrix", reference_write_matrix)
+        write(str(tmp_path / "ref"))
+    names = sorted(n for n in os.listdir(tmp_path / "ref") if n.endswith(".csv"))
+    assert names == sorted(n for n in os.listdir(tmp_path / "new") if n.endswith(".csv"))
+    for name in names:
+        assert (tmp_path / "new" / name).read_bytes() == \
+            (tmp_path / "ref" / name).read_bytes(), name
+    return names
+
+
+# cells whose text depends on more than the value: signed zeros, NaN with its
+# sign bit set, the smallest subnormal, exponent forms and a rounding residue
+SPECIAL_CELLS = [-0.0, 0.0, math.nan, -math.nan, math.inf, -math.inf, 5e-324,
+                 1e16, 1e-5, 0.1 + 0.2]
+
+
+def _matrix_case(name):
+    rng = np.random.default_rng(7)
+    repeats = rng.choice(np.append(SPECIAL_CELLS, rng.uniform(0, 1, 40)), (10000,))
+    return {
+        "cells": (["p1", "p2"], np.array([SPECIAL_CELLS, SPECIAL_CELLS[::-1]])),
+        "wider-than-a-block": (["p1", "p2"], repeats.reshape(2, 5000)),
+        "taller-than-a-block": ([f"p{i}" for i in range(5000)], repeats.reshape(5000, 2)),
+        "no-rows": ([], np.zeros((0, 4))),
+        "quoted-ids": (["a,b", 'q"x', " lead"], rng.uniform(0, 1, (3, 3))),
+        "numpy-str-ids": (np.repeat(np.array(["x", "y"]), 3), rng.uniform(0, 1, (6, 3))),
+    }[name]
+
+
+@pytest.mark.parametrize("case", ["cells", "wider-than-a-block", "taller-than-a-block",
+                                  "no-rows", "quoted-ids", "numpy-str-ids"])
+def test_departures_written_as_reference(monkeypatch, tmp_path, case):
+    ids, matrix = _matrix_case(case)
+
+    def write(out):
+        os.makedirs(out)
+        write_departures(ids, matrix, os.path.join(out, "h.csv"))
+
+    assert_writes_as_reference(monkeypatch, tmp_path, write)
+
+
+def test_dnl_results_written_as_reference(monkeypatch, outputs, tmp_path):
+    # the loading's own tables, then its travel-time table replaced by the
+    # special cells under ids that csv quotes
+    res, _ = outputs
+    N = res.grid.n_steps
+    cells = np.resize(SPECIAL_CELLS, (3, N))
+    special = dataclasses.replace(res, path_order=("a,b", 'q"x', " lead"),
+                                  travel_time=cells, departed=np.ones((3, N), bool))
+    for name, result in (("loading", res), ("special", special)):
+        assert_writes_as_reference(monkeypatch, tmp_path / name,
+                                   lambda out: write_dnl_results(result, out))
+
+
+@pytest.mark.parametrize("argv", [
+    ["dnl", "--paths", os.path.join(DATA, "paths.txt"),
+     "--departures", os.path.join(DATA, "departures.csv"), "--dt", "30"],
+    ["due", "--auto-paths", "3", "--dt", "10", "--alpha", "5e-4", "--epsilon", "1e-4",
+     "--max-iters", "200", "--init-window", "0:1200"],
+], ids=["dnl", "due"])
+def test_readme_quick_starts_written_as_reference(monkeypatch, tmp_path, capsys, argv):
+    common = ["--network", os.path.join(DATA, "network.txt"),
+              "--demand", os.path.join(DATA, "demand.txt"), "--horizon", "2400"]
+
+    def write(out):
+        assert main(argv + common + ["--out", out]) == 0
+
+    names = assert_writes_as_reference(monkeypatch, tmp_path, write)
+    assert {"travel_times.csv", "link_timeseries.csv"} <= set(names)
