@@ -282,6 +282,10 @@ def cmd_report(args) -> int:
                           file=sys.stderr)
                     return EXIT_PARSE
             tables.append((name, header, body))
+        for pid in wanted:  # an id names a file in run_dir, not a directory
+            if os.sep in pid or (os.altsep and os.altsep in pid):
+                raise ParseError(f"--paths: path id {pid!r} holds a path separator "
+                                 "and cannot name a curve file")
         for name, header, body in tables:
             for pid in wanted:
                 fileio._write_csv(os.path.join(run_dir, f"curve_{pid}_{name}"),

@@ -14,6 +14,8 @@ differences between the curves (origin queue first, then links in path
 order). Paths that share a prefix of elements share its exit times, so
 each distinct prefix is chained once, a path depth at a time: one call per
 (depth, element) over all the prefixes of that depth that end there.
+Junction conservation and the vehicle balance are checked once per loading,
+after the steps, from a table of every step's flows.
 """
 
 from __future__ import annotations
@@ -29,6 +31,11 @@ from .network import SOURCE_KEY, Link, Network, TimeGrid
 
 COUNT_TOL = 1e-9  # veh; equality tolerance on cumulative counts
 _FLOW_EPS = 1e-12  # veh/s; below this a rate is treated as "no flow to label"
+# The step's constants as array operands: numpy 2 takes a 0-d array as a
+# ufunc operand about 0.3 us faster than a Python float, with the same
+# result, and a Braess step makes dozens of ufunc calls on 7 elements
+_COUNT_TOL_A, _FLOW_EPS_A, _ZERO, _INF, _REL_TOL, _ABS_TOL = (
+    np.array(x) for x in (COUNT_TOL, _FLOW_EPS, 0.0, math.inf, 1e-6, 1e-12))
 
 
 class DNLError(RuntimeError):
@@ -264,8 +271,8 @@ def _boundary_flows(lags: _Lags, curves: np.ndarray, params: np.ndarray, dt_s: f
     across = curves.take(lags.across)
     lagging = lagged + params[3:5] - _TOL_LAGGED <= across + _TOL_ACROSS
     rates = np.where(lags.gate,
-                     np.where(lagging, (lagged1 - lagged) / lags.den, params[2]), 0.0)
-    caps = np.maximum(0.0, lagged1 + params[3:5] - across) / dt_s
+                     np.where(lagging, (lagged1 - lagged) / lags.den, params[2]), _ZERO)
+    caps = np.maximum(_ZERO, lagged1 + params[3:5] - across) / dt_s
     return rates, np.minimum(rates, caps, out=out)
 
 
@@ -292,12 +299,12 @@ def link_supply(link: Link, state: LinkState, grid: TimeGrid, t: float) -> float
 def origin_demand(queue_veh, departure_rate_vps, big_m):
     """Origin boundary demand: effectively unbounded while a queue persists,
     the instantaneous departure rate otherwise. Works elementwise on arrays."""
-    return np.where(queue_veh > 0, big_m, departure_rate_vps)
+    return np.where(queue_veh > _ZERO, big_m, departure_rate_vps)
 
 
 def step_origin_queue(queue_veh, departure_rate_vps, served_rate_vps, dt_s: float):
     """Forward-Euler point-queue update, clamped at zero; elementwise."""
-    return np.maximum(0.0, queue_veh + dt_s * (departure_rate_vps - served_rate_vps))
+    return np.maximum(_ZERO, queue_veh + dt_s * (departure_rate_vps - served_rate_vps))
 
 
 def propagate_composition(mix: np.ndarray, slot_link: np.ndarray,
@@ -315,16 +322,16 @@ def propagate_composition(mix: np.ndarray, slot_link: np.ndarray,
     # bincount adds in slot order, as np.sum does below 8 entries (above
     # that np.sum pairs them): bit for bit the per-link sum over few paths
     total = np.bincount(slot_link, mix, minlength=nL)
-    fed = (total > 0) & (inflow_vps > _FLOW_EPS)
+    fed = (total > _ZERO) & (inflow_vps > _FLOW_EPS_A)
     bad = (fed & ~(np.abs(total - inflow_vps)
-                   <= np.maximum(1e-6 * np.maximum(np.abs(total), np.abs(inflow_vps)),
-                                 1e-12))).nonzero()[0]
+                   <= np.maximum(_REL_TOL * np.maximum(np.abs(total), np.abs(inflow_vps)),
+                                 _ABS_TOL))).nonzero()[0]
     if bad.size:
         li = bad[0]
         raise DNLError(
             f"composition mass {total[li]} does not match inflow {inflow_vps[li]}"
         )
-    return mix / np.where(fed, total, math.inf)[slot_link], fed.nonzero()[0]
+    return mix / np.where(fed, total, _INF)[slot_link], fed.nonzero()[0]
 
 
 class _Depth(NamedTuple):
@@ -392,6 +399,7 @@ class _Layout:
         self.link_params = _link_params(self.links)
         nP, nL, N = len(self.path_ids), len(self.link_ids), grid.n_steps
         self.times = grid.times()
+        self.dt = np.array(grid.dt_s)  # 0-d: the step's faster operand
         # a lag lost in t - lag would make a boundary rate 0/0
         lost = self.times - self.link_params[:2, :, None] == self.times
         for kind, li in zip(*np.nonzero(lost.any(axis=2))):
@@ -491,8 +499,10 @@ class _Loader:
     shares in the vehicles entering in step k, and entered[e, k] the latest
     step <= k that has a composition (-1 if none). Row N of `shares` stays
     0. A link's fill in as it loads; an origin's are the path shares of its
-    departures. Every array here belongs to this loading alone: the result's
-    states are views of them.
+    departures. f_out[k] and f_in[k] are step k's outflow of each element
+    and inflow of each output (0 in steps not stepped); a link state's
+    inflow and outflow are views of their columns. Every array here belongs
+    to this loading alone: the result's states are views of them.
     """
 
     def __init__(self, network: Network, departures: np.ndarray, grid: TimeGrid,
@@ -520,8 +530,8 @@ class _Loader:
         self.up, self.dn = self.curves
         self.n_up, self.cum_dep = self.up[:nL], self.up[nL:]
         self.n_dn, self.cum_srv = self.dn[:nL], self.dn[nL:]
-        self.inflow = np.zeros((nL, N))
-        self.outflow = np.zeros((nL, N))
+        self.f_out = np.zeros((N, nE))
+        self.f_in = np.zeros((N, lay.n_outputs))
         self.shares = np.zeros((N + 1, len(lay.slot_elem)))
         self.comp = [self.shares[:N, a:b] for a, b in zip(lay.bounds[:-1], lay.bounds[1:])]
         self.entered = np.full((nE, N), -1, dtype=np.int64)
@@ -553,7 +563,6 @@ class _Loader:
             self.entered[nL + oi, cells] = cells
         np.maximum.accumulate(self.entered[nL:], axis=1, out=self.entered[nL:])
         self.queue = np.zeros((nO, N + 1))
-        self.exited = np.zeros(N + 1)
         self.balance = np.zeros(N + 1)
 
     # -- per-step machinery ---------------------------------------------------
@@ -565,11 +574,11 @@ class _Loader:
         departures are too small to label keeps them queued (D set to 0)."""
         lay = self.layout
         row = lay.no_entry.copy()
-        dem = (D > _FLOW_EPS).nonzero()[0]
+        dem = (D > _FLOW_EPS_A).nonzero()[0]
         if dem.size:
             # the entry knot only moves forward: search from the last one
             lo = min(self.at_exit[dem].tolist())
-            passed = self.up[dem, lo:k + 1] <= (self.dn[dem, k] + COUNT_TOL)[:, None]
+            passed = self.up[dem, lo:k + 1] <= (self.dn[dem, k] + _COUNT_TOL_A)[:, None]
             at = self.at_exit[dem] = lo - 1 + passed.sum(axis=1)
             j = self.entered[dem, at]
             unlabelled = dem[j < 0]
@@ -584,26 +593,13 @@ class _Loader:
             row[dem] = j
         return self.shares[row[lay.slot_elem], lay.slot_range]
 
-    def _check_conservation(self, f_out: np.ndarray, f_in: np.ndarray, k: int) -> None:
-        """Each junction passes on what its inputs send out, to 1e-9."""
-        mv = self.layout.moves
-        out = np.bincount(mv.in_junction, f_out, minlength=mv.n_junctions)
-        residual = np.abs(out - np.bincount(mv.out_junction, f_in, minlength=mv.n_junctions))
-        bad = (~(residual <= 1e-9 * np.maximum(1.0, out))).nonzero()[0]  # NaN fails too
-        if bad.size:
-            j = bad[0]
-            raise DNLError(
-                f"junction {self.layout.node_ids[j]} conservation residual "
-                f"{residual[j]:.3e} at step {k}"
-            )
-
     def _enter(self, exit_shares: np.ndarray, f_out: np.ndarray, f_in: np.ndarray,
                k: int) -> None:
         """Entry compositions at step k of the links that take labelled flow:
         each link slot gets its source slot's share of its source's outflow,
         normalised by propagate_composition."""
         lay = self.layout
-        rate = np.where(f_out > _FLOW_EPS, f_out, 0.0)
+        rate = np.where(f_out > _FLOW_EPS_A, f_out, _ZERO)
         mix = rate[lay.src_elem] * exit_shares[lay.src_slot]
         self.shares[k, :lay.n_link_slots], fed = propagate_composition(
             mix, lay.link_slot_elem, f_in[:len(lay.links)])
@@ -611,10 +607,13 @@ class _Loader:
 
     def run(self) -> DNLResult:
         """Step from the first departure until the network drains; the
-        frozen state fills the rest of the horizon."""
+        frozen state fills the rest of the horizon. The junction and
+        vehicle-balance checks run once, after the steps (see _check), and
+        also before any error raised while stepping is re-raised, so that a
+        breach is reported as such and not as what a later step made of it."""
         lay = self.layout
         N = self.grid.n_steps
-        dt = self.grid.dt_s
+        dt = lay.dt
         nL = len(lay.links)
         nE = nL + len(lay.origin_ids)
         departing = np.flatnonzero(self.dep_rate.any(axis=0))
@@ -631,44 +630,84 @@ class _Loader:
         n_moves = len(lay.moves.src)
         entered, queue, n_up, dn = self.entered[:nL], self.queue, self.n_up, self.dn
 
-        for k in range(k0, N):
-            if k:
-                entered[:, k] = entered[:, k - 1]
-            _boundary_flows(lay.lags.at(k), self.curves, lay.link_params, dt, out=link_flows)
-            q_k = queue[:, k]
-            dep_k = self.dep_rate[:, k]
-            np.minimum(origin_demand(q_k, dep_k, lay.big_m), q_k / dt + dep_k, out=D_org)
-            exit_shares = self._exit_shares(D, k)
-            alpha = np.bincount(lay.slot_move, exit_shares, minlength=n_moves)
-            f_out, f_in = junctions.resolve_network(lay.moves, D, S, alpha)
-            self._check_conservation(f_out, f_in, k)
-            self._enter(exit_shares, f_out, f_in, k)
+        k = k0 - 1  # so that k + 1 is the last knot stepped to, also with no step
+        try:
+            for k in range(k0, N):
+                if k:
+                    entered[:, k] = entered[:, k - 1]
+                _boundary_flows(lay.lags.at(k), self.curves, lay.link_params, dt,
+                                out=link_flows)
+                q_k = queue[:, k]
+                dep_k = self.dep_rate[:, k]
+                np.minimum(origin_demand(q_k, dep_k, lay.big_m), q_k / dt + dep_k, out=D_org)
+                exit_shares = self._exit_shares(D, k)
+                alpha = np.bincount(lay.slot_move, exit_shares, minlength=n_moves)
+                f_out, f_in = junctions.resolve_network(lay.moves, D, S, alpha)
+                self.f_out[k] = f_out
+                self.f_in[k] = f_in
+                self._enter(exit_shares, f_out, f_in, k)
 
-            f_links = f_in[:nL]
-            n_up[:, k + 1] = n_up[:, k] + dt * f_links
-            dn[:, k + 1] = dn[:, k] + dt * f_out
-            self.inflow[:, k] = f_links
-            self.outflow[:, k] = f_out[:nL]
-            queue[:, k + 1] = step_origin_queue(q_k, dep_k, f_out[nL:], dt)
-            self.exited[k + 1] = self.exited[k] + dt * f_in[nL:].sum()
+                n_up[:, k + 1] = n_up[:, k] + dt * f_in[:nL]
+                dn[:, k + 1] = dn[:, k] + dt * f_out
+                queue[:, k + 1] = step_origin_queue(q_k, dep_k, f_out[nL:], dt)
 
-            departed = self.departed_veh[k + 1]
-            stored = (n_up[:, k + 1] - self.n_dn[:, k + 1]).sum()
-            queued = queue[:, k + 1].sum()
-            resid = abs(departed - (stored + queued + self.exited[k + 1]))
-            self.balance[k + 1] = resid / max(1.0, departed)
-            if not self.balance[k + 1] <= 1e-6:  # NaN fails too
-                raise DNLError(
-                    f"vehicle balance residual {self.balance[k + 1]:.3e} "
-                    f"at step {k + 1}"
-                )
-
-            if not settle_tried and k >= k_last and self._drained(k + 1):
-                settle_tried = True
-                if self._settle(k + 1):
-                    break
-
+                if not settle_tried and k >= k_last and self._drained(k + 1):
+                    settle_tried = True
+                    if self._settle(k + 1):
+                        break
+        except Exception:
+            # step k's flows are recorded or still 0, which conserve; its end
+            # knot k + 1 may be incomplete
+            self._check(k0, k + 1, k)
+            raise
+        self._check(k0, k + 1, k + 1)
         return self._extract_result()
+
+    def _check(self, k0: int, stop: int, last: int) -> None:
+        """Check the steps k0 .. stop - 1, all at once: every junction passes
+        on what its inputs send out, to 1e-9, and at each knot k0 + 1 ..
+        last the vehicles departed are stored on links, queued or exited,
+        to 1e-6 relative. Writes `balance`, held at knot `last` over the rest
+        of the horizon. Raises for the first failing step, in stepping
+        order: a step's conservation before the balance at its end knot.
+        Sums run along a contiguous last axis and bincounts add in element
+        order, so every value is bit for bit that of a check of one step."""
+        lay = self.layout
+        mv = lay.moves
+        nJ = mv.n_junctions
+        nL = len(lay.links)
+        steps = stop - k0
+        # junction j of step k0 + i is bin i * nJ + j
+        offset = nJ * np.arange(steps)[:, None]
+        out = np.bincount((mv.in_junction + offset).ravel(), self.f_out[k0:stop].ravel(),
+                          minlength=steps * nJ).reshape(steps, nJ)
+        residual = np.abs(out - np.bincount((mv.out_junction + offset).ravel(),
+                                            self.f_in[k0:stop].ravel(),
+                                            minlength=steps * nJ).reshape(steps, nJ))
+        # NaN fails too
+        breach = (~(residual <= 1e-9 * np.maximum(1.0, out))).ravel().nonzero()[0]
+
+        knots = slice(k0 + 1, last + 1)
+        departed = self.departed_veh[knots]
+        stored = np.ascontiguousarray((self.n_up[:, knots] - self.n_dn[:, knots]).T)
+        queued = np.ascontiguousarray(self.queue[:, knots].T)
+        sunk = self.f_in[k0:last, nL:].sum(axis=1)
+        exited = np.cumsum(self.grid.dt_s * sunk)
+        balance = self.balance
+        balance[knots] = (np.abs(departed - (stored.sum(axis=1) + queued.sum(axis=1) + exited))
+                          / np.maximum(1.0, departed))
+        balance[last + 1:] = balance[last]
+        off = (~(balance[knots] <= 1e-6)).nonzero()[0]  # NaN fails too
+
+        if breach.size and not (off.size and off[0] < breach[0] // nJ):
+            i, j = divmod(breach[0], nJ)
+            raise DNLError(
+                f"junction {lay.node_ids[j]} conservation residual "
+                f"{residual[i, j]:.3e} at step {k0 + i}"
+            )
+        if off.size:
+            k = k0 + 1 + off[0]
+            raise DNLError(f"vehicle balance residual {balance[k]:.3e} at step {k}")
 
     def _drained(self, k: int) -> bool:
         """Every link holds no vehicles at knot k and no origin queue is left
@@ -703,8 +742,6 @@ class _Loader:
             return False
         self.entered[:nL, k:] = self.entered[:nL, k - 1, None]
         self.queue[:, k + 1:] = self.queue[:, k, None]
-        self.exited[k + 1:] = self.exited[k]
-        self.balance[k + 1:] = self.balance[k]
         return True
 
     # -- travel-time extraction -------------------------------------------------
@@ -731,8 +768,8 @@ class _Loader:
             for o, oi in lay.oidx.items()
         }
         link_states = {
-            lid: LinkState(link, self.n_up[li], self.n_dn[li], self.inflow[li],
-                           self.outflow[li], lay.slot_paths[li], self.comp[li],
+            lid: LinkState(link, self.n_up[li], self.n_dn[li], self.f_in[:, li],
+                           self.f_out[:, li], lay.slot_paths[li], self.comp[li],
                            self.entered[li])
             for li, (lid, link) in enumerate(zip(lay.link_ids, lay.links))
         }

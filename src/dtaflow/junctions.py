@@ -19,6 +19,10 @@ from typing import Callable, Dict, Tuple
 import numpy as np
 
 _EPS = 1e-12
+# The same constants as array operands of the per-step arithmetic: numpy 2
+# takes a 0-d array as a ufunc operand about 0.3 us faster than a Python
+# float, with the same result
+_EPS_A, _BELOW_ONE, _ZERO, _ONE = (np.array(x) for x in (_EPS, 1.0 - _EPS, 0.0, 1.0))
 
 
 class JunctionError(ValueError):
@@ -137,26 +141,26 @@ def resolve_network(
         raise JunctionError("split fractions must lie in [0, 1]")
     # the fractions are finite here, and so are their row sums
     sums = np.bincount(mv.src, alpha, minlength=m)
-    off = np.abs(sums - 1.0)
-    if np.maximum.reduce(off, where=D > _EPS, initial=0.0) > 1e-6:
+    off = np.abs(sums - _ONE)
+    if np.maximum.reduce(off, where=D > _EPS_A, initial=0.0) > 1e-6:
         i = ((D > _EPS) & (off > 1e-6)).argmax()
         raise JunctionError(
             f"distribution row {i} sums to {sums[i]:.9f} with positive demand"
         )
 
-    busy = np.bincount(mv.in_junction, D, minlength=mv.n_junctions) > _EPS
-    D = np.where(busy[mv.in_junction], D, 0.0)
+    busy = np.bincount(mv.in_junction, D, minlength=mv.n_junctions) > _EPS_A
+    D = np.where(busy[mv.in_junction], D, _ZERO)
     move = alpha * D[mv.src]  # movement demand at full service
     oriented = np.bincount(mv.dst, move, minlength=n)
     # min(1, S / oriented), dividing only where that is below 1: no overflow
-    beta = np.divide(S, oriented, out=np.ones(n), where=(S < oriented) & (oriented > _EPS))
+    beta = np.divide(S, oriented, out=np.ones(n), where=(S < oriented) & (oriented > _EPS_A))
     gamma = np.ones(m)
     if mv.first.size:
         gamma[mv.movers] = np.minimum.reduceat(
-            np.where(alpha > _EPS, beta[mv.dst], 1.0), mv.first)
+            np.where(alpha > _EPS_A, beta[mv.dst], _ONE), mv.first)
 
     if mv.mixed.size:
-        jam = (beta[mv.mixed] < 1.0 - _EPS).nonzero()[0]
+        jam = (beta[mv.mixed] < _BELOW_ONE).nonzero()[0]
         if jam.size:
             # feeders of a congested exit: movements above 1e-12 of its largest
             feeding, fmove = mv.feeding[jam], move[mv.feeders[jam]]

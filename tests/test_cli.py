@@ -401,6 +401,26 @@ class TestReportCommand:
         assert message in capsys.readouterr().err
         assert not [f for f in os.listdir(finished_run) if f.startswith("curve_")]
 
+    @pytest.mark.parametrize("pid", ["a/b", "a/../../x"])
+    def test_path_id_with_separator_is_parse_error(self, finished_run, capsys, pid):
+        # the id is a row of both curve tables, and curve_a exists: a write
+        # of curve_{id}_{file} would land in it or above the run directory
+        for name in ("h_final.csv", "eff_delay.csv"):
+            with open(os.path.join(finished_run, name)) as fh:
+                lines = fh.readlines()
+            row = lines[1].split(",", 1)[1]
+            with open(os.path.join(finished_run, name), "a") as fh:
+                fh.write(f"{pid},{row}")
+        os.mkdir(os.path.join(finished_run, "curve_a"))
+        before = set(os.listdir(os.path.dirname(finished_run)))
+        assert main(["report", "--in", finished_run, "--paths", f"p1,{pid}"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("parse error: ") and f"path id '{pid}'" in err
+        written = [f for _, _, files in os.walk(finished_run) for f in files
+                   if f.startswith("curve_")]
+        assert not written and not os.listdir(os.path.join(finished_run, "curve_a"))
+        assert set(os.listdir(os.path.dirname(finished_run))) == before
+
     @pytest.mark.parametrize("name,text,message", [
         ("h_final.csv", "", "h_final.csv: empty file"),
         ("eff_delay.csv", "path_id,0.0,10.0\np1,5.0\n",

@@ -1,6 +1,8 @@
 """Loading-engine tests: boundary-rate branches, curve inversions, oracles."""
 
 import math
+import os
+import re
 import warnings
 
 import numpy as np
@@ -666,6 +668,109 @@ def test_split_rows_not_summing_to_one_stop_the_loading():
         loader.run()
 
 
+# -- checks of a loading: faults injected at one step ------------------------------
+#
+# The loader checks junction conservation and the vehicle balance once, after
+# its steps, and before re-raising any error of a step. Each fault below is
+# injected at one step (_braess_dt7 steps from step 0, one junction
+# resolution and one origin-queue update per step), and each must be
+# reported with its own message and step, as a check inside every step
+# would report it.
+
+FAULT_STEP = 30
+
+
+def _inject_flows(monkeypatch, faults):
+    """Have resolve_network apply faults[k](f_out, f_in) at step k; return
+    the list of the steps resolved."""
+    steps = []
+
+    def faulty(movements, demands, supplies, alpha):
+        k = len(steps)
+        steps.append(k)
+        f_out, f_in = resolve_network(movements, demands, supplies, alpha)
+        if k in faults:
+            faults[k](f_out, f_in)
+        return f_out, f_in
+
+    monkeypatch.setattr(junctions, "resolve_network", faulty)
+    return steps
+
+
+def _inject_queue(monkeypatch, step, extra_veh):
+    """Add extra_veh to every origin queue that step `step` leaves."""
+    calls = []
+
+    def faulty(queue_veh, departure_rate_vps, served_rate_vps, dt_s):
+        calls.append(None)
+        q = step_origin_queue(queue_veh, departure_rate_vps, served_rate_vps, dt_s)
+        return q + extra_veh if len(calls) - 1 == step else q
+
+    monkeypatch.setattr(dnl, "step_origin_queue", faulty)
+
+
+def _sink_gains(rate_vps):
+    """A fault that adds rate_vps to the last sink's inflow: its junction
+    then passes on more than it takes in, and no composition sees it."""
+    def fault(f_out, f_in):
+        f_in[-1] += rate_vps
+    return fault
+
+
+def _stop(f_out, f_in):
+    raise JunctionError("injected fault")
+
+
+def test_conservation_breach_at_one_step_is_reported_at_that_step(monkeypatch):
+    net, grid, h = _braess_dt7()
+    clean = _inject_flows(monkeypatch, {})
+    run_dnl(net, h, grid)
+    # 1e-6 veh/s breaks conservation (1e-9 relative) but not the balance
+    steps = _inject_flows(monkeypatch, {FAULT_STEP: _sink_gains(1e-6)})
+    with pytest.raises(DNLError, match=rf"conservation residual 1\.000e-06 at step {FAULT_STEP}$"):
+        run_dnl(net, h, grid)
+    assert len(clean) > FAULT_STEP + 1
+    assert len(steps) == len(clean)  # every later step ran
+
+
+def test_conservation_breach_reported_before_a_later_step_fails(monkeypatch):
+    net, grid, h = _braess_dt7()
+    steps = _inject_flows(monkeypatch, {FAULT_STEP: _sink_gains(1e-6),
+                                        FAULT_STEP + 1: _stop})
+    with pytest.raises(DNLError, match=rf"conservation residual .* at step {FAULT_STEP}$"):
+        run_dnl(net, h, grid)
+    assert len(steps) == FAULT_STEP + 2
+
+
+def test_error_of_a_step_raised_when_checks_pass(monkeypatch):
+    net, grid, h = _braess_dt7()
+    _inject_flows(monkeypatch, {FAULT_STEP: _stop})
+    with pytest.raises(JunctionError, match="injected fault"):
+        run_dnl(net, h, grid)
+
+
+def test_balance_breach_reported_at_the_knot_after_its_step(monkeypatch):
+    net, grid, h = _braess_dt7()
+    _inject_queue(monkeypatch, FAULT_STEP, 1.0)
+    with pytest.raises(DNLError, match=rf"vehicle balance residual .* at step {FAULT_STEP + 1}$"):
+        run_dnl(net, h, grid)
+
+
+@pytest.mark.parametrize("queue_step, expected", [
+    (FAULT_STEP, f"conservation residual .* at step {FAULT_STEP}$"),
+    (FAULT_STEP - 1, f"vehicle balance residual .* at step {FAULT_STEP}$"),
+], ids=["conservation-then-balance-at-its-end-knot", "balance-at-the-step-before"])
+def test_first_breach_in_stepping_order_is_reported(monkeypatch, queue_step, expected):
+    # a step's conservation comes before the balance at its end knot, and
+    # after the balance at the knot it starts from; one more vehicle queued
+    # by step k breaks the balance at knot k + 1 (test above)
+    net, grid, h = _braess_dt7()
+    _inject_flows(monkeypatch, {FAULT_STEP: _sink_gains(1e-6)})
+    _inject_queue(monkeypatch, queue_step, 1.0)
+    with pytest.raises(DNLError, match=expected):
+        run_dnl(net, h, grid)
+
+
 # -- input validation and warnings -----------------------------------------------
 
 
@@ -876,3 +981,75 @@ def test_truncation_flagged_near_horizon():
     # every cell departs here; an empty cell would not count as a trip
     np.testing.assert_array_equal(res.departed, h > 0)
     np.testing.assert_array_equal(res.truncated_trips, res.truncated)
+
+
+# -- the checks of a loading against their per-step form ---------------------------
+
+
+def reference_balance(loader):
+    """The vehicle balance knot by knot, as a check inside every step makes
+    it: departed vehicles against those stored on links, queued at origins
+    and exited into sinks, relative to max(1, departed). Over steps that were
+    not stepped, the flows are 0 and the curves frozen, so the value holds."""
+    lay = loader.layout
+    nL = len(lay.links)
+    balance = np.zeros(loader.grid.n_steps + 1)
+    exited = 0.0
+    for k in range(loader.grid.n_steps):
+        exited = exited + loader.grid.dt_s * loader.f_in[k, nL:].sum()
+        departed = loader.departed_veh[k + 1]
+        stored = (loader.n_up[:, k + 1] - loader.n_dn[:, k + 1]).sum()
+        queued = loader.queue[:, k + 1].sum()
+        balance[k + 1] = abs(departed - (stored + queued + exited)) / max(1.0, departed)
+    return balance
+
+
+def reference_conservation(loader, k):
+    """Per junction, whether step k passes on what its inputs send out, to
+    1e-9 (NaN fails), and the residual."""
+    mv = loader.layout.moves
+    out = np.bincount(mv.in_junction, loader.f_out[k], minlength=mv.n_junctions)
+    residual = np.abs(out - np.bincount(mv.out_junction, loader.f_in[k],
+                                        minlength=mv.n_junctions))
+    return residual <= 1e-9 * np.maximum(1.0, out), residual
+
+
+def _criterion_10_final():
+    # the final loading of the criterion-10 solve, from its pinned departures
+    demands = {("1", "3"): 25.0, ("2", "3"): 15.0, ("1", "4"): 35.0, ("2", "4"): 25.0}
+    net = braess_network(demands=demands, target=1200.0)
+    grid = TimeGrid(0.0, 2400.0, 5.0)
+    pinned = np.load(os.path.join(os.path.dirname(__file__), "data", "braess_c10_seed0.npz"))
+    return net, grid, pinned["h_final"]
+
+
+@pytest.mark.parametrize("case", [_criterion_10_final, _grid_k4])
+def test_loading_checks_match_per_step_oracles(case):
+    net, grid, h = case()
+    loader = _Loader(net, h, grid)
+    res = loader.run()
+    np.testing.assert_array_equal(res.diagnostics, reference_balance(loader))
+    stepped = np.flatnonzero(loader.f_out.any(axis=1))
+    assert stepped.size > 20
+    for k in range(grid.n_steps):
+        assert reference_conservation(loader, k)[0].all()
+    # the flow tables are the link states' inflow and outflow
+    for li, state in enumerate(res.link_states.values()):
+        assert np.shares_memory(state.inflow, loader.f_in)
+        np.testing.assert_array_equal(state.inflow, loader.f_in[:, li])
+        np.testing.assert_array_equal(state.outflow, loader.f_out[:, li])
+
+    # a breach written into the recorded flows is found at the junction and
+    # step where the per-step oracle finds it first
+    k0, k_end = stepped[0], stepped[-1] + 1
+    rng = np.random.default_rng(0)
+    for k in rng.choice(stepped, 5, replace=False):
+        f_in = loader.f_in[k].copy()
+        loader.f_in[k, rng.integers(loader.f_in.shape[1])] += 1e-3
+        passes, residual = reference_conservation(loader, k)
+        j = np.flatnonzero(~passes)[0]
+        message = (f"junction {loader.layout.node_ids[j]} conservation residual "
+                   f"{residual[j]:.3e} at step {k}")
+        with pytest.raises(DNLError, match=f"^{re.escape(message)}$"):
+            loader._check(k0, k_end, k_end)
+        loader.f_in[k] = f_in
