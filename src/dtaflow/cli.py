@@ -251,17 +251,9 @@ def cmd_report(args) -> int:
             raise ParseError(f"{gaps_file}:{line}: expected 3 fields "
                              f"(origin,destination,gap_s), got {len(row)}")
         gaps.append(fileio._to_float(f"{gaps_file}:{line}", "gap_s", row[2]))
-    stats = np.percentile(gaps, [0, 25, 50, 75, 100]).tolist() if gaps else [0.0] * 5
-    pct = dict(zip(["min", "p25", "p50", "p75", "max"], stats))
-    fileio._write_csv(os.path.join(run_dir, "gap_percentiles.csv"),
-                      ["statistic", "gap_s"],
-                      [[k, fileio._fmt(v)] for k, v in pct.items()])
-    print("O-D gap percentiles (s): " +
-          ", ".join(f"{k}={v:.4g}" for k, v in pct.items()))
-
     if args.selected:
         wanted = [p.strip() for p in args.selected.split(",") if p.strip()]
-        tables = []  # every file is read and checked before any curve is written
+        tables = []  # every file is read and checked before anything is written
         for name in ("h_final.csv", "eff_delay.csv"):
             src = os.path.join(run_dir, name)
             if not os.path.exists(src):
@@ -286,6 +278,15 @@ def cmd_report(args) -> int:
             if os.sep in pid or (os.altsep and os.altsep in pid):
                 raise ParseError(f"--paths: path id {pid!r} holds a path separator "
                                  "and cannot name a curve file")
+
+    stats = np.percentile(gaps, [0, 25, 50, 75, 100]).tolist() if gaps else [0.0] * 5
+    pct = dict(zip(["min", "p25", "p50", "p75", "max"], stats))
+    fileio._write_csv(os.path.join(run_dir, "gap_percentiles.csv"),
+                      ["statistic", "gap_s"],
+                      [[k, fileio._fmt(v)] for k, v in pct.items()])
+    print("O-D gap percentiles (s): " +
+          ", ".join(f"{k}={v:.4g}" for k, v in pct.items()))
+    if args.selected:
         for name, header, body in tables:
             for pid in wanted:
                 fileio._write_csv(os.path.join(run_dir, f"curve_{pid}_{name}"),

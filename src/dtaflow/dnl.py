@@ -30,7 +30,9 @@ from . import junctions
 from .network import SOURCE_KEY, Link, Network, TimeGrid
 
 COUNT_TOL = 1e-9  # veh; equality tolerance on cumulative counts
-_FLOW_EPS = 1e-12  # veh/s; below this a rate is treated as "no flow to label"
+# veh/s; an element demands flow above this rate, and an origin queue whose
+# rate q/dt is at or below it counts as drained
+_FLOW_EPS = 1e-12
 # The step's constants as array operands: numpy 2 takes a 0-d array as a
 # ufunc operand about 0.3 us faster than a Python float, with the same
 # result, and a Braess step makes dozens of ufunc calls on 7 elements
@@ -52,7 +54,7 @@ class LinkState:
     n_up/n_dn live on the N+1 grid knots; inflow/outflow are per step
     (length N). `paths` lists, in ascending order, the paths that use the
     link; composition[k] holds their shares in the vehicles entering in step
-    k (all zero when the step had no labelled inflow), and entered[k] is the
+    k (all zero when the step had no inflow), and entered[k] is the
     latest step <= k that has an entry composition, -1 if none. The arrays
     are views of the loader's tables.
     """
@@ -69,7 +71,7 @@ class LinkState:
     @property
     def entry_composition(self) -> Iterator[Optional[Composition]]:
         """Per step, the (path indices, fractions) of the nonzero entry
-        shares, or None when the step had no labelled inflow."""
+        shares, or None when the step had no inflow."""
         for k, row in enumerate(self.composition):
             yield (self.paths[row > 0], row[row > 0]) if self.entered[k] == k else None
 
@@ -183,12 +185,6 @@ def _read_at(curves: np.ndarray, idx, idx1, span, off) -> np.ndarray:
     the next value is multiplied by 0, so the clipped index changes nothing."""
     c0 = curves.take(idx)
     return (curves.take(idx1) - c0) / span * off + c0
-
-
-def _read(times: np.ndarray, curves: np.ndarray, s: np.ndarray) -> np.ndarray:
-    """Row i of `curves` read at the times s[..., i]."""
-    idx, span, off = _read_table(times, s, np.arange(len(curves)) * len(times))
-    return _read_at(curves, idx, np.minimum(idx + 1, curves.size - 1), span, off)
 
 
 def _link_params(links: Sequence[Link]) -> np.ndarray:
@@ -312,17 +308,18 @@ def propagate_composition(mix: np.ndarray, slot_link: np.ndarray,
     """Entry shares of every link slot at one step, and the links they fill.
 
     mix[s] is the rate that slot s's path brings to its link slot_link[s];
-    inflow_vps[l] is link l's junction inflow. The fed links are those that
-    take labelled flow and inflow above 1e-12 veh/s; their slots get mix
-    over the link's carried total, and every other slot 0. Raises DNLError
-    where a fed link's carried total differs from its inflow by more than
-    1e-6 relative (1e-12 veh/s absolute).
+    inflow_vps[l] is link l's junction inflow. The fed links are those whose
+    carried total and inflow are above 0, so that every vehicle entering a
+    link is labelled; their slots get mix over the link's carried total, and
+    every other slot 0. Raises DNLError where a fed link's carried total
+    differs from its inflow by more than 1e-6 relative (1e-12 veh/s
+    absolute).
     """
     nL = len(inflow_vps)
     # bincount adds in slot order, as np.sum does below 8 entries (above
     # that np.sum pairs them): bit for bit the per-link sum over few paths
     total = np.bincount(slot_link, mix, minlength=nL)
-    fed = (total > _ZERO) & (inflow_vps > _FLOW_EPS_A)
+    fed = (total > _ZERO) & (inflow_vps > _ZERO)
     bad = (fed & ~(np.abs(total - inflow_vps)
                    <= np.maximum(_REL_TOL * np.maximum(np.abs(total), np.abs(inflow_vps)),
                                  _ABS_TOL))).nonzero()[0]
@@ -383,10 +380,12 @@ class _Layout:
     or the cumulative service), and feeds the junction at its downstream
     node. The junction outputs are the links, then one sink per destination
     node. Every node is a junction; `moves` lists each (element, output)
-    movement that some path makes. Entry compositions are dense over each
-    element's own paths: one slot per (element, path), element by element
-    and paths ascending, so that slot_paths[e] lists e's paths and columns
-    bounds[e]:bounds[e + 1] of a loading's `shares` are e's slots.
+    movement that some path makes, and each element's merge priority as
+    validate_network set it in Network.priorities. Entry compositions are
+    dense over each element's own paths: one slot per (element, path),
+    element by element and paths ascending, so that slot_paths[e] lists e's
+    paths and columns bounds[e]:bounds[e + 1] of a loading's `shares` are
+    e's slots.
     """
 
     def __init__(self, network: Network, grid: TimeGrid):
@@ -455,7 +454,9 @@ class _Layout:
                      dtype=np.int64),
             np.array([node[l.tail] for l in self.links] + [node[n] for n in sinks],
                      dtype=np.int64),
-            self._priorities(network, lidx), len(self.node_ids))
+            np.array([network.priorities[l.head][l.id] for l in self.links]
+                     + [network.priorities[o][SOURCE_KEY] for o in self.origin_ids]),
+            len(self.node_ids))
         self.no_entry = np.full(nE, N)  # per element, the all-zero row of `shares`
 
         self.big_m = np.array([
@@ -465,29 +466,6 @@ class _Layout:
         self.min_delay = np.append(self.link_params[0], np.zeros(nO))
         self.lags = _lag_table(self.times, grid.dt_s, self.link_params, np.arange(N), nE)
         self.depths = _extraction_depths(self.path_elems)
-
-    def _priorities(self, network: Network, lidx: Dict[str, int]) -> np.ndarray:
-        """Merge priority of each element at its downstream junction: the
-        node's incoming links, then its origin queue if a path leaves it."""
-        nL = len(self.links)
-        out = np.zeros(nL + len(self.origin_ids))
-        for nid, node in network.nodes.items():
-            inputs = [lidx[l] for l in network.incoming[nid]]
-            if not inputs and nid not in self.oidx:
-                continue  # no link enters and no path leaves: no junction input
-            pri = [network.priorities[nid][l] for l in network.incoming[nid]]
-            if node.origin:
-                pri.append(network.priorities[nid][SOURCE_KEY])
-            pri = np.asarray(pri, dtype=float)
-            pri = pri / pri.sum()
-            if nid in self.oidx:
-                inputs.append(nL + self.oidx[nid])
-            elif node.origin:  # an origin that no path leaves
-                pri = pri[:-1]
-                total = pri.sum()
-                pri = pri / total if total > 0 else np.full(len(pri), 1.0 / len(pri))
-            out[inputs] = pri
-        return out
 
 
 class _Loader:
@@ -558,7 +536,7 @@ class _Loader:
             # their sum is bit for bit that of the cell's own rate vector
             rates = np.ascontiguousarray(h[paths].T)
             tot = rates.sum(axis=1)
-            cells = np.flatnonzero(tot > _FLOW_EPS)
+            cells = np.flatnonzero(tot > 0)
             self.comp[nL + oi][cells] = rates[cells] / tot[cells, None]
             self.entered[nL + oi, cells] = cells
         np.maximum.accumulate(self.entered[nL:], axis=1, out=self.entered[nL:])
@@ -570,8 +548,10 @@ class _Loader:
     def _exit_shares(self, D: np.ndarray, k: int) -> np.ndarray:
         """Per slot, the path share of the vehicles now at its element's exit:
         that of the latest step, up to the one they entered in, that has a
-        composition; 0 for elements that demand no flow. An origin whose
-        departures are too small to label keeps them queued (D set to 0)."""
+        composition; 0 for elements that demand no flow. Every positive flow
+        is labelled, so a demanding element has such a step; one without
+        would read the all-zero row N (entered -1), which resolve_network
+        refuses as a split row that does not sum to 1."""
         lay = self.layout
         row = lay.no_entry.copy()
         dem = (D > _FLOW_EPS_A).nonzero()[0]
@@ -580,17 +560,7 @@ class _Loader:
             lo = min(self.at_exit[dem].tolist())
             passed = self.up[dem, lo:k + 1] <= (self.dn[dem, k] + _COUNT_TOL_A)[:, None]
             at = self.at_exit[dem] = lo - 1 + passed.sum(axis=1)
-            j = self.entered[dem, at]
-            unlabelled = dem[j < 0]
-            if unlabelled.size:
-                for e in unlabelled[unlabelled < len(lay.links)]:
-                    raise DNLError(
-                        f"link {lay.link_ids[e]} demands flow at step {k} "
-                        "but carries no labeled vehicles"
-                    )
-                D[unlabelled] = 0.0
-                j = np.where(j < 0, self.grid.n_steps, j)
-            row[dem] = j
+            row[dem] = self.entered[dem, at]
         return self.shares[row[lay.slot_elem], lay.slot_range]
 
     def _enter(self, exit_shares: np.ndarray, f_out: np.ndarray, f_in: np.ndarray,
@@ -599,8 +569,7 @@ class _Loader:
         each link slot gets its source slot's share of its source's outflow,
         normalised by propagate_composition."""
         lay = self.layout
-        rate = np.where(f_out > _FLOW_EPS_A, f_out, _ZERO)
-        mix = rate[lay.src_elem] * exit_shares[lay.src_slot]
+        mix = f_out[lay.src_elem] * exit_shares[lay.src_slot]
         self.shares[k, :lay.n_link_slots], fed = propagate_composition(
             mix, lay.link_slot_elem, f_in[:len(lay.links)])
         self.entered[fed, k] = k
@@ -713,9 +682,9 @@ class _Loader:
         """Every link holds no vehicles at knot k and no origin queue is left
         that a step would serve: the Forward-Euler update can leave a queue
         of rounding residue (around 1e-16 veh) whose rate q/dt, at or below
-        1e-12 veh/s, is never labelled or served. The origin curves are not
-        compared: cumulative departures and service differ by rounding even
-        when the queue is exactly 0."""
+        1e-12 veh/s, is not a demand. The origin curves are not compared:
+        cumulative departures and service differ by rounding even when the
+        queue is exactly 0."""
         return bool(np.all(self.n_up[:, k] == self.n_dn[:, k])
                     and np.all(self.queue[:, k] / self.grid.dt_s <= _FLOW_EPS))
 

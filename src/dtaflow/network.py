@@ -184,7 +184,10 @@ class Network:
     od_pairs: Tuple[ODPair, ...]
     incoming: Dict[str, Tuple[str, ...]]  # node id -> incoming link ids
     outgoing: Dict[str, Tuple[str, ...]]  # node id -> outgoing link ids
-    priorities: Dict[str, Dict[str, float]]  # node id -> {link id or "": weight}
+    # node id -> {link id or "": merge weight}, summing to 1 at every node
+    # that some link enters or some path leaves; "" is the source of an
+    # origin that a path leaves. The loader reads these as they are.
+    priorities: Dict[str, Dict[str, float]]
 
     @property
     def min_free_flow_time_s(self) -> float:
@@ -200,24 +203,19 @@ class Network:
                      for od in self.od_pairs)
 
 
-SOURCE_KEY = ""  # priority-map key for the virtual source at an origin node
+SOURCE_KEY = ""  # priority-map key for the source of an origin that a path leaves
 
 
-def _node_priorities(node: Node, incoming: Sequence[Link]) -> Dict[str, float]:
-    """Per-node merge priorities: the source (if any) keeps its configured
-    share and the real incoming links split the rest by capacity."""
-    pri: Dict[str, float] = {}
+def _node_priorities(node: Node, incoming: Sequence[Link], source: bool) -> Dict[str, float]:
+    """Per-node merge priorities. Where a path leaves the node (`source`),
+    its source keeps the configured share, all of it when no link enters;
+    the incoming links split the rest by capacity. At any other node,
+    origins included, they split the whole share."""
+    if source and not incoming:
+        return {SOURCE_KEY: 1.0}
+    pri = {SOURCE_KEY: node.source_priority} if source else {}
+    rest = 1.0 - node.source_priority if source else 1.0
     cap_total = sum(l.capacity_vps for l in incoming)
-    if node.origin:
-        if not incoming:
-            pri[SOURCE_KEY] = 1.0
-            return pri
-        pri[SOURCE_KEY] = node.source_priority
-        rest = 1.0 - node.source_priority
-    else:
-        if not incoming:
-            return pri
-        rest = 1.0
     for l in incoming:
         pri[l.id] = rest * l.capacity_vps / cap_total
     return pri
@@ -320,8 +318,10 @@ def validate_network(
             ODPair(od.origin, od.destination, od.demand_veh, od.target_arrival_s, pid_tuple)
         )
 
+    sources = {p.od[0] for p in path_map.values()}
     priorities = {
-        nid: _node_priorities(node_map[nid], [link_map[l] for l in incoming[nid]])
+        nid: _node_priorities(node_map[nid], [link_map[l] for l in incoming[nid]],
+                              nid in sources)
         for nid in node_map
     }
     for nid, pri in priorities.items():

@@ -385,6 +385,11 @@ class TestReportCommand:
         assert main(["report", "--in", finished_run, "--paths", "zz"]) == 2
         assert "not present" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("selected", ["zz", "p1,a/b"])
+    def test_refused_report_writes_no_percentiles(self, finished_run, selected):
+        assert main(["report", "--in", finished_run, "--paths", selected]) == 2
+        assert not os.path.exists(os.path.join(finished_run, "gap_percentiles.csv"))
+
     @pytest.mark.parametrize("selected,drop,message", [
         ("p1,../../x", None, "path ../../x not present in h_final.csv"),
         ("p1", "p1", "path p1 not present in eff_delay.csv"),

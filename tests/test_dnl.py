@@ -28,7 +28,8 @@ from dtaflow.dnl import (
     _Layout,
     _Loader,
     _exit_times,
-    _read,
+    _read_at,
+    _read_table,
     exit_time,
     link_demand,
     link_supply,
@@ -129,7 +130,9 @@ def test_curve_reads_match_np_interp():
     s[1, :2] = times[0] - 5.0, times[-1] + 5.0  # outside the grid
     expected = [[np.interp(s[a, i], times, curves[i]) for i in range(5)]
                 for a in range(3)]
-    np.testing.assert_array_equal(_read(times, curves, s), expected)
+    idx, span, off = _read_table(times, s, np.arange(len(curves)) * len(times))
+    read = _read_at(curves, idx, np.minimum(idx + 1, curves.size - 1), span, off)
+    np.testing.assert_array_equal(read, expected)
 
 
 class TestCurveInversion:
@@ -197,7 +200,7 @@ def test_propagated_fractions_always_normalized(raw):
     slot_link = np.repeat([0, 1], 5)
     inflow = np.bincount(slot_link, mix)
     shares, fed = propagate_composition(mix, slot_link, inflow)
-    assert list(fed) == list(np.flatnonzero(inflow > 1e-12))
+    assert list(fed) == list(np.flatnonzero(inflow > 0))
     for link in fed:
         out = shares[slot_link == link]
         assert out.sum() == pytest.approx(1.0, abs=1e-9)
@@ -646,6 +649,35 @@ def test_origin_without_paths_or_entering_links_is_no_junction_input():
     assert not res.link_states["1"].n_up.any()
 
 
+def test_origin_that_no_path_leaves_is_no_junction_input():
+    # origin 2 has an entering link, and with only origin 1's paths no path
+    # leaves it: the link takes its whole merge share
+    nodes, links, paths, ods = braess_components(
+        demands={("1", "3"): 250.0, ("1", "4"): 350.0})
+    net = validate_network(nodes, links, [p for p in paths if p.od[0] == "1"], ods)
+    grid = TimeGrid(0.0, 2400.0, 30.0)
+    res = run_dnl(net, init_departures(net, grid, (0.0, 1200.0)), grid)
+    assert list(res.origin_states) == ["1"]
+    served = res.origin_states["1"].cum_served[-1]
+    assert served == pytest.approx(600.0, rel=1e-9)
+    assert not res.truncated_trips.any()
+
+
+def test_departures_below_the_demand_threshold_do_not_block_their_origin():
+    # 300 cells at 1e-12 veh/s leave 1.5e-9 veh queued, more than the count
+    # tolerance, before 50 veh depart at 0.5 veh/s: every vehicle carries a
+    # path label, so the queue is served and drains, and every trip ends
+    net = single_link_network()
+    grid = TimeGrid(0.0, 2000.0, 5.0)
+    h = np.zeros((1, grid.n_steps))
+    h[0, :300] = 1e-12
+    h[0, 300:320] = 0.5
+    res = run_dnl(net, h, grid)
+    assert not res.truncated_trips.any()
+    assert res.origin_states["a"].queue_veh[-1] == 0.0
+    assert res.link_states["1"].n_dn[-1] == pytest.approx(50.0, rel=1e-9)
+
+
 def test_nan_junction_flows_stop_the_loading(monkeypatch):
     # NaN fails every loop check instead of slipping through a comparison
     def nan_flows(movements, demands, supplies, alpha):
@@ -897,7 +929,7 @@ def _grid_k4_random_rates():
     net, grid, h = _grid_k4()
     rng = np.random.default_rng(3)
     h = h * rng.uniform(0.0, 1.0, h.shape) * 10.0 ** rng.integers(-6, 3, h.shape)
-    h[:, 40:45] *= 1e-14  # cells too small to label
+    h[:, 40:45] *= 1e-14  # cells at or below 1e-12 veh/s, labelled too
     return net, grid, h
 
 
@@ -915,7 +947,7 @@ def test_origin_compositions_match_per_cell_shares(case):
         for j in range(grid.n_steps):
             rates = h[paths, j]
             total = rates.sum()
-            if total > 1e-12:
+            if total > 0:
                 shares[j] = rates / total
                 entered[j] = j
         np.testing.assert_array_equal(loader.comp[nL + oi], shares)

@@ -121,6 +121,15 @@ class TestValidateNetwork:
         assert net.priorities["c"]["1"] == pytest.approx(0.75)
         assert net.priorities["c"]["2"] == pytest.approx(0.25)
 
+    def test_origin_that_no_path_leaves_gets_no_source_share(self):
+        # node 2 is an origin, but only origin 1's paths are given: link 1,
+        # its only entering link, takes the whole merge share
+        nodes, links, paths, ods = braess_components(
+            demands={("1", "3"): 250.0, ("1", "4"): 350.0})
+        net = validate_network(nodes, links, [p for p in paths if p.od[0] == "1"], ods)
+        assert net.priorities["2"] == {"1": 1.0}
+        assert net.priorities["1"] == {"": 1.0}
+
 
 class TestTimeGrid:
     def test_step_count_rounds_up(self):
