@@ -7,15 +7,18 @@ node's junction like one more incoming link. Each step is one pass over
 the whole network: demands and supplies come from lagged lookups on the
 link curves (read positions tabulated once per layout, which a solve
 builds once for all its loadings), the flows of every junction from one
-call of junctions.resolve_network, and path labels from FIFO compositions
-at every element's exit, mixed into link entry shares by one call of
-propagate_composition. Path travel times are chained horizontal
-differences between the curves (origin queue first, then links in path
-order). Paths that share a prefix of elements share its exit times, so
-each distinct prefix is chained once, a path depth at a time: one call per
-(depth, element) over all the prefixes of that depth that end there.
-Junction conservation and the vehicle balance are checked once per loading,
-after the steps, from a table of every step's flows.
+call of the junction kernel junctions.resolve_unchecked, and path labels
+from FIFO compositions at every element's exit, mixed into link entry
+shares by one call of mix_composition. Path travel times are chained
+horizontal differences between the curves (origin queue first, then links
+in path order). Paths that share a prefix of elements share its exit
+times, so each distinct prefix is chained once, a path depth at a time:
+one call per (depth, element) over all the prefixes of that depth that end
+there. A step checks nothing. What resolve_network and
+propagate_composition check of one step (its junction inputs, its
+composition mass), junction conservation and the vehicle balance are
+checked once per loading, after the steps, from tables that record every
+step's inputs, carried totals and flows.
 """
 
 from __future__ import annotations
@@ -36,8 +39,8 @@ _FLOW_EPS = 1e-12
 # The step's constants as array operands: numpy 2 takes a 0-d array as a
 # ufunc operand about 0.3 us faster than a Python float, with the same
 # result, and a Braess step makes dozens of ufunc calls on 7 elements
-_COUNT_TOL_A, _FLOW_EPS_A, _ZERO, _INF, _REL_TOL, _ABS_TOL = (
-    np.array(x) for x in (COUNT_TOL, _FLOW_EPS, 0.0, math.inf, 1e-6, 1e-12))
+_COUNT_TOL_A, _FLOW_EPS_A, _ZERO, _INF = (
+    np.array(x) for x in (COUNT_TOL, _FLOW_EPS, 0.0, math.inf))
 
 
 class DNLError(RuntimeError):
@@ -312,23 +315,43 @@ def propagate_composition(mix: np.ndarray, slot_link: np.ndarray,
     carried total and inflow are above 0, so that every vehicle entering a
     link is labelled; their slots get mix over the link's carried total, and
     every other slot 0. Raises DNLError where a fed link's carried total
-    differs from its inflow by more than 1e-6 relative (1e-12 veh/s
-    absolute).
+    differs from its inflow (see composition_fault).
     """
-    nL = len(inflow_vps)
+    shares, fed, total = mix_composition(mix, slot_link, inflow_vps)
+    fault = composition_fault(total[None], inflow_vps[None])
+    if fault is not None:
+        raise fault[1]
+    return shares, fed
+
+
+def mix_composition(mix: np.ndarray, slot_link: np.ndarray, inflow_vps: np.ndarray
+                    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """propagate_composition without its mass check, and each link's carried
+    total as a third result: the loader's kernel, which checks a loading's
+    totals once, after its steps."""
     # bincount adds in slot order, as np.sum does below 8 entries (above
     # that np.sum pairs them): bit for bit the per-link sum over few paths
-    total = np.bincount(slot_link, mix, minlength=nL)
+    total = np.bincount(slot_link, mix, minlength=len(inflow_vps))
     fed = (total > _ZERO) & (inflow_vps > _ZERO)
-    bad = (fed & ~(np.abs(total - inflow_vps)
-                   <= np.maximum(_REL_TOL * np.maximum(np.abs(total), np.abs(inflow_vps)),
-                                 _ABS_TOL))).nonzero()[0]
-    if bad.size:
-        li = bad[0]
-        raise DNLError(
-            f"composition mass {total[li]} does not match inflow {inflow_vps[li]}"
-        )
-    return mix / np.where(fed, total, _INF)[slot_link], fed.nonzero()[0]
+    return mix / np.where(fed, total, _INF)[slot_link], fed.nonzero()[0], total
+
+
+def composition_fault(total: np.ndarray, inflow_vps: np.ndarray
+                      ) -> Optional[Tuple[int, DNLError]]:
+    """The first row of (rows, links) carried totals and inflows in which a
+    link whose total and inflow are above 0 differs from its inflow by more
+    than 1e-6 relative (1e-12 veh/s absolute), and the error that reports
+    its first such link; None if every row passes."""
+    fed = (total > 0) & (inflow_vps > 0)
+    bad = fed & ~(np.abs(total - inflow_vps)
+                  <= np.maximum(1e-6 * np.maximum(np.abs(total), np.abs(inflow_vps)), 1e-12))
+    rows = bad.any(axis=1).nonzero()[0]
+    if not rows.size:
+        return None
+    k = rows[0]
+    li = bad[k].argmax()
+    return k, DNLError(
+        f"composition mass {total[k, li]} does not match inflow {inflow_vps[k, li]}")
 
 
 class _Depth(NamedTuple):
@@ -465,6 +488,7 @@ class _Layout:
         ])
         self.min_delay = np.append(self.link_params[0], np.zeros(nO))
         self.lags = _lag_table(self.times, grid.dt_s, self.link_params, np.arange(N), nE)
+        self.step_lags = [self.lags.at(k) for k in range(N)]
         self.depths = _extraction_depths(self.path_elems)
 
 
@@ -479,8 +503,13 @@ class _Loader:
     0. A link's fill in as it loads; an origin's are the path shares of its
     departures. f_out[k] and f_in[k] are step k's outflow of each element
     and inflow of each output (0 in steps not stepped); a link state's
-    inflow and outflow are views of their columns. Every array here belongs
-    to this loading alone: the result's states are views of them.
+    inflow and outflow are views of their columns. Next to them, each stepped
+    step records what _check tests once the steps are done: its junction
+    inputs, the demands and supplies (`demand_supply[k]`: row 0 the
+    demands, row 1 the supplies) and the split fractions (`alpha[k]`), and
+    the total rate each link's entry composition carries (`carried[k]`).
+    Every array here belongs to this loading alone: the result's states are
+    views of them.
     """
 
     def __init__(self, network: Network, departures: np.ndarray, grid: TimeGrid,
@@ -510,6 +539,9 @@ class _Loader:
         self.n_dn, self.cum_srv = self.dn[:nL], self.dn[nL:]
         self.f_out = np.zeros((N, nE))
         self.f_in = np.zeros((N, lay.n_outputs))
+        self.demand_supply = np.zeros((N, 2, max(nE, lay.n_outputs)))
+        self.alpha = np.zeros((N, len(lay.moves.src)))
+        self.carried = np.zeros((N, nL))
         self.shares = np.zeros((N + 1, len(lay.slot_elem)))
         self.comp = [self.shares[:N, a:b] for a, b in zip(lay.bounds[:-1], lay.bounds[1:])]
         self.entered = np.full((nE, N), -1, dtype=np.int64)
@@ -550,8 +582,8 @@ class _Loader:
         that of the latest step, up to the one they entered in, that has a
         composition; 0 for elements that demand no flow. Every positive flow
         is labelled, so a demanding element has such a step; one without
-        would read the all-zero row N (entered -1), which resolve_network
-        refuses as a split row that does not sum to 1."""
+        would read the all-zero row N (entered -1), which the junction input
+        check refuses as a split row that does not sum to 1."""
         lay = self.layout
         row = lay.no_entry.copy()
         dem = (D > _FLOW_EPS_A).nonzero()[0]
@@ -567,18 +599,20 @@ class _Loader:
                k: int) -> None:
         """Entry compositions at step k of the links that take labelled flow:
         each link slot gets its source slot's share of its source's outflow,
-        normalised by propagate_composition."""
+        normalised per link by mix_composition; their carried totals are
+        recorded for _check."""
         lay = self.layout
         mix = f_out[lay.src_elem] * exit_shares[lay.src_slot]
-        self.shares[k, :lay.n_link_slots], fed = propagate_composition(
+        self.shares[k, :lay.n_link_slots], fed, self.carried[k] = mix_composition(
             mix, lay.link_slot_elem, f_in[:len(lay.links)])
         self.entered[fed, k] = k
 
     def run(self) -> DNLResult:
         """Step from the first departure until the network drains; the
-        frozen state fills the rest of the horizon. The junction and
-        vehicle-balance checks run once, after the steps (see _check), and
-        also before any error raised while stepping is re-raised, so that a
+        frozen state fills the rest of the horizon. The checks of the
+        junction inputs and conservation, the composition mass and the
+        vehicle balance run once, after the steps (see _check), and also
+        before any error raised while stepping is re-raised, so that a
         breach is reported as such and not as what a later step made of it."""
         lay = self.layout
         N = self.grid.n_steps
@@ -592,26 +626,31 @@ class _Loader:
         settle_tried = False
         # one step's element demands (links, then origins) and output supplies
         # (links, then sinks, which take any flow)
-        step_flows = np.empty((2, max(nE, lay.n_outputs)))
+        step_flows = np.zeros(self.demand_supply.shape[1:])
         D, S = step_flows[0, :nE], step_flows[1, :lay.n_outputs]
         S[nL:] = math.inf
         link_flows, D_org = step_flows[:, :nL], D[nL:]  # the links' D and S; origin D
         n_moves = len(lay.moves.src)
         entered, queue, n_up, dn = self.entered[:nL], self.queue, self.n_up, self.dn
+        step_lags = lay.step_lags
 
         k = k0 - 1  # so that k + 1 is the last knot stepped to, also with no step
         try:
             for k in range(k0, N):
                 if k:
                     entered[:, k] = entered[:, k - 1]
-                _boundary_flows(lay.lags.at(k), self.curves, lay.link_params, dt,
+                _boundary_flows(step_lags[k], self.curves, lay.link_params, dt,
                                 out=link_flows)
                 q_k = queue[:, k]
                 dep_k = self.dep_rate[:, k]
                 np.minimum(origin_demand(q_k, dep_k, lay.big_m), q_k / dt + dep_k, out=D_org)
                 exit_shares = self._exit_shares(D, k)
                 alpha = np.bincount(lay.slot_move, exit_shares, minlength=n_moves)
-                f_out, f_in = junctions.resolve_network(lay.moves, D, S, alpha)
+                # recorded whole, just before the kernel: a step that fails
+                # earlier leaves its junction inputs 0, which pass the check
+                self.demand_supply[k] = step_flows
+                self.alpha[k] = alpha
+                f_out, f_in = junctions.resolve_unchecked(lay.moves, D, S, alpha)
                 self.f_out[k] = f_out
                 self.f_in[k] = f_in
                 self._enter(exit_shares, f_out, f_in, k)
@@ -625,7 +664,7 @@ class _Loader:
                     if self._settle(k + 1):
                         break
         except Exception:
-            # step k's flows are recorded or still 0, which conserve; its end
+            # step k's records are complete or still 0, which pass; its end
             # knot k + 1 may be incomplete
             self._check(k0, k + 1, k)
             raise
@@ -633,12 +672,15 @@ class _Loader:
         return self._extract_result()
 
     def _check(self, k0: int, stop: int, last: int) -> None:
-        """Check the steps k0 .. stop - 1, all at once: every junction passes
-        on what its inputs send out, to 1e-9, and at each knot k0 + 1 ..
-        last the vehicles departed are stored on links, queued or exited,
-        to 1e-6 relative. Writes `balance`, held at knot `last` over the rest
-        of the horizon. Raises for the first failing step, in stepping
-        order: a step's conservation before the balance at its end knot.
+        """Check the steps k0 .. stop - 1, all at once: their junction inputs
+        are what resolve_network accepts (junctions.input_fault), every
+        junction passes on what its inputs send out, to 1e-9, each link's
+        entry composition carries its inflow (composition_fault), and at each
+        knot k0 + 1 .. last the vehicles departed are stored on links, queued
+        or exited, to 1e-6 relative. Writes `balance`, held at knot `last`
+        over the rest of the horizon. Raises for the first failing step, in
+        stepping order; within step k: its junction inputs, its
+        conservation, its composition mass, then the balance at knot k + 1.
         Sums run along a contiguous last axis and bincounts add in element
         order, so every value is bit for bit that of a check of one step."""
         lay = self.layout
@@ -646,6 +688,14 @@ class _Loader:
         nJ = mv.n_junctions
         nL = len(lay.links)
         steps = stop - k0
+        faults = []  # (step, rank within the step, error)
+        demand_supply = self.demand_supply[k0:stop]
+        fault = junctions.input_fault(mv, demand_supply[:, 0, :len(mv.in_junction)],
+                                      demand_supply[:, 1, :len(mv.out_junction)],
+                                      self.alpha[k0:stop])
+        if fault is not None:
+            faults.append((k0 + fault[0], 0, fault[1]))
+
         # junction j of step k0 + i is bin i * nJ + j
         offset = nJ * np.arange(steps)[:, None]
         out = np.bincount((mv.in_junction + offset).ravel(), self.f_out[k0:stop].ravel(),
@@ -655,6 +705,15 @@ class _Loader:
                                             minlength=steps * nJ).reshape(steps, nJ))
         # NaN fails too
         breach = (~(residual <= 1e-9 * np.maximum(1.0, out))).ravel().nonzero()[0]
+        if breach.size:
+            i, j = divmod(breach[0], nJ)
+            faults.append((k0 + i, 1, DNLError(
+                f"junction {lay.node_ids[j]} conservation residual "
+                f"{residual[i, j]:.3e} at step {k0 + i}")))
+
+        fault = composition_fault(self.carried[k0:stop], self.f_in[k0:stop, :nL])
+        if fault is not None:
+            faults.append((k0 + fault[0], 2, fault[1]))
 
         knots = slice(k0 + 1, last + 1)
         departed = self.departed_veh[knots]
@@ -667,16 +726,12 @@ class _Loader:
                           / np.maximum(1.0, departed))
         balance[last + 1:] = balance[last]
         off = (~(balance[knots] <= 1e-6)).nonzero()[0]  # NaN fails too
-
-        if breach.size and not (off.size and off[0] < breach[0] // nJ):
-            i, j = divmod(breach[0], nJ)
-            raise DNLError(
-                f"junction {lay.node_ids[j]} conservation residual "
-                f"{residual[i, j]:.3e} at step {k0 + i}"
-            )
         if off.size:
             k = k0 + 1 + off[0]
-            raise DNLError(f"vehicle balance residual {balance[k]:.3e} at step {k}")
+            faults.append((k - 1, 3, DNLError(
+                f"vehicle balance residual {balance[k]:.3e} at step {k}")))
+        if faults:
+            raise min(faults, key=lambda f: f[:2])[2]
 
     def _drained(self, k: int) -> bool:
         """Every link holds no vehicles at knot k and no origin queue is left

@@ -7,14 +7,16 @@ congested exit differ in priority, each exit of that junction that full
 demand overfills rations its supply among the movements into it by
 priority, with redistribution of unused shares, and each input again keeps
 its worst ratio. resolve_network applies it, with input checks, to every
-junction of a network at once on one table of movements, as the loader does
-at each step; resolve_junction is the one-junction case of resolve_network.
+junction of a network at once on one table of movements; resolve_junction is
+the one-junction case of resolve_network. The checks (input_fault) and the
+rule (resolve_unchecked) are also separate: the loader calls the rule at
+each step and checks the inputs of all its steps at once, after them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Tuple
+from typing import Callable, Dict, Optional, Tuple
 
 import numpy as np
 
@@ -113,6 +115,41 @@ class Movements:
             object.__setattr__(self, name, value)
 
 
+def input_fault(movements: Movements, demands: np.ndarray, supplies: np.ndarray,
+                alpha: np.ndarray) -> Optional[Tuple[int, JunctionError]]:
+    """The first row of junction inputs that resolve_network refuses, and the
+    error it raises, or None. The arrays have one leading axis of rows (a
+    loading's steps), then one entry per input, output and movement.
+
+    Within a row the checks run in order: demands and supplies >= 0 (NaN
+    fails), fractions in [-1e-12, 1 + 1e-9], then the split row of each input
+    whose demand is above 1e-12 sums to 1 within 1e-6. Row sums add in
+    movement order, so each is bit for bit that of a check of its row alone.
+    """
+    mv = movements
+    rows, m = demands.shape
+    # minimum and maximum propagate NaN, so NaN fails every check
+    signed = ~((np.minimum.reduce(demands, axis=1, initial=0.0) >= 0)
+               & (np.minimum.reduce(supplies, axis=1, initial=0.0) >= 0))
+    ranged = ~((np.minimum.reduce(alpha, axis=1, initial=0.0) >= -_EPS)
+               & (np.maximum.reduce(alpha, axis=1, initial=0.0) <= 1 + 1e-9))
+    # a row whose fractions pass is finite, and so are its row sums
+    sums = np.bincount((mv.src + m * np.arange(rows)[:, None]).ravel(), alpha.ravel(),
+                       minlength=rows * m).reshape(rows, m)
+    off = (demands > _EPS) & (np.abs(sums - 1.0) > 1e-6)
+    bad = (signed | ranged | off.any(axis=1)).nonzero()[0]
+    if not bad.size:
+        return None
+    k = bad[0]
+    if signed[k]:
+        return k, JunctionError("junction demands/supplies/priorities must be >= 0")
+    if ranged[k]:
+        return k, JunctionError("split fractions must lie in [0, 1]")
+    i = off[k].argmax()
+    return k, JunctionError(
+        f"distribution row {i} sums to {sums[k, i]:.9f} with positive demand")
+
+
 def resolve_network(
     movements: Movements, demands, supplies, alpha
 ) -> Tuple[np.ndarray, np.ndarray]:
@@ -120,34 +157,32 @@ def resolve_network(
 
     demands: veh/s per input; supplies: veh/s per output (a sink's is inf);
     alpha: per movement, the share of its input's exit flow that takes it.
-    Each junction whose demands sum above 1e-12 follows the rule in the
-    module docstring; the other junctions pass nothing. A junction with a
-    congested exit whose feeders differ in priority is rationed exit by exit
-    on the movement table; all others are resolved in one array pass.
+    Raises JunctionError on inputs that input_fault refuses. Each junction
+    whose demands sum above 1e-12 follows the rule in the module docstring;
+    the other junctions pass nothing. A junction with a congested exit whose
+    feeders differ in priority is rationed exit by exit on the movement
+    table; all others are resolved in one array pass.
     """
     mv = movements
     D = np.asarray(demands, dtype=float)
     S = np.asarray(supplies, dtype=float)
     alpha = np.asarray(alpha, dtype=float)
-    m, n = len(mv.in_junction), len(mv.out_junction)
-    if D.shape != (m,) or S.shape != (n,) or alpha.shape != mv.src.shape:
+    if (D.shape != (len(mv.in_junction),) or S.shape != (len(mv.out_junction),)
+            or alpha.shape != mv.src.shape):
         raise JunctionError("shape mismatch between demands/supplies and matrix")
-    # minimum and maximum propagate NaN, so NaN fails every check
-    if not (np.minimum.reduce(D, initial=0.0) >= 0
-            and np.minimum.reduce(S, initial=0.0) >= 0):
-        raise JunctionError("junction demands/supplies/priorities must be >= 0")
-    if not (np.minimum.reduce(alpha, initial=0.0) >= -_EPS
-            and np.maximum.reduce(alpha, initial=0.0) <= 1 + 1e-9):
-        raise JunctionError("split fractions must lie in [0, 1]")
-    # the fractions are finite here, and so are their row sums
-    sums = np.bincount(mv.src, alpha, minlength=m)
-    off = np.abs(sums - _ONE)
-    if np.maximum.reduce(off, where=D > _EPS_A, initial=0.0) > 1e-6:
-        i = ((D > _EPS) & (off > 1e-6)).argmax()
-        raise JunctionError(
-            f"distribution row {i} sums to {sums[i]:.9f} with positive demand"
-        )
+    fault = input_fault(mv, D[None], S[None], alpha[None])
+    if fault is not None:
+        raise fault[1]
+    return _kernel(mv, D, S, alpha)
 
+
+def resolve_unchecked(mv: Movements, D: np.ndarray, S: np.ndarray,
+                      alpha: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """resolve_network on float arrays of the right shapes, without its input
+    checks: the loader's kernel, which checks a loading's inputs once, after
+    its steps. On inputs that the checks refuse (NaN, negative) it returns
+    some flows, and neither raises nor warns."""
+    m, n = len(mv.in_junction), len(mv.out_junction)
     busy = np.bincount(mv.in_junction, D, minlength=mv.n_junctions) > _EPS_A
     D = np.where(busy[mv.in_junction], D, _ZERO)
     move = alpha * D[mv.src]  # movement demand at full service
@@ -187,6 +222,11 @@ def resolve_network(
     return f_out, np.bincount(mv.dst, alpha * f_out[mv.src], minlength=n)
 
 
+# resolve_network's own reference to the kernel: a wrapper patched over
+# resolve_unchecked, which may call resolve_network, does not replace it
+_kernel = resolve_unchecked
+
+
 def resolve_junction(
     demands, supplies, priorities, alpha
 ) -> Tuple[np.ndarray, np.ndarray]:
@@ -216,8 +256,9 @@ def resolve_junction(
 
 # -- model registry -------------------------------------------------------------
 
-# The loader calls resolve_network and does not consult this registry; it
-# stays because bench/tracing.py wraps the registered model by name.
+# The loader calls resolve_unchecked at each step, checks its inputs with
+# input_fault after its steps, and does not consult this registry; it stays
+# because bench/tracing.py wraps the registered model by name.
 
 # model(demands, supplies, priorities, alpha) -> (f_out, f_in)
 JunctionModel = Callable[[np.ndarray, np.ndarray, np.ndarray, np.ndarray],

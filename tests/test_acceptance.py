@@ -48,7 +48,7 @@ from test_dnl import lagged_bound_gap, newell_two_link_tt
 
 def audited_dnl(net, h, grid):
     """Run the loader through a wrapped junction kernel, patched in place of
-    the default for one loading, that records, for every junction with
+    the loader's own for one loading, that records, for every junction with
     demand at every step, the conservation residual and the split-row sums
     of the inputs with positive demand."""
     residuals = []
@@ -66,7 +66,7 @@ def audited_dnl(net, h, grid):
         return f_out, f_in
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(junctions, "resolve_network", audit)
+        mp.setattr(junctions, "resolve_unchecked", audit)
         res = run_dnl(net, h, grid)
     return res, np.array(residuals), np.array(row_errors)
 

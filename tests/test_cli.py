@@ -479,11 +479,11 @@ for _name in ("network.txt", "paths.txt", "demand.txt", "departures.csv"):
     with open(os.path.join(DATA, _name)) as _fh:
         BRAESS_FILES[_name] = _fh.read().splitlines()
 FUZZ_TOKENS = ["", "x", "-1", "0", "nan", "1e308", "1e-300", "1|9"]
-# messages of the loader's and solver's own invariant checks: bad input must
-# be named before it reaches them
+# messages of the loader's and solver's own invariant checks, the junction
+# input refusals included: bad input must be named before it reaches them
 INVARIANT_MESSAGES = ["vehicle balance residual", "conservation residual",
                       "composition mass", "junction demands/supplies",
-                      "carries no labeled vehicles"]
+                      "with positive demand", "split fractions must lie in"]
 
 
 @st.composite

@@ -33,11 +33,12 @@ from dtaflow.dnl import (
     exit_time,
     link_demand,
     link_supply,
+    mix_composition,
     origin_demand,
     propagate_composition,
     step_origin_queue,
 )
-from dtaflow.junctions import resolve_network
+from dtaflow.junctions import resolve_network, resolve_unchecked
 from helpers import (
     braess_components,
     braess_network,
@@ -222,10 +223,10 @@ def test_every_stepped_step_propagates_compositions(monkeypatch):
 
     net, grid, h = _braess_dt7()
     expected = run_dnl(net, h, grid)
-    monkeypatch.setattr(dnl, "propagate_composition",
-                        counted("compositions", propagate_composition))
-    monkeypatch.setattr(junctions, "resolve_network",
-                        counted("junctions", resolve_network))
+    monkeypatch.setattr(dnl, "mix_composition",
+                        counted("compositions", mix_composition))
+    monkeypatch.setattr(junctions, "resolve_unchecked",
+                        counted("junctions", resolve_unchecked))
     res = run_dnl(net, h, grid)
     assert 0 < calls["compositions"] == calls["junctions"] < grid.n_steps
     np.testing.assert_array_equal(res.travel_time, expected.travel_time)
@@ -542,8 +543,9 @@ def assert_results_equal(res, ref):
 
 def test_origin_queue_rounding_residue_settles(monkeypatch):
     # 0.8 veh/s for 100 s onto a 0.5 veh/s link: the Forward-Euler update
-    # drains the origin queue to a residue of a few 1e-15 veh, whose rate
-    # q/dt is too small to label or serve. The loading stops stepping soon
+    # drains the origin queue to a residue of a few 1e-15 veh. It carries a
+    # label, but its rate q/dt is at or below the 1e-12 veh/s demand
+    # threshold, so it is never served. The loading stops stepping soon
     # after the last trip has left, and fills the rest of the horizon with
     # exactly what stepping every step would have written.
     net = single_link_network(1200.0, 12.0, 0.5)
@@ -554,9 +556,9 @@ def test_origin_queue_rounding_residue_settles(monkeypatch):
     def counted(*args):
         nonlocal steps
         steps += 1
-        return propagate_composition(*args)
+        return mix_composition(*args)
 
-    monkeypatch.setattr(dnl, "propagate_composition", counted)
+    monkeypatch.setattr(dnl, "mix_composition", counted)
     res = run_dnl(net, h, grid)
     queue = res.origin_states["a"].queue_veh
     assert queue.max() > 10.0
@@ -685,7 +687,7 @@ def test_nan_junction_flows_stop_the_loading(monkeypatch):
         return f_out * np.nan, f_in * np.nan
 
     net, grid, h = _braess_dt7()
-    monkeypatch.setattr(junctions, "resolve_network", nan_flows)
+    monkeypatch.setattr(junctions, "resolve_unchecked", nan_flows)
     with pytest.raises(DNLError, match="conservation residual nan"):
         run_dnl(net, h, grid)
 
@@ -702,30 +704,32 @@ def test_split_rows_not_summing_to_one_stop_the_loading():
 
 # -- checks of a loading: faults injected at one step ------------------------------
 #
-# The loader checks junction conservation and the vehicle balance once, after
-# its steps, and before re-raising any error of a step. Each fault below is
-# injected at one step (_braess_dt7 steps from step 0, one junction
-# resolution and one origin-queue update per step), and each must be
-# reported with its own message and step, as a check inside every step
-# would report it.
+# The loader checks its junction inputs, junction conservation, the
+# composition mass and the vehicle balance once, after its steps, and before
+# re-raising any error of a step. Each fault below is injected at one step
+# (_braess_dt7 steps from step 0, with one origin demand, one junction
+# resolution, one composition and one origin-queue update per step), and
+# each must be reported with its own message and step, as a check inside
+# every step would report it.
 
 FAULT_STEP = 30
 
 
-def _inject_flows(monkeypatch, faults):
-    """Have resolve_network apply faults[k](f_out, f_in) at step k; return
-    the list of the steps resolved."""
+def _inject_flows(monkeypatch, faults, kernel=resolve_network):
+    """Have the loader's junction kernel, replaced by `kernel`, apply
+    faults[k](f_out, f_in) at step k; return the list of the steps resolved.
+    The default, resolve_network, also raises on bad junction inputs."""
     steps = []
 
     def faulty(movements, demands, supplies, alpha):
         k = len(steps)
         steps.append(k)
-        f_out, f_in = resolve_network(movements, demands, supplies, alpha)
+        f_out, f_in = kernel(movements, demands, supplies, alpha)
         if k in faults:
             faults[k](f_out, f_in)
         return f_out, f_in
 
-    monkeypatch.setattr(junctions, "resolve_network", faulty)
+    monkeypatch.setattr(junctions, "resolve_unchecked", faulty)
     return steps
 
 
@@ -739,6 +743,31 @@ def _inject_queue(monkeypatch, step, extra_veh):
         return q + extra_veh if len(calls) - 1 == step else q
 
     monkeypatch.setattr(dnl, "step_origin_queue", faulty)
+
+
+def _inject_demand(monkeypatch, step, value):
+    """Have every origin demand `value` veh/s at step `step`."""
+    calls = []
+
+    def faulty(queue_veh, departure_rate_vps, big_m):
+        calls.append(None)
+        d = origin_demand(queue_veh, departure_rate_vps, big_m)
+        return np.full(d.shape, value) if len(calls) - 1 == step else d
+
+    monkeypatch.setattr(dnl, "origin_demand", faulty)
+
+
+def _inject_mass(monkeypatch, step, factor):
+    """Scale the carried totals of every link entry composition at step
+    `step` by `factor`, leaving the shares as they are."""
+    calls = []
+
+    def faulty(mix, slot_link, inflow_vps):
+        calls.append(None)
+        shares, fed, total = mix_composition(mix, slot_link, inflow_vps)
+        return shares, fed, total * factor if len(calls) - 1 == step else total
+
+    monkeypatch.setattr(dnl, "mix_composition", faulty)
 
 
 def _sink_gains(rate_vps):
@@ -799,6 +828,47 @@ def test_first_breach_in_stepping_order_is_reported(monkeypatch, queue_step, exp
     net, grid, h = _braess_dt7()
     _inject_flows(monkeypatch, {FAULT_STEP: _sink_gains(1e-6)})
     _inject_queue(monkeypatch, queue_step, 1.0)
+    with pytest.raises(DNLError, match=expected):
+        run_dnl(net, h, grid)
+
+
+@pytest.mark.parametrize("bad", [-1.0, math.nan], ids=["negative", "nan"])
+@pytest.mark.parametrize("flow_step, queue_step, error, expected", [
+    (FAULT_STEP - 1, None, DNLError, f"conservation residual .* at step {FAULT_STEP - 1}$"),
+    (FAULT_STEP, None, JunctionError, "junction demands/supplies/priorities must be >= 0"),
+    (None, FAULT_STEP - 1, DNLError, f"vehicle balance residual .* at step {FAULT_STEP}$"),
+], ids=["conservation-of-the-step-before", "inputs-then-conservation",
+        "balance-at-its-start-knot"])
+def test_junction_inputs_of_a_step_are_checked_first_in_it(
+        monkeypatch, bad, flow_step, queue_step, error, expected):
+    # a bad origin demand at step k reaches the junction kernel, which
+    # neither raises nor warns, and the steps go on; the check reports it
+    # after the steps before k and before step k's conservation
+    net, grid, h = _braess_dt7()
+    _inject_demand(monkeypatch, FAULT_STEP, bad)
+    steps = _inject_flows(monkeypatch,
+                          {} if flow_step is None else {flow_step: _sink_gains(1e-6)},
+                          kernel=resolve_unchecked)
+    if queue_step is not None:
+        _inject_queue(monkeypatch, queue_step, 1.0)
+    with pytest.raises(error, match=expected):
+        run_dnl(net, h, grid)
+    assert len(steps) > FAULT_STEP + 1
+
+
+@pytest.mark.parametrize("flow_step, queue_step, expected", [
+    (FAULT_STEP, None, f"conservation residual .* at step {FAULT_STEP}$"),
+    (FAULT_STEP + 1, None, "composition mass .* does not match inflow"),
+    (None, FAULT_STEP, "composition mass .* does not match inflow"),
+], ids=["conservation-then-composition", "composition-then-next-conservation",
+        "composition-then-balance-at-its-end-knot"])
+def test_composition_mass_of_a_step_is_checked_after_its_conservation(
+        monkeypatch, flow_step, queue_step, expected):
+    net, grid, h = _braess_dt7()
+    _inject_mass(monkeypatch, FAULT_STEP, 1.01)
+    _inject_flows(monkeypatch, {} if flow_step is None else {flow_step: _sink_gains(1e-6)})
+    if queue_step is not None:
+        _inject_queue(monkeypatch, queue_step, 1.0)
     with pytest.raises(DNLError, match=expected):
         run_dnl(net, h, grid)
 
@@ -1055,16 +1125,40 @@ def _criterion_10_final():
     return net, grid, pinned["h_final"]
 
 
+def step_inputs(loader, k):
+    """The junction inputs recorded at step k: demands, supplies, fractions."""
+    lay = loader.layout
+    nE = len(lay.links) + len(lay.origin_ids)
+    return (loader.demand_supply[k, 0, :nE], loader.demand_supply[k, 1, :lay.n_outputs],
+            loader.alpha[k])
+
+
+def reference_composition(loader, k):
+    """The composition mass check of step k as propagate_composition makes
+    it: the carried totals, one slot per link, against the links' inflow."""
+    nL = len(loader.layout.links)
+    propagate_composition(loader.carried[k], np.arange(nL), loader.f_in[k, :nL])
+
+
 @pytest.mark.parametrize("case", [_criterion_10_final, _grid_k4])
 def test_loading_checks_match_per_step_oracles(case):
     net, grid, h = case()
     loader = _Loader(net, h, grid)
     res = loader.run()
+    lay = loader.layout
     np.testing.assert_array_equal(res.diagnostics, reference_balance(loader))
     stepped = np.flatnonzero(loader.f_out.any(axis=1))
     assert stepped.size > 20
     for k in range(grid.n_steps):
         assert reference_conservation(loader, k)[0].all()
+        # each step's recorded junction inputs pass the per-step input check
+        # of resolve_network and give the step's recorded flows; its carried
+        # totals pass the per-step composition check
+        f_out, f_in = resolve_network(lay.moves, *step_inputs(loader, k))
+        np.testing.assert_array_equal(f_out, loader.f_out[k])
+        np.testing.assert_array_equal(f_in, loader.f_in[k])
+        reference_composition(loader, k)
+    assert np.isinf(loader.demand_supply[stepped, 1, len(lay.links):lay.n_outputs]).all()
     # the flow tables are the link states' inflow and outflow
     for li, state in enumerate(res.link_states.values()):
         assert np.shares_memory(state.inflow, loader.f_in)
@@ -1085,3 +1179,38 @@ def test_loading_checks_match_per_step_oracles(case):
         with pytest.raises(DNLError, match=f"^{re.escape(message)}$"):
             loader._check(k0, k_end, k_end)
         loader.f_in[k] = f_in
+
+    # so is a bad junction input (a split row off 1, a negative demand, a NaN
+    # supply) or a composition total off its inflow, where the per-step
+    # check of resolve_network or propagate_composition finds it
+    def bad_split(k):
+        D, _, alpha = step_inputs(loader, k)
+        i = rng.choice(np.flatnonzero(D > 1e-12))
+        alpha[lay.moves.src == i] *= 0.5
+
+    def negative_demand(k):
+        step_inputs(loader, k)[0][rng.integers(len(lay.moves.in_junction))] = -1e-3
+
+    def nan_supply(k):
+        step_inputs(loader, k)[1][rng.integers(lay.n_outputs)] = math.nan
+
+    for k, fault in zip(rng.choice(stepped, 6, replace=False),
+                        [bad_split, negative_demand, nan_supply] * 2):
+        demand_supply, alpha = loader.demand_supply[k].copy(), loader.alpha[k].copy()
+        fault(k)
+        with pytest.raises(JunctionError) as ref:
+            resolve_network(lay.moves, *step_inputs(loader, k))
+        with pytest.raises(JunctionError, match=f"^{re.escape(str(ref.value))}$"):
+            loader._check(k0, k_end, k_end)
+        loader.demand_supply[k], loader.alpha[k] = demand_supply, alpha
+
+    fed = stepped[(loader.carried[stepped] > 0).any(axis=1)]
+    for k in rng.choice(fed, 5, replace=False):
+        carried = loader.carried[k].copy()
+        loader.carried[k, rng.choice(np.flatnonzero(carried > 0))] *= 1 + 1e-3
+        with pytest.raises(DNLError) as ref:
+            reference_composition(loader, k)
+        with pytest.raises(DNLError, match=f"^{re.escape(str(ref.value))}$"):
+            loader._check(k0, k_end, k_end)
+        loader.carried[k] = carried
+    loader._check(k0, k_end, k_end)  # every table is restored

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
@@ -9,7 +11,9 @@ from dtaflow.junctions import (
     Movements,
     _priority_allocate,
     get_junction_model,
+    input_fault,
     resolve_network,
+    resolve_unchecked,
 )
 
 EVEN2 = [0.5, 0.5]  # equal merge priorities of two incoming links
@@ -427,6 +431,47 @@ def test_network_kernel_bad_inputs_rejected(case):
     with pytest.raises(JunctionError, match=message):
         resolve_network(mv, np.array(demands), np.array(supplies), np.array(alpha))
 
+
+def test_input_fault_reports_the_first_failing_row():
+    # rows of junction inputs, checked at once, as a loading's steps are:
+    # the first row that resolve_network refuses is found, with its error
+    mv, D, S, alpha = network_table([MERGE_2X1])
+    cases = [c for c in NETWORK_BAD_INPUTS.values() if len(c[1]) == len(S)]
+    assert input_fault(mv, D[None], S[None], alpha[None]) is None
+    for bad in range(len(cases)):
+        rows = [(D, S, alpha)] * 3 + [tuple(map(np.array, c[:3])) for c in cases[bad:]]
+        k, error = input_fault(mv, *(np.array(x) for x in zip(*rows)))
+        assert k == 3
+        with pytest.raises(JunctionError) as ref:
+            resolve_network(mv, *rows[3])
+        assert str(error) == str(ref.value)
+
+
+@pytest.mark.parametrize("fault", [
+    lambda D, S: D.fill(np.nan),
+    lambda D, S: D.__setitem__(0, np.nan),
+    lambda D, S: D.__setitem__(0, -1.0),
+    lambda D, S: D.__imul__(-1.0),
+    lambda D, S: S.fill(np.nan),
+    lambda D, S: S.__setitem__(0, -1.0),
+    lambda D, S: (D.__setitem__(1, -6.0), S.__setitem__(3, np.nan)),
+    lambda D, S: D.__setitem__(4, -1.0),
+    lambda D, S: S.__setitem__(4, np.nan),
+], ids=["all-nan-demand", "nan-demand", "negative-demand", "negated-demands",
+        "all-nan-supply", "negative-supply", "negative-demand-nan-supply",
+        "negative-demand-rationed", "nan-supply-rationed"])
+def test_kernel_warns_nothing_on_refused_inputs(fault):
+    # the loader's kernel sees a step's inputs before they are checked: on
+    # NaN or negative demands and supplies, including at junctions that
+    # ration by priority, it returns flows, and raises and warns nothing
+    mv, D, S, alpha = network_table([UNEQUAL_MERGE, DIVERGE, RATIONED_PAIR])
+    fault(D, S)
+    with pytest.raises(JunctionError, match=">= 0"):
+        resolve_network(mv, D, S, alpha)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        f_out, f_in = resolve_unchecked(mv, D, S, alpha)
+    assert f_out.shape == D.shape and f_in.shape == S.shape
 
 
 def test_network_kernel_tolerates_rounding_in_fractions():
