@@ -4,13 +4,13 @@ The model is a FIFO diverge combined with a priority merge: each outgoing
 link's supply limits the oriented demand routed to it, and the worst
 movement throttles its whole incoming link (FIFO). When the feeders of a
 congested exit differ in priority, each exit of that junction that full
-demand overfills rations its supply among the movements into it by
-priority, with redistribution of unused shares, and each input again keeps
-its worst ratio. resolve_network applies it, with input checks, to every
-junction of a network at once on one table of movements; resolve_junction is
-the one-junction case of resolve_network. The checks (input_fault) and the
-rule (resolve_unchecked) are also separate: the loader calls the rule at
-each step and checks the inputs of all its steps at once, after them.
+demand overfills splits its supply among the movements into it by
+closed-form priority water-filling, and each input again keeps its worst
+ratio. resolve_network applies it, with input checks, to every junction of
+a network at once on one table of movements; resolve_junction is the
+one-junction case of resolve_network. The checks (input_fault) and the rule
+(resolve_unchecked) are also separate: the loader calls the rule at each
+step and checks the inputs of all its steps at once, after them.
 """
 
 from __future__ import annotations
@@ -31,32 +31,33 @@ class JunctionError(ValueError):
     """Raised when junction inputs are internally inconsistent."""
 
 
-def _priority_allocate(
-    total: float, demands: np.ndarray, weights: np.ndarray
-) -> np.ndarray:
-    """Ration `total` among demanders proportionally to weights, redistributing
-    unused shares until a fixed point (at most len(demands) rounds)."""
-    m = len(demands)
-    alloc = np.zeros(m)
-    residual = demands.astype(float).copy()
-    remaining = float(total)
-    for _ in range(m):
-        hungry = residual > _EPS
-        if remaining <= _EPS or not hungry.any():
-            break
-        w = np.where(hungry, weights, 0.0)
-        wsum = w.sum()
-        if wsum <= _EPS:
-            w = hungry.astype(float)
-            wsum = w.sum()
-        offer = remaining * w / wsum
-        take = np.minimum(offer, residual)
-        alloc += take
-        residual -= take
-        remaining -= take.sum()
-        if np.all(offer - take <= _EPS):
-            break  # every offer fully consumed: proportional split is final
-    return alloc
+def _water_fill(supply: np.ndarray, demand: np.ndarray,
+                priority: np.ndarray) -> np.ndarray:
+    """Split each row's supply among its feeders by priority: feeder i
+    takes min(m_i, mu * p_i), the level mu making the takes sum to the
+    supply, or its whole demand where the supply covers the row. Demands at
+    or below 1e-12 take nothing, nor does any feeder of a supply at or below
+    1e-12; feeders of priority 0 share equally what the others leave, if
+    above 1e-12. Rows are padded with zero demands.
+
+    As in solver.solve_dual, mu is read off the breakpoints m_i / p_i: the
+    takes sum below M + mu * (P - P_M) for any feeders of demands M and
+    priorities P_M, and reach it when those are the ones below mu. So mu is
+    the largest (S - M) / (P - P_M) over the feeders below each breakpoint.
+    """
+    m = np.where(demand > _EPS_A, demand, _ZERO)
+    ranked = priority > 0
+    # [tier, row, feeder]: the feeders of positive priority, then those of 0
+    weight = np.array([priority, ~ranked])
+    level = np.array([supply, supply - (m * ranked).sum(axis=1)])
+    level = np.where(level > _EPS_A, level, _ZERO)
+    # [..., i, j]: m_j / w_j < m_i / w_i, so feeder j is served in full first
+    below = m[:, None, :] * weight[..., :, None] < m[:, :, None] * weight[..., None, :]
+    served = (below @ m[:, :, None])[..., 0]
+    rest = (~below @ weight[..., None])[..., 0]  # 0 where every weight is below
+    mu = np.divide(level[..., None] - served, rest, out=np.zeros(rest.shape),
+                   where=rest > 0).max(axis=-1, initial=0.0)
+    return np.minimum(m, mu[..., None] * weight).sum(axis=0)
 
 
 # -- whole-network resolution -------------------------------------------------
@@ -69,9 +70,10 @@ class Movements:
     Inputs and outputs are numbered network-wide, and each belongs to one of
     `n_junctions` junctions. A movement is an (input, output) pair that flow
     can take; movements are listed in ascending (input, output) order.
-    Priorities are checked here, once per table, and the feeders of each
-    output whose inputs differ in priority are tabulated: only a jam at such
-    an output can make its junction ration by priority.
+    Priorities are checked here, once per table. The feeder table has a row
+    per output, its movements padded, with their inputs' priorities; only a
+    jam at an output whose feeders differ in priority (`mixed`) can make its
+    junction ration by priority.
     """
 
     src: np.ndarray  # input of each movement
@@ -83,7 +85,7 @@ class Movements:
     movers: np.ndarray = field(init=False)  # inputs that have a movement
     first: np.ndarray = field(init=False)  # index of each mover's first movement
     mixed: np.ndarray = field(init=False)  # outputs fed by inputs of differing priority
-    feeders: np.ndarray = field(init=False)  # per mixed output, its movements, padded
+    feeders: np.ndarray = field(init=False)  # per output, its movements, padded
     feeding: np.ndarray = field(init=False)  # where `feeders` holds a movement
     feeder_priority: np.ndarray = field(init=False)  # priority of each feeder's input
 
@@ -96,22 +98,19 @@ class Movements:
             raise JunctionError(f"priorities sum to {sums[j]}, expected 1")
         first = np.flatnonzero(np.diff(self.src, prepend=-1))
 
-        n = len(self.out_junction)
-        pri = self.priority[self.src]
-        hi, lo = np.full(n, -np.inf), np.full(n, np.inf)
-        np.maximum.at(hi, self.dst, pri)
-        np.minimum.at(lo, self.dst, pri)
-        mixed = np.flatnonzero(hi - lo > 1e-12)
-        into = [np.flatnonzero(self.dst == o) for o in mixed]
-        width = max(map(len, into), default=0)
-        feeders = np.zeros((len(mixed), width), dtype=np.int64)
-        feeding = np.zeros((len(mixed), width), dtype=bool)
-        for r, moves in enumerate(into):
-            feeders[r, :len(moves)] = moves
-            feeding[r, :len(moves)] = True
+        into = np.argsort(self.dst, kind="stable")  # movements by output
+        count = np.bincount(self.dst, minlength=len(self.out_junction))
+        col = np.arange(len(into)) - np.repeat(np.cumsum(count) - count, count)
+        feeders = np.zeros((len(count), count.max(initial=0)), dtype=np.int64)
+        feeding = np.zeros(feeders.shape, dtype=bool)
+        feeders[self.dst[into], col] = into
+        feeding[self.dst[into], col] = True
+        pri = self.priority[self.src[feeders]]
+        spread = (np.where(feeding, pri, -np.inf).max(axis=1, initial=-np.inf)
+                  - np.where(feeding, pri, np.inf).min(axis=1, initial=np.inf))
         for name, value in (("first", first), ("movers", self.src[first]),
-                            ("mixed", mixed), ("feeders", feeders), ("feeding", feeding),
-                            ("feeder_priority", pri[feeders])):
+                            ("mixed", np.flatnonzero(spread > 1e-12)), ("feeders", feeders),
+                            ("feeding", feeding), ("feeder_priority", pri)):
             object.__setattr__(self, name, value)
 
 
@@ -160,8 +159,8 @@ def resolve_network(
     Raises JunctionError on inputs that input_fault refuses. Each junction
     whose demands sum above 1e-12 follows the rule in the module docstring;
     the other junctions pass nothing. A junction with a congested exit whose
-    feeders differ in priority is rationed exit by exit on the movement
-    table; all others are resolved in one array pass.
+    feeders differ in priority has its overfilled exits split by closed-form
+    priority water-filling, all at once on the feeder table.
     """
     mv = movements
     D = np.asarray(demands, dtype=float)
@@ -195,28 +194,25 @@ def resolve_unchecked(mv: Movements, D: np.ndarray, S: np.ndarray,
             np.where(alpha > _EPS_A, beta[mv.dst], _ONE), mv.first)
 
     if mv.mixed.size:
-        jam = (beta[mv.mixed] < _BELOW_ONE).nonzero()[0]
+        jam = mv.mixed[beta[mv.mixed] < _BELOW_ONE]
         if jam.size:
+            flow = np.where(mv.feeding, move[mv.feeders], _ZERO)  # per feeder
             # feeders of a congested exit: movements above 1e-12 of its largest
-            feeding, fmove = mv.feeding[jam], move[mv.feeders[jam]]
-            top = np.where(feeding, fmove, 0.0).max(axis=1, initial=0.0)
-            fed = feeding & (fmove > 1e-12 * top[:, None])
+            fed = flow[jam] > 1e-12 * flow[jam].max(axis=1, keepdims=True)
             pri = mv.feeder_priority[jam]
             spread = (np.where(fed, pri, -np.inf).max(axis=1)
                       - np.where(fed, pri, np.inf).min(axis=1))
             rationed = np.zeros(mv.n_junctions, dtype=bool)
-            rationed[mv.out_junction[mv.mixed[jam[spread > 1e-12]]]] = True
-            # a rationed junction's inputs restart from full service; each of
-            # its exits that full demand overfills shares its supply among its
-            # feeders by priority, and an input keeps its worst ratio
+            rationed[mv.out_junction[jam[spread > 1e-12]]] = True
+            # a rationed junction's inputs restart from full service; its
+            # exits that full demand overfills split their supplies among
+            # their feeders by priority, and an input keeps its worst ratio
             gamma[rationed[mv.in_junction]] = 1.0
             over = rationed[mv.out_junction] & (oriented > S * (1 + 1e-12) + _EPS)
-            for o in over.nonzero()[0]:
-                into = (mv.dst == o).nonzero()[0]
-                ins, fmove = mv.src[into], move[into]  # distinct inputs
-                alloc = _priority_allocate(S[o], fmove, mv.priority[ins])
-                ratio = np.divide(alloc, fmove, out=np.ones(len(into)), where=fmove > _EPS)
-                gamma[ins] = np.minimum(gamma[ins], ratio)
+            fmove = flow[over]
+            take = _water_fill(S[over], fmove, mv.feeder_priority[over])
+            np.minimum.at(gamma, mv.src[mv.feeders[over]], np.divide(
+                take, fmove, out=np.ones(take.shape), where=fmove > _EPS_A))
 
     f_out = gamma * D
     return f_out, np.bincount(mv.dst, alpha * f_out[mv.src], minlength=n)

@@ -9,7 +9,7 @@ from dtaflow import JunctionError, resolve_junction
 from dtaflow.junctions import (
     _EPS,
     Movements,
-    _priority_allocate,
+    _water_fill,
     get_junction_model,
     input_fault,
     resolve_network,
@@ -23,9 +23,38 @@ EVEN2 = [0.5, 0.5]  # equal merge priorities of two incoming links
 #
 # The dense per-junction form of the junction rule, kept as an independent
 # reference for resolve_network (and so for resolve_junction, one junction
-# of it). It rations on the junction's split matrix, round by round, where
-# the package rations exit by exit on its movement table; only
-# _priority_allocate, the split of one exit's supply, is shared.
+# of it). It shares no code with the package: it rations on the junction's
+# split matrix, exit by exit and round by round with _priority_allocate,
+# where the package water-fills all overfilled exits at once in closed form
+# on its feeder table (junctions._water_fill).
+
+
+def _priority_allocate(
+    total: float, demands: np.ndarray, weights: np.ndarray
+) -> np.ndarray:
+    """Ration `total` among demanders proportionally to weights, redistributing
+    unused shares until a fixed point (at most len(demands) rounds)."""
+    m = len(demands)
+    alloc = np.zeros(m)
+    residual = demands.astype(float).copy()
+    remaining = float(total)
+    for _ in range(m):
+        hungry = residual > _EPS
+        if remaining <= _EPS or not hungry.any():
+            break
+        w = np.where(hungry, weights, 0.0)
+        wsum = w.sum()
+        if wsum <= _EPS:
+            w = hungry.astype(float)
+            wsum = w.sum()
+        offer = remaining * w / wsum
+        take = np.minimum(offer, residual)
+        alloc += take
+        residual -= take
+        remaining -= take.sum()
+        if np.all(offer - take <= _EPS):
+            break  # every offer fully consumed: proportional split is final
+    return alloc
 
 
 def reference_junction(demands, supplies, priorities, alpha):
@@ -194,18 +223,43 @@ def test_bad_inputs_rejected(case):
         resolve_junction(demands, supplies, priorities, alpha)
 
 
-class TestPriorityAllocate:
-    def test_all_satisfied(self):
-        alloc = _priority_allocate(10.0, np.array([2.0, 3.0]), np.array([0.5, 0.5]))
-        assert alloc == pytest.approx([2.0, 3.0])
+@st.composite
+def feeder_rows(draw):
+    """(supply, demand, priority) rows of exits' feeders, each padded with
+    zero demands to the widest: priorities that include 0, demands that
+    include ones at or below 1e-12, and supplies from none to more than the
+    row's whole demand."""
+    rows, width = draw(st.integers(1, 4)), draw(st.integers(1, 5))
+    demand, priority = np.zeros((rows, width)), np.zeros((rows, width))
+    supply = np.zeros(rows)
+    for r in range(rows):
+        k = draw(st.integers(1, width))
+        demand[r, :k] = draw(st.lists(
+            st.one_of(st.floats(0, 10), st.sampled_from([0.0, 1e-13, 1e-12, 2e-12])),
+            min_size=k, max_size=k))
+        priority[r] = draw(st.lists(st.one_of(st.just(0.0), st.floats(0.05, 1)),
+                                    min_size=width, max_size=width))
+        supply[r] = draw(st.one_of(st.floats(0, 1.5).map(lambda f: f * demand[r].sum()),
+                                   st.sampled_from([0.0, 1e-13, 2e-12])))
+    return supply, demand, priority
 
-    def test_binding_proportional(self):
-        alloc = _priority_allocate(4.0, np.array([6.0, 6.0]), np.array([0.25, 0.75]))
-        assert alloc == pytest.approx([1.0, 3.0])
 
-    def test_redistribution(self):
-        alloc = _priority_allocate(8.0, np.array([2.0, 10.0]), np.array([0.5, 0.5]))
-        assert alloc == pytest.approx([2.0, 6.0])
+@settings(max_examples=300, deadline=None)
+@given(feeder_rows())
+@example((np.array([10.0]), np.array([[2.0, 3.0]]), np.array([[0.5, 0.5]])))
+@example((np.array([4.0]), np.array([[6.0, 6.0]]), np.array([[0.25, 0.75]])))
+@example((np.array([8.0]), np.array([[2.0, 10.0]]), np.array([[0.5, 0.5]])))
+def test_water_fill_matches_priority_allocate(rows):
+    # the closed form splits every row at once as the oracle's rounds split
+    # each alone. A round of the oracle may stop with up to 1e-12 of supply
+    # per feeder unshared, which the closed form shares; its first round's
+    # thresholds hold exactly, and padding takes nothing
+    supply, demand, priority = rows
+    take = _water_fill(supply, demand, priority)
+    assert not take[supply <= _EPS].any() and not take[demand <= _EPS].any()
+    for s, m, p, t in zip(supply, demand, priority, take):
+        np.testing.assert_allclose(t, _priority_allocate(s, m, p), rtol=1e-12,
+                                   atol=len(m) * _EPS)
 
 
 @st.composite
@@ -264,6 +318,19 @@ def test_junction_supply_monotonicity(case, factor, j_raw):
     S2 = S.copy()
     S2[j] *= factor
     f_out1, _ = resolve_junction(D, S2, pri, alpha)
+    assert np.all(f_out1 >= f_out0 - 1e-9)
+
+
+@pytest.mark.xfail(strict=True, reason="a jammed exit whose feeders differ in "
+                   "priority switches its junction from FIFO to priority rationing")
+def test_raising_a_supply_lowers_no_outflow():
+    # at S[0] = 1 the mixed-priority exit 0 jams, so exit 1 is split by
+    # priority and input 1 keeps its whole demand; at S[0] = 2 nothing mixed
+    # jams, and exit 1 throttles both of its feeders FIFO to 2/3
+    D, pri = [1.0, 1.0, 1.0], [0.4, 0.4, 0.2]
+    alpha = np.array([[0, 1, 0, 0], [0.5, 0.5, 0, 0], [1, 0, 0, 0]], dtype=float)
+    f_out0, _ = resolve_junction(D, [1.0, 1.0, 1.0, 1.0], pri, alpha)
+    f_out1, _ = resolve_junction(D, [2.0, 1.0, 1.0, 1.0], pri, alpha)
     assert np.all(f_out1 >= f_out0 - 1e-9)
 
 
