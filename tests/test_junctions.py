@@ -223,6 +223,28 @@ def test_bad_inputs_rejected(case):
         resolve_junction(demands, supplies, priorities, alpha)
 
 
+class TestPriorityAllocate:
+    # hand-worked rationings of one exit's supply, by the oracle and by the
+    # closed form on a one-row feeder table
+    @staticmethod
+    def _both(total, demands, weights):
+        demands, weights = np.array(demands), np.array(weights)
+        closed = _water_fill(np.array([total]), demands[None], weights[None])[0]
+        return _priority_allocate(total, demands, weights), closed
+
+    def test_all_satisfied(self):
+        for alloc in self._both(10.0, [2.0, 3.0], [0.5, 0.5]):
+            assert alloc == pytest.approx([2.0, 3.0])
+
+    def test_binding_proportional(self):
+        for alloc in self._both(4.0, [6.0, 6.0], [0.25, 0.75]):
+            assert alloc == pytest.approx([1.0, 3.0])
+
+    def test_redistribution(self):
+        for alloc in self._both(8.0, [2.0, 10.0], [0.5, 0.5]):
+            assert alloc == pytest.approx([2.0, 6.0])
+
+
 @st.composite
 def feeder_rows(draw):
     """(supply, demand, priority) rows of exits' feeders, each padded with
@@ -246,9 +268,6 @@ def feeder_rows(draw):
 
 @settings(max_examples=300, deadline=None)
 @given(feeder_rows())
-@example((np.array([10.0]), np.array([[2.0, 3.0]]), np.array([[0.5, 0.5]])))
-@example((np.array([4.0]), np.array([[6.0, 6.0]]), np.array([[0.25, 0.75]])))
-@example((np.array([8.0]), np.array([[2.0, 10.0]]), np.array([[0.5, 0.5]])))
 def test_water_fill_matches_priority_allocate(rows):
     # the closed form splits every row at once as the oracle's rounds split
     # each alone. A round of the oracle may stop with up to 1e-12 of supply
