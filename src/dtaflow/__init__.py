@@ -12,7 +12,7 @@ from .network import (
     derive_fd,
     validate_network,
 )
-from .junctions import JunctionError, register_junction_model, resolve_junction
+from .junctions import JunctionError, resolve_junction
 from .dnl import run_dnl
 from .delays import (
     PenaltyParams,
@@ -34,7 +34,7 @@ from .solver import (
 __all__ = [
     "Link", "Network", "NetworkError", "Node", "ODPair", "Path", "TimeGrid",
     "derive_fd", "validate_network",
-    "JunctionError", "register_junction_model", "resolve_junction",
+    "JunctionError", "resolve_junction",
     "run_dnl",
     "PenaltyParams", "arrival_penalty", "effective_delay", "truncation_sentinel",
     "SolverConfig", "dual_residual", "fixed_point_update", "init_departures",

@@ -3,18 +3,20 @@
 Link dynamics are tracked purely through cumulative boundary counts
 (entering N_up, exiting N_dn). Each origin is a point queue whose entry
 and exit curves are the cumulative departures and service; it feeds its
-node's junction like one more incoming link. Each step is one pass over
-the whole network: demands and supplies come from lagged lookups on the
-link curves (read positions tabulated once per layout, which a solve
-builds once for all its loadings), the flows of every junction from one
-call of the junction kernel junctions.resolve_unchecked, and path labels
-from FIFO compositions at every element's exit, mixed into link entry
-shares by one call of mix_composition. Path travel times are chained
-horizontal differences between the curves (origin queue first, then links
-in path order). Paths that share a prefix of elements share its exit
-times, so each distinct prefix is chained once, a path depth at a time:
-one call per (depth, element) over all the prefixes of that depth that end
-there. A step checks nothing. What resolve_network and
+node's junction like one more incoming link, demanding q/dt plus the
+step's departure rate. Each step is one pass over the whole network:
+demands and supplies come from lagged lookups on the link curves (read
+positions tabulated once per layout, which a solve builds once for all its
+loadings), the flows of every junction from one call of the junction
+kernel junctions.resolve_unchecked, and path labels from FIFO compositions
+at every element's exit (the composition of the step its exiting vehicles
+entered in, or of its latest step with one where the element is empty),
+mixed into link entry shares by one call of mix_composition. Path travel
+times are chained horizontal differences between the curves (origin queue
+first, then links in path order). Paths that share a prefix of elements
+share its exit times, so each distinct prefix is chained once, a path
+depth at a time: one call per (depth, element) over all the prefixes of
+that depth that end there. A step checks nothing. What resolve_network and
 propagate_composition check of one step (its junction inputs, its
 composition mass), junction conservation and the vehicle balance are
 checked once per loading, after the steps, from tables that record every
@@ -57,9 +59,8 @@ class LinkState:
     n_up/n_dn live on the N+1 grid knots; inflow/outflow are per step
     (length N). `paths` lists, in ascending order, the paths that use the
     link; composition[k] holds their shares in the vehicles entering in step
-    k (all zero when the step had no inflow), and entered[k] is the
-    latest step <= k that has an entry composition, -1 if none. The arrays
-    are views of the loader's tables.
+    k, all zero when the step had no inflow. The arrays are views of the
+    loader's tables.
     """
 
     link: Link
@@ -69,14 +70,13 @@ class LinkState:
     outflow: np.ndarray
     paths: np.ndarray
     composition: np.ndarray
-    entered: np.ndarray
 
     @property
     def entry_composition(self) -> Iterator[Optional[Composition]]:
         """Per step, the (path indices, fractions) of the nonzero entry
         shares, or None when the step had no inflow."""
-        for k, row in enumerate(self.composition):
-            yield (self.paths[row > 0], row[row > 0]) if self.entered[k] == k else None
+        for row in self.composition:
+            yield (self.paths[row > 0], row[row > 0]) if row.any() else None
 
 
 @dataclass
@@ -295,12 +295,6 @@ def link_supply(link: Link, state: LinkState, grid: TimeGrid, t: float) -> float
     return _one_link(link, state, grid, t)[1].item()
 
 
-def origin_demand(queue_veh, departure_rate_vps, big_m):
-    """Origin boundary demand: effectively unbounded while a queue persists,
-    the instantaneous departure rate otherwise. Works elementwise on arrays."""
-    return np.where(queue_veh > _ZERO, big_m, departure_rate_vps)
-
-
 def step_origin_queue(queue_veh, departure_rate_vps, served_rate_vps, dt_s: float):
     """Forward-Euler point-queue update, clamped at zero; elementwise."""
     return np.maximum(_ZERO, queue_veh + dt_s * (departure_rate_vps - served_rate_vps))
@@ -481,11 +475,6 @@ class _Layout:
                      + [network.priorities[o][SOURCE_KEY] for o in self.origin_ids]),
             len(self.node_ids))
         self.no_entry = np.full(nE, N)  # per element, the all-zero row of `shares`
-
-        self.big_m = np.array([
-            10.0 * max(network.links[l].capacity_vps for l in network.outgoing[o])
-            for o in self.origin_ids
-        ])
         self.min_delay = np.append(self.link_params[0], np.zeros(nO))
         self.lags = _lag_table(self.times, grid.dt_s, self.link_params, np.arange(N), nE)
         self.step_lags = [self.lags.at(k) for k in range(N)]
@@ -497,17 +486,19 @@ class _Loader:
     layout of the network and grid (built here when none is given).
 
     Entry compositions are one table `shares` whose columns are the layout's
-    slots: comp[e] is the view of element e's columns, comp[e][k] their
-    shares in the vehicles entering in step k, and entered[e, k] the latest
-    step <= k that has a composition (-1 if none). Row N of `shares` stays
-    0. A link's fill in as it loads; an origin's are the path shares of its
-    departures. f_out[k] and f_in[k] are step k's outflow of each element
-    and inflow of each output (0 in steps not stepped); a link state's
-    inflow and outflow are views of their columns. Next to them, each stepped
-    step records what _check tests once the steps are done: its junction
-    inputs, the demands and supplies (`demand_supply[k]`: row 0 the
-    demands, row 1 the supplies) and the split fractions (`alpha[k]`), and
-    the total rate each link's entry composition carries (`carried[k]`).
+    slots: comp[e] is the view of element e's columns and comp[e][k] their
+    shares in the vehicles entering in step k, all zero when none enter.
+    Row N of `shares` stays 0. A link's fill in as it loads; an origin's are
+    the path shares of its departures. latest[e] is the latest step so far
+    whose composition of e is not zero (N if none): during step k, k itself
+    for an origin that departs in it, and a step before k for a link.
+    f_out[k] and f_in[k] are step k's outflow of each element and inflow of
+    each output (0 in steps not stepped); a link state's inflow and outflow
+    are views of their columns. Next to them, each stepped step records
+    what _check tests once the steps are done: its junction inputs, the
+    demands and supplies (`demand_supply[k]`: row 0 the demands, row 1 the
+    supplies) and the split fractions (`alpha[k]`), and the total rate each
+    link's entry composition carries (`carried[k]`).
     Every array here belongs to this loading alone: the result's states are
     views of them.
     """
@@ -544,7 +535,7 @@ class _Loader:
         self.carried = np.zeros((N, nL))
         self.shares = np.zeros((N + 1, len(lay.slot_elem)))
         self.comp = [self.shares[:N, a:b] for a, b in zip(lay.bounds[:-1], lay.bounds[1:])]
-        self.entered = np.full((nE, N), -1, dtype=np.int64)
+        self.latest = lay.no_entry.copy()
         self.at_exit = np.zeros(nE, dtype=np.int64)  # entry knot of the exiting vehicles
 
         with np.errstate(over="ignore"):
@@ -570,8 +561,6 @@ class _Loader:
             tot = rates.sum(axis=1)
             cells = np.flatnonzero(tot > 0)
             self.comp[nL + oi][cells] = rates[cells] / tot[cells, None]
-            self.entered[nL + oi, cells] = cells
-        np.maximum.accumulate(self.entered[nL:], axis=1, out=self.entered[nL:])
         self.queue = np.zeros((nO, N + 1))
         self.balance = np.zeros(N + 1)
 
@@ -579,11 +568,14 @@ class _Loader:
 
     def _exit_shares(self, D: np.ndarray, k: int) -> np.ndarray:
         """Per slot, the path share of the vehicles now at its element's exit:
-        that of the latest step, up to the one they entered in, that has a
-        composition; 0 for elements that demand no flow. Every positive flow
-        is labelled, so a demanding element has such a step; one without
-        would read the all-zero row N (entered -1), which the junction input
-        check refuses as a split row that does not sum to 1."""
+        that of the step they entered in; 0 for elements that demand no flow.
+        The entry knot `at` is the last knot at or before k whose entry count
+        the exit count has reached. Before k, the entry count rose in step
+        `at`, and every positive flow is labelled, so that step has a
+        composition. At k the element is empty to within COUNT_TOL, and its
+        latest composition is read; an element that never had one would
+        read the all-zero row N, which the junction input check refuses as a
+        split row that does not sum to 1."""
         lay = self.layout
         row = lay.no_entry.copy()
         dem = (D > _FLOW_EPS_A).nonzero()[0]
@@ -592,7 +584,7 @@ class _Loader:
             lo = min(self.at_exit[dem].tolist())
             passed = self.up[dem, lo:k + 1] <= (self.dn[dem, k] + _COUNT_TOL_A)[:, None]
             at = self.at_exit[dem] = lo - 1 + passed.sum(axis=1)
-            row[dem] = self.entered[dem, at]
+            row[dem] = np.where(at < k, at, self.latest[dem])
         return self.shares[row[lay.slot_elem], lay.slot_range]
 
     def _enter(self, exit_shares: np.ndarray, f_out: np.ndarray, f_in: np.ndarray,
@@ -605,7 +597,7 @@ class _Loader:
         mix = f_out[lay.src_elem] * exit_shares[lay.src_slot]
         self.shares[k, :lay.n_link_slots], fed, self.carried[k] = mix_composition(
             mix, lay.link_slot_elem, f_in[:len(lay.links)])
-        self.entered[fed, k] = k
+        self.latest[fed] = k
 
     def run(self) -> DNLResult:
         """Step from the first departure until the network drains; the
@@ -631,19 +623,21 @@ class _Loader:
         S[nL:] = math.inf
         link_flows, D_org = step_flows[:, :nL], D[nL:]  # the links' D and S; origin D
         n_moves = len(lay.moves.src)
-        entered, queue, n_up, dn = self.entered[:nL], self.queue, self.n_up, self.dn
+        queue, n_up, dn = self.queue, self.n_up, self.dn
+        latest_org = self.latest[nL:]
         step_lags = lay.step_lags
 
         k = k0 - 1  # so that k + 1 is the last knot stepped to, also with no step
         try:
             for k in range(k0, N):
-                if k:
-                    entered[:, k] = entered[:, k - 1]
                 _boundary_flows(step_lags[k], self.curves, lay.link_params, dt,
                                 out=link_flows)
                 q_k = queue[:, k]
                 dep_k = self.dep_rate[:, k]
-                np.minimum(origin_demand(q_k, dep_k, lay.big_m), q_k / dt + dep_k, out=D_org)
+                # an origin demands its queue and this step's departures; its
+                # junction caps what it sends
+                np.add(q_k / dt, dep_k, out=D_org)
+                latest_org[dep_k > _ZERO] = k
                 exit_shares = self._exit_shares(D, k)
                 alpha = np.bincount(lay.slot_move, exit_shares, minlength=n_moves)
                 # recorded whole, just before the kernel: a step that fails
@@ -745,26 +739,24 @@ class _Loader:
 
     def _settle(self, k: int) -> bool:
         """Freeze the drained state at knot k over the rest of the horizon and
-        return True if every later step would be a no-op. That holds when no
-        link demands flow at any later step, and no origin's queue rate plus
-        later departure rate exceeds 1e-12 veh/s, so that its residue stays
-        queued. Link demands are read with the step loop's own formula, up to
-        the longest free-flow lag past k (later reads fall on the flat, frozen
-        curves and give exactly 0). On False the caller keeps stepping,
-        overwriting the frozen columns."""
+        return True if every later step would be a no-op. The caller tries
+        this only after the last departure and once _drained(k) holds, so no
+        origin sends again: its rate is its queue's, at or below 1e-12 veh/s,
+        and its residue stays queued. It holds when no link demands flow at
+        any later step either. Link demands are read with the step loop's
+        own formula, up to the longest free-flow lag past k (later reads fall
+        on the flat, frozen curves and give exactly 0). On False the caller
+        keeps stepping, overwriting the frozen columns."""
         lay = self.layout
         N = self.grid.n_steps
         dt = self.grid.dt_s
-        nL = len(lay.links)
         self.n_up[:, k + 1:] = self.n_up[:, k, None]
         self.dn[:, k + 1:] = self.dn[:, k, None]
         reach = k + math.ceil(lay.link_params[0].max() / dt) + 2
         capped = _boundary_flows(lay.lags.at(slice(k, min(reach, N))), self.curves,
                                  lay.link_params, dt)[1]
-        origin_rate = self.queue[:, k] / dt + self.dep_rate[:, k:].max(axis=1, initial=0.0)
-        if capped[..., 0, :].any() or np.any(origin_rate > _FLOW_EPS):
+        if capped[..., 0, :].any():
             return False
-        self.entered[:nL, k:] = self.entered[:nL, k - 1, None]
         self.queue[:, k + 1:] = self.queue[:, k, None]
         return True
 
@@ -793,8 +785,7 @@ class _Loader:
         }
         link_states = {
             lid: LinkState(link, self.n_up[li], self.n_dn[li], self.f_in[:, li],
-                           self.f_out[:, li], lay.slot_paths[li], self.comp[li],
-                           self.entered[li])
+                           self.f_out[:, li], lay.slot_paths[li], self.comp[li])
             for li, (lid, link) in enumerate(zip(lay.link_ids, lay.links))
         }
         return DNLResult(self.grid, lay.path_ids, tt, link_states, origin_states,

@@ -37,7 +37,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .network import Link, NetworkError, Node, ODPair, Path
+from .network import DEFAULT_SOURCE_PRIORITY, Link, NetworkError, Node, ODPair, Path
 
 
 class ParseError(ValueError):
@@ -139,7 +139,8 @@ def load_network(path: str) -> Tuple[List[Node], List[Link]]:
             destination=_to_bool(path, "destination", rec["destination"]),
             source_priority=_to_float(path, "source_priority",
                                       rec["source_priority"],
-                                      allow_empty=True, default=0.5),
+                                      allow_empty=True,
+                                      default=DEFAULT_SOURCE_PRIORITY),
         ))
 
     links: List[Link] = []

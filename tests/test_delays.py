@@ -54,13 +54,26 @@ class TestArrivalPenalty:
         assert hi == pytest.approx(0.0, abs=1e-6)
 
 
-@pytest.fixture(scope="module")
-def loaded():
-    # free-flow trip of 100 s, target arrival at 600 s
-    net = single_link_network(1200.0, 12.0, 0.8, target=600.0)
+def load(target=600.0):
+    # free-flow trip of 100 s, target arrival at 600 s by default
+    net = single_link_network(1200.0, 12.0, 0.8, target=target)
     grid = TimeGrid(0.0, 900.0, 5.0)
     h = path_matrix(net, grid, {"p1": 0.2}, until_s=700.0)
     return net, grid, run_dnl(net, h, grid)
+
+
+@pytest.fixture(scope="module")
+def loaded():
+    return load()
+
+
+def assert_sentinel_dominates(net, res, params):
+    psi = effective_delay(res, net, params)
+    trunc = res.truncated[0]
+    assert trunc.any()
+    completed_max = psi[0, ~trunc].max()
+    assert psi[0, trunc].min() > completed_max
+    assert np.all(np.isfinite(psi))
 
 
 class TestEffectiveDelay:
@@ -85,12 +98,21 @@ class TestEffectiveDelay:
 
     def test_truncated_cells_get_dominating_sentinel(self, loaded):
         net, grid, res = loaded
-        psi = effective_delay(res, net, PARAMS)
-        trunc = res.truncated[0]
-        assert trunc.any()
-        completed_max = psi[0, ~trunc].max()
-        assert psi[0, trunc].min() > completed_max
-        assert np.all(np.isfinite(psi))
+        assert_sentinel_dominates(net, res, PARAMS)
+
+    # The sentinel adds max(weights) x horizon to the time left, but a
+    # completed trip can cost more: with both weights 0 its travel time
+    # (100 s against a cheapest sentinel of 5 s), and with a target past
+    # the horizon its early penalty (2,550 against 1,805).
+    @pytest.mark.xfail(strict=True, reason="truncation_sentinel does not bound "
+                       "the completed costs off the default weights and target")
+    @pytest.mark.parametrize("params, target", [
+        (PenaltyParams(0.0, 0.0), 600.0),
+        (PARAMS, 5000.0),
+    ], ids=["zero-weights", "target-past-horizon"])
+    def test_truncated_cells_get_dominating_sentinel_everywhere(self, params, target):
+        net, grid, res = load(target)
+        assert_sentinel_dominates(net, res, params)
 
     def test_matches_per_cell_formulas(self, loaded):
         # the array evaluation gives exactly the scalar per-cell costs

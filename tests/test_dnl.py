@@ -23,6 +23,7 @@ from dtaflow import (
 )
 from dtaflow import dnl, junctions
 from dtaflow.dnl import (
+    COUNT_TOL,
     DNLError,
     LinkState,
     _Layout,
@@ -34,7 +35,6 @@ from dtaflow.dnl import (
     link_demand,
     link_supply,
     mix_composition,
-    origin_demand,
     propagate_composition,
     step_origin_queue,
 )
@@ -71,8 +71,7 @@ def make_state(link, grid, n_up, n_dn, inflow=None, outflow=None):
     return LinkState(link, np.asarray(n_up, float), np.asarray(n_dn, float),
                      zero if inflow is None else np.asarray(inflow, float),
                      zero if outflow is None else np.asarray(outflow, float),
-                     np.zeros(0, dtype=np.int64), np.zeros((n, 0)),
-                     np.full(n, -1))
+                     np.zeros(0, dtype=np.int64), np.zeros((n, 0)))
 
 
 class TestLinkDemand:
@@ -153,12 +152,6 @@ class TestCurveInversion:
 
 
 class TestOriginOps:
-    def test_queue_forces_big_m(self):
-        assert origin_demand(5.0, 0.2, 100.0) == 100.0
-
-    def test_no_queue_passes_rate(self):
-        assert origin_demand(0.0, 0.2, 100.0) == 0.2
-
     def test_queue_grows_by_net_rate(self):
         assert step_origin_queue(0.0, 1.0, 0.5, 2.0) == pytest.approx(1.0)
 
@@ -512,11 +505,9 @@ def test_second_pulse_after_draining_is_loaded():
     for curve in (n_up, n_dn, queue):
         assert np.all(curve[:, last:] == curve[:, last, None])
     assert np.all(res.diagnostics[last:] == res.diagnostics[last])
+    # every step that a link takes flow in labels it, and no other step does
     for state in res.link_states.values():
-        labelled = np.where(state.composition.any(axis=1),
-                            np.arange(grid.n_steps), -1)
-        np.testing.assert_array_equal(state.entered,
-                                      np.maximum.accumulate(labelled))
+        np.testing.assert_array_equal(state.composition.any(axis=1), state.inflow > 0)
     first, second = res.travel_time[:, :60], res.travel_time[:, 600:660]
     assert not np.isnan(first).any() and not np.isnan(second).any()
     np.testing.assert_allclose(second, first, rtol=0.0, atol=1e-6)
@@ -528,8 +519,7 @@ def assert_results_equal(res, ref):
         np.testing.assert_array_equal(getattr(res, name), getattr(ref, name), err_msg=name)
     assert res.link_states.keys() == ref.link_states.keys()
     for lid, state in res.link_states.items():
-        for name in ("n_up", "n_dn", "inflow", "outflow", "paths", "composition",
-                     "entered"):
+        for name in ("n_up", "n_dn", "inflow", "outflow", "paths", "composition"):
             np.testing.assert_array_equal(getattr(state, name),
                                           getattr(ref.link_states[lid], name),
                                           err_msg=f"link {lid} {name}")
@@ -574,18 +564,19 @@ def test_origin_queue_rounding_residue_settles(monkeypatch):
     assert_results_equal(res, full)
 
 
-def test_settle_refuses_while_an_origin_may_still_send():
-    # links empty and no queue yet, but departures to come: not settled
+def test_origin_queue_drained_at_or_below_the_demand_threshold():
+    # links empty: a queue whose rate is above 1e-12 veh/s will be served,
+    # so the network is not drained; one at or below it is a residue that
+    # settling holds to the end. Departures still to come never reach
+    # _settle, which the loader tries only after the last departure
+    # (test_second_pulse_after_draining_is_loaded).
     net = single_link_network()
     grid = TimeGrid(0.0, 600.0, 10.0)
-    h = path_matrix(net, grid, {"p1": 0.4})
-    h[:, :10] = 0.0
-    loader = _Loader(net, h, grid)
-    assert loader._drained(5) and not loader._settle(5)
-    # and a queue whose rate is above 1e-12 veh/s will be served
-    loader = _Loader(net, np.zeros_like(h), grid)
+    loader = _Loader(net, np.zeros((1, grid.n_steps)), grid)
     loader.queue[:, 5] = 2e-12 * grid.dt_s
-    assert not loader._drained(5) and not loader._settle(5)
+    assert not loader._drained(5)
+    loader.queue[:, 5] = 1e-12 * grid.dt_s
+    assert loader._drained(5)
     loader.queue[:, 5] = 0.5e-12 * grid.dt_s
     assert loader._drained(5) and loader._settle(5)
     assert np.all(loader.queue[:, 5:] == 0.5e-12 * grid.dt_s)
@@ -624,7 +615,7 @@ def test_zero_departures_give_empty_curves_and_free_flow_times():
     res = run_dnl(net, np.zeros((len(net.paths), grid.n_steps)), grid)
     for state in res.link_states.values():
         assert not state.n_up.any() and not state.n_dn.any()
-        assert np.all(state.entered == -1)
+        assert not state.composition.any()
     for o in res.origin_states.values():
         assert not (o.queue_veh.any() or o.cum_departures.any()
                     or o.cum_served.any())
@@ -745,16 +736,11 @@ def _inject_queue(monkeypatch, step, extra_veh):
     monkeypatch.setattr(dnl, "step_origin_queue", faulty)
 
 
-def _inject_demand(monkeypatch, step, value):
-    """Have every origin demand `value` veh/s at step `step`."""
-    calls = []
-
-    def faulty(queue_veh, departure_rate_vps, big_m):
-        calls.append(None)
-        d = origin_demand(queue_veh, departure_rate_vps, big_m)
-        return np.full(d.shape, value) if len(calls) - 1 == step else d
-
-    monkeypatch.setattr(dnl, "origin_demand", faulty)
+def _inject_demand(loader, step, value):
+    """Make `value` veh/s the departure rate of the loader's first origin at
+    step `step`, which its demand there adds to its queue's rate. Its
+    departure curve, built with the loader, keeps the true rates."""
+    loader.dep_rate[0, step] = value
 
 
 def _inject_mass(monkeypatch, step, factor):
@@ -845,14 +831,17 @@ def test_junction_inputs_of_a_step_are_checked_first_in_it(
     # neither raises nor warns, and the steps go on; the check reports it
     # after the steps before k and before step k's conservation
     net, grid, h = _braess_dt7()
-    _inject_demand(monkeypatch, FAULT_STEP, bad)
+    loader = _Loader(net, h, grid)
+    _inject_demand(loader, FAULT_STEP, bad)
     steps = _inject_flows(monkeypatch,
                           {} if flow_step is None else {flow_step: _sink_gains(1e-6)},
                           kernel=resolve_unchecked)
     if queue_step is not None:
         _inject_queue(monkeypatch, queue_step, 1.0)
     with pytest.raises(error, match=expected):
-        run_dnl(net, h, grid)
+        loader.run()
+    # the origin's recorded demand is below 0 or NaN
+    assert not loader.demand_supply[FAULT_STEP, 0, len(loader.layout.links)] >= 0.0
     assert len(steps) > FAULT_STEP + 1
 
 
@@ -1013,16 +1002,57 @@ def test_origin_compositions_match_per_cell_shares(case):
     for oi, paths in enumerate(loader.layout.slot_paths[nL:]):
         assert len(paths) > 8
         shares = np.zeros((grid.n_steps, len(paths)))
-        entered = np.full(grid.n_steps, -1)
         for j in range(grid.n_steps):
             rates = h[paths, j]
             total = rates.sum()
             if total > 0:
                 shares[j] = rates / total
-                entered[j] = j
         np.testing.assert_array_equal(loader.comp[nL + oi], shares)
-        np.testing.assert_array_equal(loader.entered[nL + oi],
-                                      np.maximum.accumulate(entered))
+        # the labelled cells are those the origin's departure rate is above
+        # 0 in, which is what the loader's latest label of an origin reads
+        np.testing.assert_array_equal(loader.comp[nL + oi].any(axis=1),
+                                      loader.dep_rate[oi] > 0)
+
+
+def reference_split_fractions(loader, k):
+    """Step k's split fractions by the FIFO rule, from the final curves and
+    compositions: an element that demands flow sends the path shares of the
+    latest nonzero composition row at or before the knot its exiting
+    vehicles entered at, the last knot whose entry count its exit count at
+    knot k has reached (to COUNT_TOL). A link's own row k, which step k
+    writes, does not count. Also returns how many demanding links were
+    empty, with k itself as that knot, and so read a row before it."""
+    lay = loader.layout
+    nL = len(lay.links)
+    D = loader.demand_supply[k, 0, :nL + len(lay.origin_ids)]
+    shares = np.zeros(len(lay.slot_elem))
+    empty = 0
+    for e in np.flatnonzero(D > 1e-12):
+        at = np.searchsorted(loader.up[e, :k + 1], loader.dn[e, k] + COUNT_TOL,
+                             side="right") - 1
+        last = k - 1 if e < nL and at == k else at
+        empty += last < at
+        rows = np.flatnonzero(loader.comp[e][:last + 1].any(axis=1))
+        if rows.size:
+            shares[lay.bounds[e]:lay.bounds[e + 1]] = loader.comp[e][rows[-1]]
+    return np.bincount(lay.slot_move, shares, minlength=len(lay.moves.src)), empty
+
+
+@pytest.mark.parametrize("case, empty_links", [(_random_dt5, 10), (_braess_dt7, 0)])
+def test_exit_labels_match_fifo_entry_step_oracle(case, empty_links):
+    # the loader finds the entry step from the knot it last found, and an
+    # empty element's label from the latest step that labelled it; the
+    # oracle searches every knot and every composition row
+    net, grid, h = case()
+    loader = _Loader(net, h, grid)
+    loader.run()
+    empty = 0
+    for k in range(grid.n_steps):  # steps not stepped recorded no demand
+        alpha, n = reference_split_fractions(loader, k)
+        np.testing.assert_array_equal(loader.alpha[k], alpha, err_msg=f"step {k}")
+        empty += n
+    assert np.count_nonzero(loader.alpha.any(axis=1)) > 100
+    assert empty >= empty_links  # 20 empty links on _random_dt5
 
 
 def test_exit_times_chained_once_per_depth_and_element(monkeypatch):
