@@ -476,8 +476,8 @@ class _Layout:
             len(self.node_ids))
         self.no_entry = np.full(nE, N)  # per element, the all-zero row of `shares`
         self.min_delay = np.append(self.link_params[0], np.zeros(nO))
-        self.lags = _lag_table(self.times, grid.dt_s, self.link_params, np.arange(N), nE)
-        self.step_lags = [self.lags.at(k) for k in range(N)]
+        lags = _lag_table(self.times, grid.dt_s, self.link_params, np.arange(N), nE)
+        self.step_lags = [lags.at(k) for k in range(N)]
         self.depths = _extraction_depths(self.path_elems)
 
 
@@ -600,11 +600,12 @@ class _Loader:
         self.latest[fed] = k
 
     def run(self) -> DNLResult:
-        """Step from the first departure until the network drains; the
-        frozen state fills the rest of the horizon. The checks of the
-        junction inputs and conservation, the composition mass and the
-        vehicle balance run once, after the steps (see _check), and also
-        before any error raised while stepping is re-raised, so that a
+        """Step from the first departure. After the last departure, at the
+        first knot where the network is drained (_drained), stop: that
+        knot's curves and queues are held to the end of the horizon. The
+        checks of the junction inputs and conservation, the composition mass
+        and the vehicle balance run once, after the steps (see _check), and
+        also before any error raised while stepping is re-raised, so that a
         breach is reported as such and not as what a later step made of it."""
         lay = self.layout
         N = self.grid.n_steps
@@ -615,7 +616,6 @@ class _Loader:
         # Before the first departure every curve, queue and count is 0 and no
         # link has an entry composition: the allocation holds that state.
         k0, k_last = (departing[0], departing[-1]) if departing.size else (N, N)
-        settle_tried = False
         # one step's element demands (links, then origins) and output supplies
         # (links, then sinks, which take any flow)
         step_flows = np.zeros(self.demand_supply.shape[1:])
@@ -653,10 +653,11 @@ class _Loader:
                 dn[:, k + 1] = dn[:, k] + dt * f_out
                 queue[:, k + 1] = step_origin_queue(q_k, dep_k, f_out[nL:], dt)
 
-                if not settle_tried and k >= k_last and self._drained(k + 1):
-                    settle_tried = True
-                    if self._settle(k + 1):
-                        break
+                if k >= k_last and self._drained(k + 1):
+                    # nothing moves again: hold knot k + 1 to the end
+                    for curve in (n_up, dn, queue):
+                        curve[:, k + 2:] = curve[:, k + 1, None]
+                    break
         except Exception:
             # step k's records are complete or still 0, which pass; its end
             # knot k + 1 may be incomplete
@@ -733,32 +734,14 @@ class _Loader:
         of rounding residue (around 1e-16 veh) whose rate q/dt, at or below
         1e-12 veh/s, is not a demand. The origin curves are not compared:
         cumulative departures and service differ by rounding even when the
-        queue is exactly 0."""
+        queue is exactly 0. With no departures left, nothing moves after a
+        drained knot: each link's N_up equals its N_dn there, bit for bit,
+        and with both held flat its capped demand min(rate, max(0, N_up(s1)
+        - N_dn(t)) / dt), s1 <= t, is 0 up to the rounding of one
+        interpolated read, below the 1e-12 veh/s at which an element
+        demands flow."""
         return bool(np.all(self.n_up[:, k] == self.n_dn[:, k])
                     and np.all(self.queue[:, k] / self.grid.dt_s <= _FLOW_EPS))
-
-    def _settle(self, k: int) -> bool:
-        """Freeze the drained state at knot k over the rest of the horizon and
-        return True if every later step would be a no-op. The caller tries
-        this only after the last departure and once _drained(k) holds, so no
-        origin sends again: its rate is its queue's, at or below 1e-12 veh/s,
-        and its residue stays queued. It holds when no link demands flow at
-        any later step either. Link demands are read with the step loop's
-        own formula, up to the longest free-flow lag past k (later reads fall
-        on the flat, frozen curves and give exactly 0). On False the caller
-        keeps stepping, overwriting the frozen columns."""
-        lay = self.layout
-        N = self.grid.n_steps
-        dt = self.grid.dt_s
-        self.n_up[:, k + 1:] = self.n_up[:, k, None]
-        self.dn[:, k + 1:] = self.dn[:, k, None]
-        reach = k + math.ceil(lay.link_params[0].max() / dt) + 2
-        capped = _boundary_flows(lay.lags.at(slice(k, min(reach, N))), self.curves,
-                                 lay.link_params, dt)[1]
-        if capped[..., 0, :].any():
-            return False
-        self.queue[:, k + 1:] = self.queue[:, k, None]
-        return True
 
     # -- travel-time extraction -------------------------------------------------
 

@@ -204,19 +204,22 @@ def load_demand(path: str) -> List[ODPair]:
 
 def load_departures(path: str, path_order: Sequence[str], n_steps: int) -> np.ndarray:
     """Read the |P| x N departure-rate matrix, checking dimensions, signs and
-    that every rate is finite."""
+    that every rate is finite. The first row that is not a comment may be a
+    header whose first cell is path_id, unless a path has that id."""
     row_of = {p: i for i, p in enumerate(path_order)}
     out = np.empty((len(path_order), n_steps))
     seen = set()
     unknown: List[str] = []
+    header = "path_id" not in row_of  # whether the next row may be a header
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         for lineno, row in enumerate(reader, start=1):
             if not row or row[0].startswith("#"):
                 continue
             pid, values = row[0].strip(), row[1:]
-            if pid == "path_id":  # optional header row
+            if header and pid == "path_id":
                 continue
+            header = False
             if pid in seen:
                 raise ParseError(f"{path}:{lineno}: duplicate path id {pid}")
             seen.add(pid)

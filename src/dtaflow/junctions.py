@@ -69,11 +69,13 @@ class Movements:
 
     Inputs and outputs are numbered network-wide, and each belongs to one of
     `n_junctions` junctions. A movement is an (input, output) pair that flow
-    can take; movements are listed in ascending (input, output) order.
-    Priorities are checked here, once per table. The feeder table has a row
-    per output, its movements padded, with their inputs' priorities; only a
-    jam at an output whose feeders differ in priority (`mixed`) can make its
-    junction ration by priority.
+    can take. Movements may come in any order (the loader and
+    resolve_junction list them in ascending (input, output) order): the
+    kernel takes each input's worst ratio over its movements with
+    np.minimum.at. Priorities are checked here, once per table. The feeder
+    table has a row per output, its movements padded, with their inputs'
+    priorities; only a jam at an output whose feeders differ in priority
+    (`mixed`) can make its junction ration by priority.
     """
 
     src: np.ndarray  # input of each movement
@@ -82,8 +84,6 @@ class Movements:
     out_junction: np.ndarray  # junction of each output
     priority: np.ndarray  # merge weight of each input, summing to 1 per junction
     n_junctions: int
-    movers: np.ndarray = field(init=False)  # inputs that have a movement
-    first: np.ndarray = field(init=False)  # index of each mover's first movement
     mixed: np.ndarray = field(init=False)  # outputs fed by inputs of differing priority
     feeders: np.ndarray = field(init=False)  # per output, its movements, padded
     feeding: np.ndarray = field(init=False)  # where `feeders` holds a movement
@@ -96,7 +96,6 @@ class Movements:
         fed = np.bincount(self.in_junction, minlength=self.n_junctions) > 0
         for j in np.flatnonzero(fed & ~(np.abs(sums - 1.0) <= 1e-12)):
             raise JunctionError(f"priorities sum to {sums[j]}, expected 1")
-        first = np.flatnonzero(np.diff(self.src, prepend=-1))
 
         into = np.argsort(self.dst, kind="stable")  # movements by output
         count = np.bincount(self.dst, minlength=len(self.out_junction))
@@ -108,8 +107,7 @@ class Movements:
         pri = self.priority[self.src[feeders]]
         spread = (np.where(feeding, pri, -np.inf).max(axis=1, initial=-np.inf)
                   - np.where(feeding, pri, np.inf).min(axis=1, initial=np.inf))
-        for name, value in (("first", first), ("movers", self.src[first]),
-                            ("mixed", np.flatnonzero(spread > 1e-12)), ("feeders", feeders),
+        for name, value in (("mixed", np.flatnonzero(spread > 1e-12)), ("feeders", feeders),
                             ("feeding", feeding), ("feeder_priority", pri)):
             object.__setattr__(self, name, value)
 
@@ -188,10 +186,8 @@ def resolve_unchecked(mv: Movements, D: np.ndarray, S: np.ndarray,
     oriented = np.bincount(mv.dst, move, minlength=n)
     # min(1, S / oriented), dividing only where that is below 1: no overflow
     beta = np.divide(S, oriented, out=np.ones(n), where=(S < oriented) & (oriented > _EPS_A))
-    gamma = np.ones(m)
-    if mv.first.size:
-        gamma[mv.movers] = np.minimum.reduceat(
-            np.where(alpha > _EPS_A, beta[mv.dst], _ONE), mv.first)
+    gamma = np.ones(m)  # each input's worst ratio over its movements
+    np.minimum.at(gamma, mv.src, np.where(alpha > _EPS_A, beta[mv.dst], _ONE))
 
     if mv.mixed.size:
         jam = mv.mixed[beta[mv.mixed] < _BELOW_ONE]

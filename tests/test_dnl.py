@@ -485,13 +485,20 @@ def test_zero_padded_horizon_changes_nothing():
                                   res_l.travel_time[:, : short.n_steps][done])
 
 
+def _braess_two_pulses():
+    # two equal pulses, steps 0-59 and 600-659, with the network drained
+    # between them
+    net = braess_network()
+    grid = TimeGrid(0.0, 4800.0, 5.0)
+    h = init_departures(net, grid, (0.0, 300.0))
+    h[:, 600:660] = h[:, :60]
+    return net, grid, h
+
+
 def test_second_pulse_after_draining_is_loaded():
     # the network drains completely between two equal pulses; the second one
     # still loads, and it travels like the first
-    net = braess_network()
-    grid = TimeGrid(0.0, 4800.0, 5.0)
-    h = init_departures(net, grid, (0.0, 300.0))  # steps 0-59
-    h[:, 600:660] = h[:, :60]
+    net, grid, h = _braess_two_pulses()
     res = run_dnl(net, h, grid)
     n_up, n_dn = _link_curves(res)
     queue = np.array([o.queue_veh for o in res.origin_states.values()])
@@ -567,8 +574,9 @@ def test_origin_queue_rounding_residue_settles(monkeypatch):
 def test_origin_queue_drained_at_or_below_the_demand_threshold():
     # links empty: a queue whose rate is above 1e-12 veh/s will be served,
     # so the network is not drained; one at or below it is a residue that
-    # settling holds to the end. Departures still to come never reach
-    # _settle, which the loader tries only after the last departure
+    # the loader holds to the end (test_origin_queue_rounding_residue_settles).
+    # Departures still to come are never settled over: the loader tests for
+    # a drained knot only after the last departure
     # (test_second_pulse_after_draining_is_loaded).
     net = single_link_network()
     grid = TimeGrid(0.0, 600.0, 10.0)
@@ -578,8 +586,7 @@ def test_origin_queue_drained_at_or_below_the_demand_threshold():
     loader.queue[:, 5] = 1e-12 * grid.dt_s
     assert loader._drained(5)
     loader.queue[:, 5] = 0.5e-12 * grid.dt_s
-    assert loader._drained(5) and loader._settle(5)
-    assert np.all(loader.queue[:, 5:] == 0.5e-12 * grid.dt_s)
+    assert loader._drained(5)
 
 
 def _shifted(h, steps, scale):
@@ -1244,3 +1251,26 @@ def test_loading_checks_match_per_step_oracles(case):
             loader._check(k0, k_end, k_end)
         loader.carried[k] = carried
     loader._check(k0, k_end, k_end)  # every table is restored
+
+
+@pytest.mark.parametrize("case", [_braess_dt7, _grid_k4, _grid_k4_random_rates,
+                                  _criterion_10_final, _braess_two_pulses])
+def test_settled_loading_equals_stepping_every_step(monkeypatch, case):
+    # a loading that stops at its first drained knot after the last
+    # departure, and holds it, writes exactly what stepping every step to the
+    # end of the horizon writes, in fewer steps
+    net, grid, h = case()
+    steps = 0
+
+    def counted(*args):
+        nonlocal steps
+        steps += 1
+        return mix_composition(*args)
+
+    monkeypatch.setattr(dnl, "mix_composition", counted)
+    settled = run_dnl(net, h, grid)
+    settled_steps, steps = steps, 0
+    monkeypatch.setattr(_Loader, "_drained", lambda self, k: False)
+    full = run_dnl(net, h, grid)
+    assert settled_steps < steps == grid.n_steps - np.flatnonzero(h.any(axis=0))[0]
+    assert_results_equal(settled, full)

@@ -220,6 +220,18 @@ class TestDepartures:
         h = load_departures(str(f), ("p1",), 3)
         assert h[0] == pytest.approx([0.1, 0.2, 0.3])
 
+    def test_path_named_path_id_loads(self, tmp_path):
+        f = tmp_path / "h.csv"
+        f.write_text("# rates\npath_id,0.1,0.2,0.3\np2,0.4,0.5,0.6\n")
+        h = load_departures(str(f), ("p2", "path_id"), 3)
+        assert h.tolist() == [[0.4, 0.5, 0.6], [0.1, 0.2, 0.3]]
+
+    def test_path_id_row_after_the_first_is_an_unknown_path(self, tmp_path):
+        f = tmp_path / "h.csv"
+        f.write_text("path_id,0,1,2\np1,0.1,0.2,0.3\npath_id,0,1,2\n")
+        with pytest.raises(ParseError, match=r"rows for unknown paths \['path_id'\]$"):
+            load_departures(str(f), ("p1",), 3)
+
     @pytest.mark.parametrize("value,rate", [(" 1.5", 1.5), ("1_0", 10.0), ("+2", 2.0)])
     def test_rate_parses_as_float_does(self, tmp_path, value, rate):
         f = tmp_path / "h.csv"
