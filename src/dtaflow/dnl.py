@@ -120,37 +120,24 @@ class DNLResult:
 # -- elementary curve operations ----------------------------------------------
 
 
-def _inverse_cum(times: np.ndarray, curve: np.ndarray, y) -> np.ndarray:
-    """Earliest time at which the nondecreasing piecewise-linear `curve`
-    reaches `y`; NaN where y exceeds the recorded maximum."""
-    y = np.atleast_1d(np.asarray(y, dtype=float))
-    out = np.full(y.shape, np.nan)
-    valid = ~np.isnan(y)
-    reach = valid & (y <= curve[-1])
-    idx = np.searchsorted(curve, y[reach], side="left")
-    t = np.empty(idx.shape)
-    at_start = idx == 0
-    t[at_start] = times[0]
-    ii = idx[~at_start]
-    c0 = curve[ii - 1]
-    c1 = curve[ii]
-    yy = y[reach][~at_start]
-    t[~at_start] = times[ii - 1] + (yy - c0) / (c1 - c0) * (times[ii] - times[ii - 1])
-    out[reach] = t
-    return out
-
-
 def _exit_times(times: np.ndarray, n_in: np.ndarray, n_out: np.ndarray,
                 a: np.ndarray, min_delay_s: float, tf_s: float) -> np.ndarray:
     """Exit times of the vehicles entering a FIFO element (link or origin
-    queue) at times `a`: n_out(lambda) = n_in(a), never sooner than
-    a + min_delay_s. NaN where `a` is NaN or the exit falls past tf_s."""
-    y = np.full(a.shape, np.nan)
-    ok = ~np.isnan(a)
-    y[ok] = np.interp(a[ok], times, n_in)
-    lam = _inverse_cum(times, n_out, y - COUNT_TOL)
-    lam = np.maximum(lam, a + min_delay_s)
-    lam[lam > tf_s + 1e-9] = np.nan
+    queue) at times `a`: the earliest time at which the exit curve n_out
+    reaches the entry count n_in(a) less COUNT_TOL, read off the
+    piecewise-linear curve, and never sooner than a + min_delay_s. NaN
+    where `a` is NaN, where n_out never reaches that count, and where the
+    exit falls past tf_s. A NaN or unreached count searches to index
+    len(times); a count reached at the first knot exits at times[0]."""
+    y = np.interp(a, times, n_in) - COUNT_TOL
+    idx = np.searchsorted(n_out, y)
+    i = np.clip(idx, 1, len(times) - 1)
+    t0, c0 = times[i - 1], n_out[i - 1]
+    # only the clipped ends, replaced below, can divide by 0 or overflow
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        lam = t0 + (y - c0) / (n_out[i] - c0) * (times[i] - t0)
+    lam = np.maximum(np.where(idx == 0, times[0], lam), a + min_delay_s)
+    lam[(idx == len(times)) | (lam > tf_s + 1e-9)] = np.nan
     return lam
 
 

@@ -52,7 +52,9 @@ DEMAND_FIELDS = ["origin", "destination", "demand_veh", "target_arrival_s"]
 OD_GAP_FIELDS = ["origin", "destination", "gap_s"]
 
 
-def _read_sections(path: str) -> Dict[str, List[Tuple[int, List[str]]]]:
+def _read_sections(path: str, names: Sequence[str]
+                   ) -> Dict[str, List[Tuple[int, List[str]]]]:
+    """The rows of each [section] of a file that holds each of `names` once."""
     sections: Dict[str, List[Tuple[int, List[str]]]] = {}
     current = None
     with open(path, newline="") as fh:
@@ -62,6 +64,8 @@ def _read_sections(path: str) -> Dict[str, List[Tuple[int, List[str]]]]:
                 continue
             if line.startswith("[") and line.endswith("]"):
                 current = line[1:-1].strip().lower()
+                if current not in names:
+                    raise ParseError(f"{path}:{lineno}: unknown section [{current}]")
                 if current in sections:
                     raise ParseError(f"{path}:{lineno}: repeated section [{current}]")
                 sections[current] = []
@@ -70,6 +74,9 @@ def _read_sections(path: str) -> Dict[str, List[Tuple[int, List[str]]]]:
                 raise ParseError(f"{path}:{lineno}: data before any [section]")
             row = next(csv.reader([line]))
             sections[current].append((lineno, [c.strip() for c in row]))
+    for name in names:
+        if name not in sections:
+            raise ParseError(f"{path}: missing [{name}] section")
     return sections
 
 
@@ -116,12 +123,7 @@ def _to_bool(path: str, name: str, value: str) -> bool:
 
 def load_network(path: str) -> Tuple[List[Node], List[Link]]:
     """Parse the nodes/links tables of a network file into raw records."""
-    sections = _read_sections(path)
-    if "nodes" not in sections or "links" not in sections:
-        raise ParseError(f"{path}: network file needs [nodes] and [links] sections")
-    extra = set(sections) - {"nodes", "links"}
-    if extra:
-        raise ParseError(f"{path}: unknown section(s) {sorted(extra)}")
+    sections = _read_sections(path, ("nodes", "links"))
 
     nodes: List[Node] = []
     seen = set()
@@ -170,9 +172,7 @@ def load_network(path: str) -> Tuple[List[Node], List[Link]]:
 
 
 def load_paths(path: str) -> List[Path]:
-    sections = _read_sections(path)
-    if "paths" not in sections:
-        raise ParseError(f"{path}: missing [paths] section")
+    sections = _read_sections(path, ("paths",))
     out: List[Path] = []
     for rec in _parse_table(path, sections["paths"], PATH_FIELDS):
         links = tuple(p for p in rec["links"].split("|") if p)
@@ -185,9 +185,7 @@ def load_paths(path: str) -> List[Path]:
 
 
 def load_demand(path: str) -> List[ODPair]:
-    sections = _read_sections(path)
-    if "demand" not in sections:
-        raise ParseError(f"{path}: missing [demand] section")
+    sections = _read_sections(path, ("demand",))
     out: List[ODPair] = []
     for rec in _parse_table(path, sections["demand"], DEMAND_FIELDS):
         q = _to_float(path, "demand_veh", rec["demand_veh"])
@@ -205,46 +203,58 @@ def load_demand(path: str) -> List[ODPair]:
 def load_departures(path: str, path_order: Sequence[str], n_steps: int) -> np.ndarray:
     """Read the |P| x N departure-rate matrix, checking dimensions, signs and
     that every rate is finite. The first row that is not a comment may be a
-    header whose first cell is path_id, unless a path has that id."""
+    header whose first cell is path_id; when a path has that id, only if a
+    later row names path_id too."""
     row_of = {p: i for i, p in enumerate(path_order)}
     out = np.empty((len(path_order), n_steps))
     seen = set()
     unknown: List[str] = []
-    header = "path_id" not in row_of  # whether the next row may be a header
+
+    def take(lineno: int, pid: str, values: List[str]) -> None:
+        if pid in seen:
+            raise ParseError(f"{path}:{lineno}: duplicate path id {pid}")
+        seen.add(pid)
+        if len(values) != n_steps:
+            raise ParseError(
+                f"{path}:{lineno}: row for {pid} has {len(values)} columns, "
+                f"expected N = {n_steps}"
+            )
+        try:
+            # a list of str converts value by value through float(), so it
+            # accepts exactly the strings float() accepts
+            vals = np.array(values, dtype=float)
+        except ValueError:
+            raise ParseError(f"{path}:{lineno}: non-numeric rate") from None
+        bad = np.flatnonzero(~(np.isfinite(vals) & (vals >= 0)))
+        if bad.size:
+            j = int(bad[0])
+            kind = "non-finite" if not np.isfinite(vals[j]) else "negative"
+            raise ParseError(
+                f"{path}:{lineno}: {kind} rate at (path {pid}, step {j})"
+            )
+        if pid in row_of:
+            out[row_of[pid]] = vals
+        else:
+            unknown.append(pid)
+
+    first = True
+    held = None  # a first row naming the path path_id: the header, or its rates
     with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        for lineno, row in enumerate(reader, start=1):
+        for lineno, row in enumerate(csv.reader(fh), start=1):
             if not row or row[0].startswith("#"):
                 continue
             pid, values = row[0].strip(), row[1:]
-            if header and pid == "path_id":
-                continue
-            header = False
-            if pid in seen:
-                raise ParseError(f"{path}:{lineno}: duplicate path id {pid}")
-            seen.add(pid)
-            if len(values) != n_steps:
-                raise ParseError(
-                    f"{path}:{lineno}: row for {pid} has {len(values)} columns, "
-                    f"expected N = {n_steps}"
-                )
-            try:
-                # a list of str converts value by value through float(), so it
-                # accepts exactly the strings float() accepts
-                vals = np.array(values, dtype=float)
-            except ValueError:
-                raise ParseError(f"{path}:{lineno}: non-numeric rate") from None
-            bad = np.flatnonzero(~(np.isfinite(vals) & (vals >= 0)))
-            if bad.size:
-                j = int(bad[0])
-                kind = "non-finite" if not np.isfinite(vals[j]) else "negative"
-                raise ParseError(
-                    f"{path}:{lineno}: {kind} rate at (path {pid}, step {j})"
-                )
-            if pid in row_of:
-                out[row_of[pid]] = vals
-            else:
-                unknown.append(pid)
+            if first:
+                first = False
+                if pid == "path_id":
+                    if pid in row_of:
+                        held = (lineno, pid, values)
+                    continue
+            elif pid == "path_id":
+                held = None
+            take(lineno, pid, values)
+    if held:
+        take(*held)
     missing = [p for p in path_order if p not in seen]
     if missing:
         raise ParseError(f"{path}: missing rows for paths {missing[:5]}")

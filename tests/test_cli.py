@@ -319,6 +319,24 @@ class TestDueCommand:
             assert filecmp.cmp(os.path.join(out1, name),
                                os.path.join(out2, name), shallow=False), name
 
+    @pytest.mark.parametrize("pid", ["p1", "path_id"])
+    def test_output_replays_through_dnl(self, tiny, pid):
+        # dnl on due's own h_final.csv repeats due's final loading byte for
+        # byte, also for a path named like the file's header cell
+        files, tmp = tiny
+        (tmp / "paths.txt").write_text(PATHS.replace("p1,", f"{pid},"))
+        solved, replayed = tmp / "due", tmp / "dnl"
+        assert main(due_args(files, str(solved))) == 0
+        with open(solved / "h_final.csv") as fh:
+            assert [line.split(",")[0] for line in fh] == ["path_id", pid]
+        argv = ["dnl", "--network", files["network.txt"],
+                "--paths", files["paths.txt"], "--demand", files["demand.txt"],
+                "--departures", str(solved / "h_final.csv"), "--out", str(replayed),
+                "--dt", "10", "--horizon", "700"]
+        assert main(argv) == 0
+        for name in ("travel_times.csv", "link_timeseries.csv"):
+            assert filecmp.cmp(solved / name, replayed / name, shallow=False), name
+
     def test_zero_demand_od_is_quiet(self, tmp_path, capsys, caplog):
         # an O-D with no demand has no used departure cells; that is no fault
         with open(os.path.join(DATA, "demand.txt")) as fh:
@@ -508,6 +526,8 @@ def field_edits(draw):
 # two O-D demands whose cumulative departures are finite per origin, not summed
 @example(edits=[("demand.txt", 2, 2, "1e308"), ("demand.txt", 3, 2, "1e308")],
          command="due")
+# exit-time reads of counts near 1e308 that the exit curves never reach
+@example(edits=[("demand.txt", 5, 2, "1e308")], command="due")
 def test_mutated_braess_inputs_fail_cleanly(edits, command):
     files = {name: list(lines) for name, lines in BRAESS_FILES.items()}
     for name, line, field, token in edits:

@@ -932,6 +932,62 @@ def test_chained_exit_times_give_travel_time():
     assert np.nanmax(res.travel_time[0]) > 150.0  # the queue delay counts
 
 
+def exit_times_oracle(times, n_in, n_out, a, min_delay_s, tf_s):
+    """_exit_times query by query: a linear scan for the first knot whose
+    exit count reaches the entry count less COUNT_TOL."""
+    y = np.interp(a, times, n_in) - COUNT_TOL
+    out = np.full(a.shape, np.nan)
+    for ix in np.ndindex(a.shape):
+        for k, c1 in enumerate(n_out):
+            if c1 >= y[ix]:
+                if k == 0:
+                    lam = times[0]
+                else:
+                    t0, c0 = times[k - 1], n_out[k - 1]
+                    lam = t0 + (y[ix] - c0) / (c1 - c0) * (times[k] - t0)
+                lam = max(lam, a[ix] + min_delay_s)
+                if lam <= tf_s + 1e-9:
+                    out[ix] = lam
+                break
+    return out
+
+
+@st.composite
+def exit_time_queries(draw):
+    n = draw(st.integers(2, 12))
+    times = 5.0 * np.arange(n)
+    # nondecreasing counts from a few step sizes: plateaus, and counts that
+    # tie between the curves
+    step = st.sampled_from([0.0, 0.0, 0.5, 1.0, 2.5])
+    # an exit curve held COUNT_TOL low is met exactly by an entry read at a
+    # knot, also where it starts a plateau
+    n_out = (np.cumsum(draw(st.lists(step, min_size=n, max_size=n)))
+             - draw(st.sampled_from([0.0, COUNT_TOL])))
+    # the entry curve may end above the exit curve: counts never reached
+    n_in = np.cumsum(draw(st.lists(step, min_size=n, max_size=n)))
+    shape = (draw(st.integers(1, 3)), draw(st.integers(1, 4)))
+    when = st.one_of(st.just(math.nan), st.sampled_from(times.tolist()),
+                     st.floats(0.0, times[-1]))
+    a = np.array(draw(st.lists(when, min_size=shape[0] * shape[1],
+                               max_size=shape[0] * shape[1]))).reshape(shape)
+    min_delay = draw(st.sampled_from([0.0, 2.5, 5.0, times[-1] / 2]))
+    # a horizon past the last knot leaves an unreached count to the search
+    tf_s = times[-1] + draw(st.sampled_from([0.0, 10.0]))
+    return times, n_in, n_out, a, min_delay, tf_s
+
+
+@settings(max_examples=300, deadline=None)
+@given(exit_time_queries())
+def test_exit_times_match_linear_scan_oracle(case):
+    # extraction passes 2-D entry times, NaN where an earlier element's exit
+    # is unresolved; a positive min delay pushes exits past tf_s
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = _exit_times(*case)
+    assert got.shape == case[3].shape
+    assert np.array_equal(got, exit_times_oracle(*case), equal_nan=True)
+
+
 def reference_travel_times(loader):
     """The per-path chain: each path's elements chained from its departure
     times, origin queue first, sharing nothing with other paths."""

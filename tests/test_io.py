@@ -5,6 +5,7 @@ import dataclasses
 import json
 import math
 import os
+import re
 
 import numpy as np
 import pytest
@@ -65,11 +66,34 @@ class TestLoadNetwork:
         with pytest.raises(ParseError, match="before any"):
             load_network(str(f))
 
-    def test_unknown_section(self, tmp_path):
+    def test_unknown_section(self, tmp_path, capsys):
         f = tmp_path / "bad.txt"
         f.write_text("[nodes]\n[links]\n[weather]\n")
-        with pytest.raises(ParseError, match="unknown section"):
+        with pytest.raises(ParseError, match=r"bad.txt:3: unknown section \[weather\]$"):
             load_network(str(f))
+        # a paths or demand file refuses a section it does not read, rather
+        # than dropping the rows under it
+        files = {n: os.path.join(DATA, f"{n}.txt") for n in ("network", "paths", "demand")}
+        for name, load, block in [
+                ("paths", load_paths, "[pathz]\nid,origin,destination,links\np9,1,3,2\n"),
+                ("paths", load_paths, "[path]\n"),
+                ("demand", load_demand, "[demands]\norigin,destination,demand_veh,"
+                                        "target_arrival_s\n1,3,10,1200\n")]:
+            with open(os.path.join(DATA, f"{name}.txt")) as fh:
+                text = fh.read()
+            bad = tmp_path / f"{name}.txt"
+            bad.write_text(text + block)
+            at = len(text.splitlines()) + 1
+            header = block.splitlines()[0]
+            message = rf"{name}.txt:{at}: unknown section \[{header[1:-1]}\]$"
+            with pytest.raises(ParseError, match=message):
+                load(str(bad))
+            argv = ["dnl", "--departures", os.path.join(DATA, "departures.csv"),
+                    "--out", str(tmp_path / "out"), "--dt", "30", "--horizon", "2400"]
+            for kind, good in files.items():
+                argv += [f"--{kind}", str(bad) if kind == name else good]
+            assert main(argv) == 2
+            assert re.search(message, capsys.readouterr().err.strip())
 
     @pytest.mark.parametrize("name, load, section", [
         ("network.txt", load_network, "links"), ("demand.txt", load_demand, "demand")])
