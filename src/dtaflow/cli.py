@@ -7,7 +7,8 @@ Usage (1) covers number flags out of range: every float flag must be
 finite; --dt, --horizon, --alpha and --epsilon must be > 0; --br-tolerance,
 --early-weight and --late-weight >= 0; --max-iters, --auto-paths and
 paths --k must be integers >= 1; --init-window LO:HI needs finite LO < HI
-and a step start time in [LO, HI).
+and a step start time in [LO, HI); due takes exactly one of --paths and
+--auto-paths.
 Warnings go to stderr once per command: a time step longer than the
 shortest free-flow time, and the count of path/departure cells of the
 final loading that carry departures whose trips do not finish within the
@@ -17,7 +18,6 @@ horizon.
 from __future__ import annotations
 
 import argparse
-import csv
 import math
 import os
 import sys
@@ -100,9 +100,10 @@ def _build_parser() -> _Parser:
 
     sp = sub.add_parser("due", help="solve for a dynamic user equilibrium")
     add_common(sp)
-    sp.add_argument("--paths", help="path data file")
-    sp.add_argument("--auto-paths", type=_number("count"), metavar="K",
-                    help="generate up to K shortest paths per O-D instead")
+    source = sp.add_mutually_exclusive_group(required=True)
+    source.add_argument("--paths", help="path data file")
+    source.add_argument("--auto-paths", type=_number("count"), metavar="K",
+                        help="generate up to K shortest paths per O-D instead")
     sp.add_argument("--demand", required=True, help="O-D demand file")
     add_grid(sp)
     sp.add_argument("--alpha", type=_number("positive"), required=True,
@@ -133,12 +134,10 @@ def _build_parser() -> _Parser:
 def _load_bundle(args):
     nodes, links = fileio.load_network(args.network)
     od_pairs = fileio.load_demand(args.demand)
-    if getattr(args, "auto_paths", None):
-        paths = fileio.enumerate_paths(nodes, links, od_pairs, args.auto_paths)
-    elif args.paths:
+    if args.paths:
         paths = fileio.load_paths(args.paths)
     else:
-        raise SystemExit(_usage_error("one of --paths or --auto-paths required"))
+        paths = fileio.enumerate_paths(nodes, links, od_pairs, args.auto_paths)
     return validate_network(nodes, links, paths, od_pairs)
 
 
@@ -234,23 +233,9 @@ def cmd_paths(args) -> int:
 def cmd_report(args) -> int:
     run_dir = args.run_dir
     gaps_file = os.path.join(run_dir, "od_gaps.csv")
-    if not os.path.isdir(run_dir) or not os.path.exists(gaps_file):
-        print(f"error: {run_dir} is not a completed DUE run directory",
-              file=sys.stderr)
-        return EXIT_PARSE
-    with open(gaps_file, newline="") as fh:
-        rows = list(csv.reader(fh))
-    if not rows:
-        raise ParseError(f"{gaps_file}: empty file, expected a header row")
-    if rows[0] != fileio.OD_GAP_FIELDS:
-        raise ParseError(f"{gaps_file}:1: header {rows[0]} does not match "
-                         f"expected {fileio.OD_GAP_FIELDS}")
-    gaps = []
-    for line, row in enumerate(rows[1:], start=2):
-        if len(row) != 3:
-            raise ParseError(f"{gaps_file}:{line}: expected 3 fields "
-                             f"(origin,destination,gap_s), got {len(row)}")
-        gaps.append(fileio._to_float(f"{gaps_file}:{line}", "gap_s", row[2]))
+    if not os.path.exists(gaps_file):
+        raise ParseError(f"{run_dir} is not a completed DUE run directory")
+    gaps = fileio.load_od_gaps(gaps_file)
     if args.selected:
         wanted = [p.strip() for p in args.selected.split(",") if p.strip()]
         tables = []  # every file is read and checked before anything is written
@@ -258,21 +243,10 @@ def cmd_report(args) -> int:
             src = os.path.join(run_dir, name)
             if not os.path.exists(src):
                 continue
-            with open(src) as fh:
-                rows = list(csv.reader(fh))
-            if not rows:
-                raise ParseError(f"{src}: empty file, expected a header row")
-            header = rows[0]
-            for line, row in enumerate(rows[1:], start=2):
-                if len(row) != len(header):
-                    raise ParseError(f"{src}:{line}: expected {len(header)} "
-                                     f"fields, got {len(row)}")
-            body = {r[0]: r for r in rows[1:]}
+            header, body = fileio.load_curves(src)
             for pid in wanted:
                 if pid not in body:
-                    print(f"error: path {pid} not present in {name}",
-                          file=sys.stderr)
-                    return EXIT_PARSE
+                    raise ParseError(f"path {pid} not present in {name}")
             tables.append((name, header, body))
         for pid in wanted:  # an id names a file in run_dir, not a directory
             if os.sep in pid or (os.altsep and os.altsep in pid):
@@ -307,8 +281,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         return int(e.code or 0)
     try:
         return _COMMANDS[args.command](args)
-    except SystemExit as e:
-        return int(e.code or 0)
     except ParseError as e:
         print(f"parse error: {e}", file=sys.stderr)
         return EXIT_PARSE

@@ -80,15 +80,25 @@ def _read_sections(path: str, names: Sequence[str]
     return sections
 
 
+def _read_rows(path: str) -> List[Tuple[int, List[str]]]:
+    """The non-blank rows of a plain CSV file, each with its line number;
+    a file without one is refused."""
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        rows = [(reader.line_num, [c.strip() for c in row]) for row in reader if row]
+    if not rows:
+        raise ParseError(f"{path}: empty file, expected a header row")
+    return rows
+
+
 def _parse_table(path: str, rows: List[Tuple[int, List[str]]],
-                 fields: List[str]) -> List[Dict[str, str]]:
+                 fields: List[str]) -> List[Tuple[str, List[str]]]:
+    """The data rows of a table headed by `fields`, each with its location
+    path:line; the header and every row's field count are checked here."""
     if not rows:
         return []
     lineno, header = rows[0]
     if header != fields:
-        unknown = [c for c in header if c not in fields]
-        if unknown:
-            raise ParseError(f"{path}:{lineno}: unknown field(s) {unknown}")
         raise ParseError(
             f"{path}:{lineno}: header {header} does not match expected {fields}"
         )
@@ -96,29 +106,29 @@ def _parse_table(path: str, rows: List[Tuple[int, List[str]]],
     for lineno, row in rows[1:]:
         if len(row) != len(fields):
             raise ParseError(
-                f"{path}:{lineno}: expected {len(fields)} columns, got {len(row)}"
+                f"{path}:{lineno}: expected {len(fields)} fields, got {len(row)}"
             )
-        out.append({f: v for f, v in zip(fields, row)})
+        out.append((f"{path}:{lineno}", row))
     return out
 
 
-def _to_float(path: str, name: str, value: str, allow_empty=False,
+def _to_float(at: str, name: str, value: str, allow_empty=False,
               default=None) -> Optional[float]:
     if value == "" and allow_empty:
         return default
     try:
         x = float(value)
     except ValueError:
-        raise ParseError(f"{path}: field {name} is not numeric: {value!r}") from None
+        raise ParseError(f"{at}: field {name} is not numeric: {value!r}") from None
     if not math.isfinite(x):
-        raise ParseError(f"{path}: field {name} is not finite: {value!r}")
+        raise ParseError(f"{at}: field {name} is not finite: {value!r}")
     return x
 
 
-def _to_bool(path: str, name: str, value: str) -> bool:
+def _to_bool(at: str, name: str, value: str) -> bool:
     if value in ("0", "1"):
         return value == "1"
-    raise ParseError(f"{path}: field {name} must be 0 or 1, got {value!r}")
+    raise ParseError(f"{at}: field {name} must be 0 or 1, got {value!r}")
 
 
 def load_network(path: str) -> Tuple[List[Node], List[Link]]:
@@ -127,45 +137,46 @@ def load_network(path: str) -> Tuple[List[Node], List[Link]]:
 
     nodes: List[Node] = []
     seen = set()
-    for rec in _parse_table(path, sections["nodes"], NODE_FIELDS):
-        if rec["id"] in seen:
-            raise ParseError(f"{path}: duplicate node id {rec['id']}")
-        seen.add(rec["id"])
-        x = _to_float(path, "x", rec["x"], allow_empty=True)
-        y = _to_float(path, "y", rec["y"], allow_empty=True)
-        coord = (x, y) if x is not None and y is not None else None
-        nodes.append(Node(
-            id=rec["id"],
-            coord=coord,
-            origin=_to_bool(path, "origin", rec["origin"]),
-            destination=_to_bool(path, "destination", rec["destination"]),
-            source_priority=_to_float(path, "source_priority",
-                                      rec["source_priority"],
-                                      allow_empty=True,
-                                      default=DEFAULT_SOURCE_PRIORITY),
-        ))
+    for at, (nid, x, y, origin, destination, priority) in _parse_table(
+            path, sections["nodes"], NODE_FIELDS):
+        if nid in seen:
+            raise ParseError(f"{at}: duplicate node id {nid}")
+        seen.add(nid)
+        x = _to_float(at, "x", x, allow_empty=True)
+        y = _to_float(at, "y", y, allow_empty=True)
+        try:
+            nodes.append(Node(
+                id=nid,
+                coord=(x, y) if x is not None and y is not None else None,
+                origin=_to_bool(at, "origin", origin),
+                destination=_to_bool(at, "destination", destination),
+                source_priority=_to_float(at, "source_priority", priority,
+                                          allow_empty=True,
+                                          default=DEFAULT_SOURCE_PRIORITY),
+            ))
+        except NetworkError as e:
+            raise ParseError(f"{at}: {e}") from e
 
     links: List[Link] = []
     seen = set()
-    for rec in _parse_table(path, sections["links"], LINK_FIELDS):
-        if rec["id"] in seen:
-            raise ParseError(f"{path}: duplicate link id {rec['id']}")
-        seen.add(rec["id"])
+    for at, (lid, tail, head, length, speed, capacity, backward) in _parse_table(
+            path, sections["links"], LINK_FIELDS):
+        if lid in seen:
+            raise ParseError(f"{at}: duplicate link id {lid}")
+        seen.add(lid)
         try:
             links.append(Link.create(
-                id=rec["id"],
-                tail=rec["tail"],
-                head=rec["head"],
-                length_m=_to_float(path, "length_m", rec["length_m"]),
-                free_speed_mps=_to_float(path, "free_speed_mps",
-                                         rec["free_speed_mps"]),
-                capacity_vps=_to_float(path, "capacity_vps", rec["capacity_vps"]),
-                backward_speed_mps=_to_float(path, "backward_speed_mps",
-                                             rec["backward_speed_mps"],
+                id=lid,
+                tail=tail,
+                head=head,
+                length_m=_to_float(at, "length_m", length),
+                free_speed_mps=_to_float(at, "free_speed_mps", speed),
+                capacity_vps=_to_float(at, "capacity_vps", capacity),
+                backward_speed_mps=_to_float(at, "backward_speed_mps", backward,
                                              allow_empty=True),
             ))
         except NetworkError as e:
-            raise ParseError(f"{path}: link {rec['id']}: {e}") from e
+            raise ParseError(f"{at}: link {lid}: {e}") from e
     if not links:
         raise ParseError(f"{path}: empty network (no links)")
     return nodes, links
@@ -174,11 +185,12 @@ def load_network(path: str) -> Tuple[List[Node], List[Link]]:
 def load_paths(path: str) -> List[Path]:
     sections = _read_sections(path, ("paths",))
     out: List[Path] = []
-    for rec in _parse_table(path, sections["paths"], PATH_FIELDS):
-        links = tuple(p for p in rec["links"].split("|") if p)
+    for at, (pid, origin, destination, links) in _parse_table(
+            path, sections["paths"], PATH_FIELDS):
+        links = tuple(p for p in links.split("|") if p)
         if not links:
-            raise ParseError(f"{path}: path {rec['id']} has no links")
-        out.append(Path(rec["id"], (rec["origin"], rec["destination"]), links))
+            raise ParseError(f"{at}: path {pid} has no links")
+        out.append(Path(pid, (origin, destination), links))
     if not out:
         raise ParseError(f"{path}: empty path table")
     return out
@@ -187,17 +199,30 @@ def load_paths(path: str) -> List[Path]:
 def load_demand(path: str) -> List[ODPair]:
     sections = _read_sections(path, ("demand",))
     out: List[ODPair] = []
-    for rec in _parse_table(path, sections["demand"], DEMAND_FIELDS):
-        q = _to_float(path, "demand_veh", rec["demand_veh"])
+    for at, (origin, destination, demand, target) in _parse_table(
+            path, sections["demand"], DEMAND_FIELDS):
+        q = _to_float(at, "demand_veh", demand)
         if q < 0:
-            raise ParseError(f"{path}: negative demand for "
-                             f"({rec['origin']}, {rec['destination']})")
-        out.append(ODPair(rec["origin"], rec["destination"], q,
-                          _to_float(path, "target_arrival_s",
-                                    rec["target_arrival_s"])))
+            raise ParseError(f"{at}: negative demand for ({origin}, {destination})")
+        out.append(ODPair(origin, destination, q,
+                          _to_float(at, "target_arrival_s", target)))
     if not out:
         raise ParseError(f"{path}: empty demand table")
     return out
+
+
+def load_od_gaps(path: str) -> List[float]:
+    """The gap_s column of a due run's od_gaps.csv."""
+    return [_to_float(at, "gap_s", gap)
+            for at, (_, _, gap) in _parse_table(path, _read_rows(path), OD_GAP_FIELDS)]
+
+
+def load_curves(path: str) -> Tuple[List[str], Dict[str, List[str]]]:
+    """The header of a due run's h_final.csv or eff_delay.csv, and its rows
+    as text by path id."""
+    rows = _read_rows(path)
+    header = rows[0][1]
+    return header, {row[0]: row for _, row in _parse_table(path, rows, header)}
 
 
 def load_departures(path: str, path_order: Sequence[str], n_steps: int) -> np.ndarray:
@@ -216,7 +241,7 @@ def load_departures(path: str, path_order: Sequence[str], n_steps: int) -> np.nd
         seen.add(pid)
         if len(values) != n_steps:
             raise ParseError(
-                f"{path}:{lineno}: row for {pid} has {len(values)} columns, "
+                f"{path}:{lineno}: row for {pid} has {len(values)} rates, "
                 f"expected N = {n_steps}"
             )
         try:

@@ -110,6 +110,21 @@ class TestUsageErrors:
         assert err.startswith(f"error: --init-window {window}:")
         assert "no grid steps" in err
 
+    @pytest.mark.parametrize("flags,message", [
+        (["--auto-paths", "2"],
+         "argument --auto-paths: not allowed with argument --paths"),
+        ([], "one of the arguments --paths --auto-paths is required"),
+    ], ids=["both", "neither"])
+    def test_due_takes_exactly_one_path_source(self, tiny, capsys, flags, message):
+        files, tmp = tiny
+        argv = due_args(files, str(tmp / "out"))
+        if not flags:
+            i = argv.index("--paths")
+            del argv[i:i + 2]
+        assert main(argv + flags) == 1
+        assert f"error: {message}" in capsys.readouterr().err
+        assert not (tmp / "out").exists()
+
 
 FLOAT_FLAGS = ["--dt", "--horizon", "--t0", "--alpha", "--epsilon",
                "--br-tolerance", "--early-weight", "--late-weight"]
@@ -156,10 +171,12 @@ def test_nonfinite_file_value_is_parse_error(tiny, capsys, name, good, bad,
                                              field, value):
     files, tmp = tiny
     path = tmp / name
-    path.write_text(path.read_text().replace(good, bad.format(value)))
+    text = path.read_text()
+    line = next(i for i, row in enumerate(text.splitlines(), start=1) if good in row)
+    path.write_text(text.replace(good, bad.format(value)))
     assert main(due_args(files, str(tmp / "out"))) == 2
     err = capsys.readouterr().err
-    assert f"field {field} is not finite: '{value}'" in err
+    assert f"{name}:{line}: field {field} is not finite: '{value}'" in err
     assert len(err.strip().splitlines()) == 1
 
 
@@ -171,6 +188,21 @@ class TestExitCodes:
         argv = due_args(dict(files, **{"network.txt": str(bad)}), str(tmp / "o"))
         assert main(argv) == 2
         assert "parse error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("line,good,bad,message", [
+        (3, "a,0,0,1,0,", "a,0,0,1,0,1.5",
+         "source_priority of node a must lie in [0, 1], got 1.5"),
+        (7, "1,a,b,1200,", "1,a,b,0,", "link 1: nonpositive or non-finite"),
+    ], ids=["node", "link"])
+    def test_record_refused_by_its_constructor_is_2(self, tiny, capsys, line,
+                                                    good, bad, message):
+        files, tmp = tiny
+        path = tmp / "network.txt"
+        path.write_text(path.read_text().replace(good, bad))
+        assert main(due_args(files, str(tmp / "out"))) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"parse error: {path}:{line}: {message}")
+        assert len(err.strip().splitlines()) == 1
 
     def test_validation_error_is_3(self, tiny, capsys):
         files, tmp = tiny

@@ -121,7 +121,8 @@ class TestLoadNetwork:
             "[nodes]\nid,x,y,origin,destination,source_priority\n"
             "a,0,0,yes,0,\n[links]\n"
         )
-        with pytest.raises(ParseError, match="must be 0 or 1"):
+        with pytest.raises(ParseError,
+                           match=r"bad.txt:3: field origin must be 0 or 1, got 'yes'$"):
             load_network(str(f))
 
     def test_nonnumeric_length(self, tmp_path):
@@ -132,7 +133,8 @@ class TestLoadNetwork:
             "id,tail,head,length_m,free_speed_mps,capacity_vps,backward_speed_mps\n"
             "1,a,b,long,12,0.5,\n"
         )
-        with pytest.raises(ParseError, match="not numeric"):
+        with pytest.raises(ParseError,
+                           match=r"bad.txt:7: field length_m is not numeric: 'long'$"):
             load_network(str(f))
 
     def test_column_count_mismatch(self, tmp_path):
@@ -140,7 +142,7 @@ class TestLoadNetwork:
         f.write_text(
             "[demand]\norigin,destination,demand_veh,target_arrival_s\na,b,5\n"
         )
-        with pytest.raises(ParseError, match="expected 4 columns"):
+        with pytest.raises(ParseError, match=r"bad.txt:3: expected 4 fields, got 3$"):
             load_demand(str(f))
 
     def test_negative_demand(self, tmp_path):
@@ -149,7 +151,8 @@ class TestLoadNetwork:
             "[demand]\norigin,destination,demand_veh,target_arrival_s\n"
             "a,b,-5,600\n"
         )
-        with pytest.raises(ParseError, match="negative demand"):
+        with pytest.raises(ParseError,
+                           match=r"bad.txt:3: negative demand for \(a, b\)$"):
             load_demand(str(f))
 
 
@@ -178,9 +181,65 @@ def test_nonfinite_field_rejected(tmp_path, field, value):
     f.write_text(template.format(**values))
     load(str(f))  # the template parses with finite values
     f.write_text(template.format(**dict(values, **{field: value})))
+    at = next(i for i, line in enumerate(template.splitlines(), start=1)
+              if "{" + field + "}" in line)
     with pytest.raises(ParseError,
-                       match=rf"data.txt: field {field} is not finite: '{value}'"):
+                       match=rf"data.txt:{at}: field {field} is not finite: '{value}'$"):
         load(str(f))
+
+
+BRAESS_LOADERS = {
+    "network.txt": load_network, "paths.txt": load_paths, "demand.txt": load_demand,
+    "departures.csv": lambda f: load_departures(f, [f"p{i}" for i in range(1, 9)], 80),
+}
+
+
+# (Braess file, edit of its text, message): a record-level refusal names
+# the record's line; a refusal of the whole file names the file alone
+BRAESS_REFUSALS = {
+    "duplicate node id": (
+        "network.txt", lambda t: t.replace("2,1.0,1.0,1,0,0.4", "1,1.0,1.0,1,0,0.4"),
+        r"network.txt:5: duplicate node id 1$"),
+    "node refused by Node": (
+        "network.txt", lambda t: t.replace("2,1.0,1.0,1,0,0.4", "2,1.0,1.0,1,0,1.5"),
+        r"network.txt:5: source_priority of node 2 must lie in \[0, 1\], got 1.5$"),
+    "duplicate link id": (
+        "network.txt", lambda t: t.replace("2,1,3,2400,", "1,1,3,2400,"),
+        r"network.txt:11: duplicate link id 1$"),
+    "link refused by Link.create": (
+        "network.txt", lambda t: t.replace("1,1,2,1200,", "1,1,2,0,"),
+        r"network.txt:10: link 1: nonpositive or non-finite physical parameter: "
+        r"L=0.0, v=12.0, C=0.9$"),
+    "empty network": (
+        "network.txt", lambda t: t.split("1,1,2,1200,")[0],
+        r"network.txt: empty network \(no links\)$"),
+    "path with no links": (
+        "paths.txt", lambda t: t.replace("p2,1,3,2", "p2,1,3,"),
+        r"paths.txt:4: path p2 has no links$"),
+    "empty path table": (
+        "paths.txt", lambda t: t.split("p1,")[0],
+        r"paths.txt: empty path table$"),
+    "empty demand table": (
+        "demand.txt", lambda t: t.split("1,3,250,")[0],
+        r"demand.txt: empty demand table$"),
+    "duplicate departures row": (
+        "departures.csv", lambda t: t + t.splitlines()[0] + "\n",
+        r"departures.csv:9: duplicate path id p1$"),
+}
+
+
+@pytest.mark.parametrize("name,edit,message", BRAESS_REFUSALS.values(),
+                         ids=BRAESS_REFUSALS)
+def test_braess_file_refusal_names_its_location(tmp_path, name, edit, message):
+    with open(os.path.join(DATA, name)) as fh:
+        text = fh.read()
+    BRAESS_LOADERS[name](os.path.join(DATA, name))  # the file as it is loads
+    bad = edit(text)
+    assert bad != text
+    f = tmp_path / name
+    f.write_text(bad)
+    with pytest.raises(ParseError, match=message):
+        BRAESS_LOADERS[name](str(f))
 
 
 class TestPathsRoundTrip:

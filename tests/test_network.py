@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import pytest
@@ -129,6 +130,54 @@ class TestValidateNetwork:
         net = validate_network(nodes, links, [p for p in paths if p.od[0] == "1"], ods)
         assert net.priorities["2"] == {"1": 1.0}
         assert net.priorities["1"] == {"": 1.0}
+
+
+# (edit of the Braess components, message): each edit breaks one invariant
+# that a record's constructor or validate_network checks
+NETWORK_REFUSALS = {
+    "source_priority out of range": (
+        lambda n, l, p, o: (n + [Node("5", source_priority=1.5)], l, p, o),
+        r"source_priority of node 5 must lie in \[0, 1\], got 1.5$"),
+    "path without links": (
+        lambda n, l, p, o: (n, l, p + [Path("p9", ("1", "3"), ())], o),
+        r"path p9 has no links$"),
+    "duplicate node id": (
+        lambda n, l, p, o: (n + [Node("1")], l, p, o),
+        r"duplicate node id 1$"),
+    "duplicate link id": (
+        lambda n, l, p, o: (n, l + [Link.create("1", "1", "3", 100.0, 10.0, 0.5)], p, o),
+        r"duplicate link id 1$"),
+    "self-loop": (
+        lambda n, l, p, o: (n, l + [Link.create("9", "1", "1", 100.0, 10.0, 0.5)], p, o),
+        r"link 9 is a self-loop$"),
+    "unflagged destination": (
+        lambda n, l, p, o: (n, l, p, o + [ODPair("1", "2", 10.0, 600.0)]),
+        r"node 2 is not flagged as a destination$"),
+    "duplicate O-D pair": (
+        lambda n, l, p, o: (n, l, p, o + [ODPair("1", "3", 10.0, 600.0)]),
+        r"duplicate O-D pair \('1', '3'\)$"),
+    "duplicate path id": (
+        lambda n, l, p, o: (n, l, p + [Path("p1", ("1", "3"), ("2",))], o),
+        r"duplicate path id p1$"),
+    "path not leaving its origin": (
+        lambda n, l, p, o: (n, l, p + [Path("p9", ("1", "3"), ("3",))], o),
+        r"path p9 does not start at origin 1 \(starts at 2\)$"),
+    "path not reaching its destination": (
+        lambda n, l, p, o: (n, l, p + [Path("p9", ("1", "4"), ("1", "3"))], o),
+        r"path p9 does not end at destination 4 \(ends at 3\)$"),
+    "declared path set differs": (
+        lambda n, l, p, o: (n, l, p, [dataclasses.replace(o[0], paths=("p1",))] + o[1:]),
+        r"path/O-D mismatch for \('1', '3'\): declared \('p1',\), "
+        r"found \('p1', 'p2'\)$"),
+}
+
+
+@pytest.mark.parametrize("edit,message", NETWORK_REFUSALS.values(),
+                         ids=NETWORK_REFUSALS)
+def test_broken_invariant_is_refused(edit, message):
+    validate_network(*braess_components())  # the components as they are validate
+    with pytest.raises(NetworkError, match=message):
+        validate_network(*edit(*braess_components()))
 
 
 class TestTimeGrid:

@@ -224,6 +224,25 @@ class TestFixedPointUpdate:
                                     SolverConfig(alpha=1e-3, br_tolerance=300.0))
         assert not np.allclose(strict, banded)
 
+    @pytest.mark.parametrize("case", ["every cell kept", "cheap path kept"])
+    def test_band_carrying_the_whole_demand_is_scaled_onto_it(self, setup, case):
+        # the kept cells hold twice the demand: they are scaled back onto
+        # it, and every other cell of the O-D pair is zeroed
+        net, grid, h = setup
+        psi = np.full(h.shape, 300.0)
+        before = 2 * h
+        if case == "cheap path kept":
+            psi[1] = 500.0
+            before[0] *= 2
+        cfg = SolverConfig(alpha=1e-3, br_tolerance=1.0)
+        h_new = fixed_point_update(before, psi, net, grid, cfg)
+        keep = psi <= psi.min() + 1.0
+        kept_demand = before[keep].sum() * grid.dt_s
+        assert np.allclose(h_new[keep], before[keep] * (60.0 / kept_demand),
+                           rtol=1e-12, atol=0)
+        assert np.all(h_new[~keep] == 0.0)
+        assert h_new.sum() * grid.dt_s == pytest.approx(60.0, rel=1e-12)
+
 
 def test_od_path_order_does_not_change_results():
     # an O-D pair may pin its paths in another order than the path table;
