@@ -32,13 +32,17 @@ def arrival_penalty(arrival_s, target_s, params: PenaltyParams):
         params.late_weight * np.maximum(0.0, arrival_s - target_s)
 
 
-def truncation_sentinel(grid_t0: float, grid_tf: float, dep_t,
+def truncation_sentinel(grid_t0: float, grid_tf: float, dep_t, target_s,
                         params: PenaltyParams):
-    """Large finite cost for trips that do not finish within the horizon,
-    dominating any completed trip's cost. Works elementwise on arrays of
-    departure times."""
-    horizon = grid_tf - grid_t0
-    return (grid_tf - dep_t) + max(params.early_weight, params.late_weight) * horizon
+    """Large finite cost for trips that do not finish within the horizon:
+    the time left, tf - t, plus a bound on the cost of any completed trip to
+    the same target, the horizon plus the worse of the early penalty of an
+    arrival at t0 and the late penalty of one at tf. Works elementwise on
+    arrays of departure times and targets."""
+    bound = (grid_tf - grid_t0) + np.maximum(
+        params.early_weight * np.maximum(0.0, target_s - grid_t0),
+        params.late_weight * np.maximum(0.0, grid_tf - target_s))
+    return (grid_tf - dep_t) + bound
 
 
 def effective_delay(result: DNLResult, network: Network,
@@ -57,7 +61,7 @@ def effective_delay(result: DNLResult, network: Network,
         t_a[rows] = od.target_arrival_s
     grid = result.grid
     psi = result.travel_time + arrival_penalty(result.arrival_time, t_a, params)
-    bad = result.truncated
-    psi[bad] = truncation_sentinel(grid.t0_s, grid.tf_s,
-                                   grid.times()[np.nonzero(bad)[1]], params)
+    rows, steps = np.nonzero(result.truncated)
+    psi[rows, steps] = truncation_sentinel(grid.t0_s, grid.tf_s, grid.times()[steps],
+                                           t_a[rows, 0], params)
     return psi

@@ -11,16 +11,16 @@ loadings), the flows of every junction from one call of the junction
 kernel junctions.resolve_unchecked, and path labels from FIFO compositions
 at every element's exit (the composition of the step its exiting vehicles
 entered in, or of its latest step with one where the element is empty),
-mixed into link entry shares by one call of mix_composition. Path travel
-times are chained horizontal differences between the curves (origin queue
-first, then links in path order). Paths that share a prefix of elements
-share its exit times, so each distinct prefix is chained once, a path
-depth at a time: one call per (depth, element) over all the prefixes of
-that depth that end there. A step checks nothing. What resolve_network and
-propagate_composition check of one step (its junction inputs, its
-composition mass), junction conservation and the vehicle balance are
-checked once per loading, after the steps, from tables that record every
-step's inputs, carried totals and flows.
+mixed into link entry shares by one call of propagate_composition. Path
+travel times are chained horizontal differences between the curves (origin
+queue first, then links in path order). Paths that share a prefix of
+elements share its exit times, so each distinct prefix is chained once, a
+path depth at a time: one call per (depth, element) over all the prefixes
+of that depth that end there. A step checks nothing. The junction inputs
+(as resolve_network checks them), the composition mass (composition_fault),
+junction conservation and the vehicle balance are checked once per
+loading, after the steps, from tables that record every step's inputs,
+carried totals and flows.
 """
 
 from __future__ import annotations
@@ -287,29 +287,19 @@ def step_origin_queue(queue_veh, departure_rate_vps, served_rate_vps, dt_s: floa
     return np.maximum(_ZERO, queue_veh + dt_s * (departure_rate_vps - served_rate_vps))
 
 
-def propagate_composition(mix: np.ndarray, slot_link: np.ndarray,
-                          inflow_vps: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """Entry shares of every link slot at one step, and the links they fill.
+def propagate_composition(mix: np.ndarray, slot_link: np.ndarray, inflow_vps: np.ndarray
+                          ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Entry shares of every link slot at one step, the links they fill,
+    and each link's carried total.
 
     mix[s] is the rate that slot s's path brings to its link slot_link[s];
     inflow_vps[l] is link l's junction inflow. The fed links are those whose
     carried total and inflow are above 0, so that every vehicle entering a
     link is labelled; their slots get mix over the link's carried total, and
-    every other slot 0. Raises DNLError where a fed link's carried total
-    differs from its inflow (see composition_fault).
+    every other slot 0. Checks nothing: the loader checks every step's
+    carried totals against the inflows once, after its steps
+    (composition_fault).
     """
-    shares, fed, total = mix_composition(mix, slot_link, inflow_vps)
-    fault = composition_fault(total[None], inflow_vps[None])
-    if fault is not None:
-        raise fault[1]
-    return shares, fed
-
-
-def mix_composition(mix: np.ndarray, slot_link: np.ndarray, inflow_vps: np.ndarray
-                    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """propagate_composition without its mass check, and each link's carried
-    total as a third result: the loader's kernel, which checks a loading's
-    totals once, after its steps."""
     # bincount adds in slot order, as np.sum does below 8 entries (above
     # that np.sum pairs them): bit for bit the per-link sum over few paths
     total = np.bincount(slot_link, mix, minlength=len(inflow_vps))
@@ -578,11 +568,11 @@ class _Loader:
                k: int) -> None:
         """Entry compositions at step k of the links that take labelled flow:
         each link slot gets its source slot's share of its source's outflow,
-        normalised per link by mix_composition; their carried totals are
+        normalised per link by propagate_composition; their carried totals are
         recorded for _check."""
         lay = self.layout
         mix = f_out[lay.src_elem] * exit_shares[lay.src_slot]
-        self.shares[k, :lay.n_link_slots], fed, self.carried[k] = mix_composition(
+        self.shares[k, :lay.n_link_slots], fed, self.carried[k] = propagate_composition(
             mix, lay.link_slot_elem, f_in[:len(lay.links)])
         self.latest[fed] = k
 

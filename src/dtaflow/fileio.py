@@ -187,10 +187,11 @@ def load_paths(path: str) -> List[Path]:
     out: List[Path] = []
     for at, (pid, origin, destination, links) in _parse_table(
             path, sections["paths"], PATH_FIELDS):
-        links = tuple(p for p in links.split("|") if p)
-        if not links:
-            raise ParseError(f"{at}: path {pid} has no links")
-        out.append(Path(pid, (origin, destination), links))
+        try:
+            out.append(Path(pid, (origin, destination),
+                            tuple(p for p in links.split("|") if p)))
+        except NetworkError as e:
+            raise ParseError(f"{at}: {e}") from e
     if not out:
         raise ParseError(f"{path}: empty path table")
     return out
@@ -201,11 +202,11 @@ def load_demand(path: str) -> List[ODPair]:
     out: List[ODPair] = []
     for at, (origin, destination, demand, target) in _parse_table(
             path, sections["demand"], DEMAND_FIELDS):
-        q = _to_float(at, "demand_veh", demand)
-        if q < 0:
-            raise ParseError(f"{at}: negative demand for ({origin}, {destination})")
-        out.append(ODPair(origin, destination, q,
-                          _to_float(at, "target_arrival_s", target)))
+        try:
+            out.append(ODPair(origin, destination, _to_float(at, "demand_veh", demand),
+                              _to_float(at, "target_arrival_s", target)))
+        except NetworkError as e:
+            raise ParseError(f"{at}: {e}") from e
     if not out:
         raise ParseError(f"{path}: empty demand table")
     return out

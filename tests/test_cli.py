@@ -189,15 +189,18 @@ class TestExitCodes:
         assert main(argv) == 2
         assert "parse error" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("line,good,bad,message", [
-        (3, "a,0,0,1,0,", "a,0,0,1,0,1.5",
+    @pytest.mark.parametrize("name,line,good,bad,message", [
+        ("network.txt", 3, "a,0,0,1,0,", "a,0,0,1,0,1.5",
          "source_priority of node a must lie in [0, 1], got 1.5"),
-        (7, "1,a,b,1200,", "1,a,b,0,", "link 1: nonpositive or non-finite"),
-    ], ids=["node", "link"])
-    def test_record_refused_by_its_constructor_is_2(self, tiny, capsys, line,
+        ("network.txt", 7, "1,a,b,1200,", "1,a,b,0,", "link 1: nonpositive or non-finite"),
+        ("paths.txt", 3, "p1,a,b,1", "p1,a,b,1|1", "path p1 repeats a link (must be simple)"),
+        ("demand.txt", 3, "a,b,40,", "a,b,-40,",
+         "negative or non-finite demand -40.0 or target 400.0 for O-D (a, b)"),
+    ], ids=["node", "link", "path", "demand"])
+    def test_record_refused_by_its_constructor_is_2(self, tiny, capsys, name, line,
                                                     good, bad, message):
         files, tmp = tiny
-        path = tmp / "network.txt"
+        path = tmp / name
         path.write_text(path.read_text().replace(good, bad))
         assert main(due_args(files, str(tmp / "out"))) == 2
         err = capsys.readouterr().err

@@ -100,12 +100,10 @@ class TestEffectiveDelay:
         net, grid, res = loaded
         assert_sentinel_dominates(net, res, PARAMS)
 
-    # The sentinel adds max(weights) x horizon to the time left, but a
-    # completed trip can cost more: with both weights 0 its travel time
-    # (100 s against a cheapest sentinel of 5 s), and with a target past
-    # the horizon its early penalty (2,550 against 1,805).
-    @pytest.mark.xfail(strict=True, reason="truncation_sentinel does not bound "
-                       "the completed costs off the default weights and target")
+    # Off the default weights and target the sentinel still dominates: with
+    # both weights 0 a completed trip costs up to its travel time (100 s),
+    # and with a target past the horizon its early penalty dominates its
+    # cost; the sentinel's bound covers both.
     @pytest.mark.parametrize("params, target", [
         (PenaltyParams(0.0, 0.0), 600.0),
         (PARAMS, 5000.0),
@@ -122,12 +120,15 @@ class TestEffectiveDelay:
         for k, t in enumerate(dep):
             tt = res.travel_time[0, k]
             if res.truncated[0, k]:
-                want = truncation_sentinel(grid.t0_s, grid.tf_s, t, PARAMS)
+                want = truncation_sentinel(grid.t0_s, grid.tf_s, t, 600.0, PARAMS)
             else:
                 want = tt + arrival_penalty(t + tt, 600.0, PARAMS)
             assert psi[0, k] == want
 
     def test_sentinel_formula(self):
-        # remaining horizon plus the worst-case schedule penalty
-        val = truncation_sentinel(0.0, 900.0, 750.0, PARAMS)
-        assert val == pytest.approx((900.0 - 750.0) + 2.0 * 900.0)
+        # remaining horizon plus the horizon and the larger of the worst
+        # early (arrival at t0) and worst late (arrival at tf) penalties
+        val = truncation_sentinel(0.0, 900.0, 750.0, 600.0, PARAMS)
+        assert val == (900.0 - 750.0) + (900.0 + max(0.5 * 600.0, 2.0 * 300.0))
+        val = truncation_sentinel(0.0, 900.0, 750.0, 5000.0, PARAMS)
+        assert val == (900.0 - 750.0) + (900.0 + 0.5 * 5000.0)

@@ -31,10 +31,10 @@ from dtaflow.dnl import (
     _exit_times,
     _read_at,
     _read_table,
+    composition_fault,
     exit_time,
     link_demand,
     link_supply,
-    mix_composition,
     propagate_composition,
     step_origin_queue,
 )
@@ -167,17 +167,23 @@ class TestPropagateComposition:
         # two feeders at 0.2 veh/s into link 0: one all path 0, one half
         # paths 0 and 1; link 1 takes nothing
         mix = 0.2 * np.array([1.0, 0.0, 0.0]) + 0.2 * np.array([0.5, 0.5, 0.0])
-        shares, fed = propagate_composition(mix, np.array([0, 0, 1]), np.array([0.4, 0.0]))
+        shares, fed, total = propagate_composition(mix, np.array([0, 0, 1]),
+                                                   np.array([0.4, 0.0]))
         assert shares == pytest.approx([0.75, 0.25, 0.0])
         assert list(fed) == [0]
+        assert total == pytest.approx([0.4, 0.0])
 
     def test_no_flow_returns_none(self):
-        shares, fed = propagate_composition(np.zeros(2), np.array([0, 0]), np.zeros(1))
+        shares, fed, _ = propagate_composition(np.zeros(2), np.array([0, 0]), np.zeros(1))
         assert fed.size == 0 and not shares.any()
 
-    def test_mass_mismatch_raises(self):
-        with pytest.raises(DNLError, match="composition mass"):
-            propagate_composition(np.array([0.3, 0.0]), np.array([0, 0]), np.array([0.4]))
+    def test_mass_mismatch_is_a_fault(self):
+        # the kernel checks nothing; the loading's check finds the mismatch
+        inflow = np.array([0.4])
+        _, _, total = propagate_composition(np.array([0.3, 0.0]), np.array([0, 0]), inflow)
+        k, err = composition_fault(total[None], inflow[None])
+        assert k == 0 and isinstance(err, DNLError)
+        assert str(err) == "composition mass 0.3 does not match inflow 0.4"
 
 
 @settings(max_examples=100, deadline=None)
@@ -193,7 +199,8 @@ def test_propagated_fractions_always_normalized(raw):
         mix[slot] += r
     slot_link = np.repeat([0, 1], 5)
     inflow = np.bincount(slot_link, mix)
-    shares, fed = propagate_composition(mix, slot_link, inflow)
+    shares, fed, total = propagate_composition(mix, slot_link, inflow)
+    assert composition_fault(total[None], inflow[None]) is None
     assert list(fed) == list(np.flatnonzero(inflow > 0))
     for link in fed:
         out = shares[slot_link == link]
@@ -216,8 +223,8 @@ def test_every_stepped_step_propagates_compositions(monkeypatch):
 
     net, grid, h = _braess_dt7()
     expected = run_dnl(net, h, grid)
-    monkeypatch.setattr(dnl, "mix_composition",
-                        counted("compositions", mix_composition))
+    monkeypatch.setattr(dnl, "propagate_composition",
+                        counted("compositions", propagate_composition))
     monkeypatch.setattr(junctions, "resolve_unchecked",
                         counted("junctions", resolve_unchecked))
     res = run_dnl(net, h, grid)
@@ -553,9 +560,9 @@ def test_origin_queue_rounding_residue_settles(monkeypatch):
     def counted(*args):
         nonlocal steps
         steps += 1
-        return mix_composition(*args)
+        return propagate_composition(*args)
 
-    monkeypatch.setattr(dnl, "mix_composition", counted)
+    monkeypatch.setattr(dnl, "propagate_composition", counted)
     res = run_dnl(net, h, grid)
     queue = res.origin_states["a"].queue_veh
     assert queue.max() > 10.0
@@ -757,10 +764,10 @@ def _inject_mass(monkeypatch, step, factor):
 
     def faulty(mix, slot_link, inflow_vps):
         calls.append(None)
-        shares, fed, total = mix_composition(mix, slot_link, inflow_vps)
+        shares, fed, total = propagate_composition(mix, slot_link, inflow_vps)
         return shares, fed, total * factor if len(calls) - 1 == step else total
 
-    monkeypatch.setattr(dnl, "mix_composition", faulty)
+    monkeypatch.setattr(dnl, "propagate_composition", faulty)
 
 
 def _sink_gains(rate_vps):
@@ -1227,10 +1234,12 @@ def step_inputs(loader, k):
 
 
 def reference_composition(loader, k):
-    """The composition mass check of step k as propagate_composition makes
-    it: the carried totals, one slot per link, against the links' inflow."""
+    """The composition mass check of step k alone: its carried totals
+    against the links' inflow, as one row of composition_fault."""
     nL = len(loader.layout.links)
-    propagate_composition(loader.carried[k], np.arange(nL), loader.f_in[k, :nL])
+    fault = composition_fault(loader.carried[k][None], loader.f_in[k, :nL][None])
+    if fault is not None:
+        raise fault[1]
 
 
 @pytest.mark.parametrize("case", [_criterion_10_final, _grid_k4])
@@ -1275,7 +1284,7 @@ def test_loading_checks_match_per_step_oracles(case):
 
     # so is a bad junction input (a split row off 1, a negative demand, a NaN
     # supply) or a composition total off its inflow, where the per-step
-    # check of resolve_network or propagate_composition finds it
+    # check of resolve_network or composition_fault finds it
     def bad_split(k):
         D, _, alpha = step_inputs(loader, k)
         i = rng.choice(np.flatnonzero(D > 1e-12))
@@ -1321,9 +1330,9 @@ def test_settled_loading_equals_stepping_every_step(monkeypatch, case):
     def counted(*args):
         nonlocal steps
         steps += 1
-        return mix_composition(*args)
+        return propagate_composition(*args)
 
-    monkeypatch.setattr(dnl, "mix_composition", counted)
+    monkeypatch.setattr(dnl, "propagate_composition", counted)
     settled = run_dnl(net, h, grid)
     settled_steps, steps = steps, 0
     monkeypatch.setattr(_Loader, "_drained", lambda self, k: False)

@@ -152,7 +152,8 @@ class TestLoadNetwork:
             "a,b,-5,600\n"
         )
         with pytest.raises(ParseError,
-                           match=r"bad.txt:3: negative demand for \(a, b\)$"):
+                           match=r"bad.txt:3: negative or non-finite demand -5\.0 or "
+                                 r"target 600\.0 for O-D \(a, b\)$"):
             load_demand(str(f))
 
 
@@ -216,6 +217,9 @@ BRAESS_REFUSALS = {
     "path with no links": (
         "paths.txt", lambda t: t.replace("p2,1,3,2", "p2,1,3,"),
         r"paths.txt:4: path p2 has no links$"),
+    "path refused by Path": (
+        "paths.txt", lambda t: t.replace("p1,1,3,1|3", "p1,1,3,1|1"),
+        r"paths.txt:3: path p1 repeats a link \(must be simple\)$"),
     "empty path table": (
         "paths.txt", lambda t: t.split("p1,")[0],
         r"paths.txt: empty path table$"),
