@@ -25,6 +25,7 @@ carried totals and flows.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple
@@ -415,13 +416,23 @@ class _Layout:
         # where p does not use e; prev[l, p]: the element p leaves to enter l
         route = np.full((nE, nP), -1, dtype=np.int64)
         prev = np.full((nL, nP), -1, dtype=np.int64)
-        self.path_elems: List[List[int]] = []  # origin queue, then links
-        for p, pid in enumerate(self.path_ids):
-            path = network.paths[pid]
-            elems = [nL + self.oidx[path.od[0]]] + [lidx[l] for l in path.links]
-            route[elems, p] = elems[1:] + [sink_of[self.links[elems[-1]].head]]
-            prev[elems[1:], p] = elems[:-1]
-            self.path_elems.append(elems)
+        paths = [network.paths[pid] for pid in self.path_ids]
+        self.path_elems: List[List[int]] = [  # origin queue, then links
+            [nL + self.oidx[path.od[0]]] + [lidx[l] for l in path.links]
+            for path in paths]
+        # every path's elements end to end, one scatter per table: an element
+        # routes to the next one of its path, and a path's last link to its sink
+        sizes = np.array([len(elems) for elems in self.path_elems], dtype=np.int64)
+        elem = np.fromiter(itertools.chain.from_iterable(self.path_elems),
+                           dtype=np.int64, count=int(sizes.sum()))
+        col = np.repeat(np.arange(nP), sizes)
+        last = np.cumsum(sizes) - 1
+        nxt = np.roll(elem, -1)
+        nxt[last] = [sink_of[network.links[path.links[-1]].head] for path in paths]
+        route[elem, col] = nxt
+        inner = np.ones(len(elem), dtype=bool)
+        inner[last] = False  # each step from an element to the next of its path
+        prev[nxt[inner], col[inner]] = elem[inner]
         self.slot_elem, slot_path = np.nonzero(route >= 0)
         slot_path.setflags(write=False)  # every loading's link states share it
         n_slots = len(self.slot_elem)

@@ -23,13 +23,17 @@ demand file::
     [demand]
     origin,destination,demand_veh,target_arrival_s
 
-departures file: plain CSV, one row per path: path id followed by N rates.
+departures file: plain CSV, one row per path: the path id, CSV-quoted
+where it needs to be, followed by N rates. A rate is any string Python's
+float() reads. Rows may come in any order; blank rows and rows whose first
+cell starts with # are skipped, and the first row may be a path_id header.
 """
 
 from __future__ import annotations
 
 import csv
 import io
+import itertools
 import json
 import math
 import os
@@ -230,7 +234,79 @@ def load_departures(path: str, path_order: Sequence[str], n_steps: int) -> np.nd
     """Read the |P| x N departure-rate matrix, checking dimensions, signs and
     that every rate is finite. The first row that is not a comment may be a
     header whose first cell is path_id; when a path has that id, only if a
-    later row names path_id too."""
+    later row names path_id too.
+
+    A file that _bulk_departures takes whole is read in one conversion; any
+    other file is read, and judged, by _read_departure_rows. Both give the
+    same matrix for every file the bulk pass takes."""
+    out = _bulk_departures(path, path_order, n_steps)
+    return out if out is not None else _read_departure_rows(path, path_order, n_steps)
+
+
+_BLANK_LINES = ("\n", "\r\n", "\r")
+
+
+def _bulk_departures(path: str, path_order: Sequence[str],
+                     n_steps: int) -> Optional[np.ndarray]:
+    """The departure matrix in one np.loadtxt call over the rates of every
+    line, or None for a file that only the row reader may judge: a quote
+    (csv unquotes, and may join lines) or NUL anywhere, a field longer than
+    csv's field size limit, a rate float() reads and loadtxt does not (1_0,
+    non-ASCII digits), a wrong cell count, a duplicate, unknown or missing
+    id, a negative or non-finite rate, a path path_id whose rates come
+    first, an empty table. Rows in path_order are the result as parsed; the
+    same rows in another order are copied into it."""
+    row_of = {p: i for i, p in enumerate(path_order)}
+    ids: List[str] = []
+    limit = csv.field_size_limit()
+
+    def rates(fh):
+        """The rates of each data line, as text, and its id into `ids`. It
+        skips what the row reader skips, and raises ValueError on a line
+        that only csv.reader may split."""
+        first = True
+        for line in fh:
+            if '"' in line or "\0" in line:  # csv before 3.11 refuses NUL
+                raise ValueError
+            if len(line) > limit and max(map(len, line.rstrip("\r\n").split(","))) > limit:
+                raise ValueError  # csv.reader refuses the field
+            cell, _, rest = line.partition(",")
+            if line in _BLANK_LINES or cell.startswith("#"):
+                continue
+            pid = cell.strip()
+            if first:
+                first = False
+                if pid == "path_id":  # the header, or rates the row reader takes
+                    continue
+            if not rest or rest.isspace():  # loadtxt would skip the line
+                raise ValueError
+            ids.append(pid)
+            yield rest
+
+    with open(path, newline="") as fh:
+        lines = rates(fh)
+        try:
+            head = next(lines, None)
+            if head is None:  # loadtxt would warn that it read no data
+                return None
+            m = np.loadtxt(itertools.chain((head,), lines), delimiter=",",
+                           comments=None, ndmin=2)
+        except ValueError:
+            return None
+    if not (m.shape == (len(ids), n_steps) and len(ids) == len(row_of) == len(path_order)
+            and row_of.keys() == set(ids) and m.min() >= 0 and m.max() < np.inf):
+        return None
+    if ids == list(path_order):
+        return m
+    out = np.empty_like(m)
+    out[[row_of[p] for p in ids]] = m
+    return out
+
+
+def _read_departure_rows(path: str, path_order: Sequence[str],
+                         n_steps: int) -> np.ndarray:
+    """load_departures row by row: csv.reader splits each row and float()
+    reads each rate. Every refusal of a departures file is made here."""
     row_of = {p: i for i, p in enumerate(path_order)}
     out = np.empty((len(path_order), n_steps))
     seen = set()

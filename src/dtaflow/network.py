@@ -10,6 +10,7 @@ are consistent by construction.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -128,6 +129,9 @@ class Path:
     links: Tuple[str, ...]
 
     def __post_init__(self):
+        # report names a file after a path id
+        if not self.id or os.sep in self.id or (os.altsep and os.altsep in self.id):
+            raise NetworkError(f"path id {self.id!r} is empty or holds a path separator")
         if len(self.links) == 0:
             raise NetworkError(f"path {self.id} has no links")
         if len(set(self.links)) != len(self.links):

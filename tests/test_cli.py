@@ -194,9 +194,11 @@ class TestExitCodes:
          "source_priority of node a must lie in [0, 1], got 1.5"),
         ("network.txt", 7, "1,a,b,1200,", "1,a,b,0,", "link 1: nonpositive or non-finite"),
         ("paths.txt", 3, "p1,a,b,1", "p1,a,b,1|1", "path p1 repeats a link (must be simple)"),
+        ("paths.txt", 3, "p1,a,b,1", "a/b,a,b,1",
+         "path id 'a/b' is empty or holds a path separator"),
         ("demand.txt", 3, "a,b,40,", "a,b,-40,",
          "negative or non-finite demand -40.0 or target 400.0 for O-D (a, b)"),
-    ], ids=["node", "link", "path", "demand"])
+    ], ids=["node", "link", "path", "path-id", "demand"])
     def test_record_refused_by_its_constructor_is_2(self, tiny, capsys, name, line,
                                                     good, bad, message):
         files, tmp = tiny

@@ -1062,6 +1062,33 @@ def _grid_k4_random_rates():
     return net, grid, h
 
 
+@pytest.mark.parametrize("case", [_braess_dt7, _random_dt5, _grid_k4])
+def test_layout_tables_follow_each_path(case):
+    # the per-path rule that the layout scatters for all paths at once: a
+    # path's slot on an element moves to the path's next element, or to the
+    # sink of its destination after its last link, and its slot on a link
+    # is fed by its slot on the element before
+    net, grid, _ = case()
+    layout = _Layout(net, grid)
+    nL = len(layout.link_ids)
+    lidx = {l: i for i, l in enumerate(layout.link_ids)}
+    sinks = [n for n in layout.node_ids if net.nodes[n].destination]
+    sink = {n: nL + i for i, n in enumerate(sinks)}
+    slot_path = np.concatenate(layout.slot_paths)
+    slot = {(e, p): s for s, (e, p) in
+            enumerate(zip(layout.slot_elem.tolist(), slot_path.tolist()))}
+    assert len(slot) == sum(map(len, layout.path_elems))
+    for p, pid in enumerate(layout.path_ids):
+        path = net.paths[pid]
+        elems = [nL + layout.oidx[path.od[0]]] + [lidx[l] for l in path.links]
+        assert layout.path_elems[p] == elems
+        for a, b in zip(elems, elems[1:] + [sink[path.od[1]]]):
+            m = layout.slot_move[slot[a, p]]
+            assert (layout.moves.src[m], layout.moves.dst[m]) == (a, b)
+        for a, b in zip(elems, elems[1:]):
+            assert layout.src_slot[slot[b, p]] == slot[a, p]
+
+
 @pytest.mark.parametrize("case", [_grid_k4, _grid_k4_random_rates])
 def test_origin_compositions_match_per_cell_shares(case):
     # grid origins send 92 paths each, so numpy pairs the rates of a cell

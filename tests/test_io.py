@@ -2,13 +2,18 @@
 
 import csv
 import dataclasses
+import io
 import json
 import math
 import os
 import re
+import tempfile
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dtaflow import (
     Link,
@@ -220,6 +225,12 @@ BRAESS_REFUSALS = {
     "path refused by Path": (
         "paths.txt", lambda t: t.replace("p1,1,3,1|3", "p1,1,3,1|1"),
         r"paths.txt:3: path p1 repeats a link \(must be simple\)$"),
+    "empty path id": (
+        "paths.txt", lambda t: t.replace("p1,1,3,1|3", ",1,3,1|3"),
+        r"paths.txt:3: path id '' is empty or holds a path separator$"),
+    "path id with a path separator": (
+        "paths.txt", lambda t: t.replace("p1,1,3,1|3", "a/b,1,3,1|3"),
+        r"paths.txt:3: path id 'a/b' is empty or holds a path separator$"),
     "empty path table": (
         "paths.txt", lambda t: t.split("p1,")[0],
         r"paths.txt: empty path table$"),
@@ -331,6 +342,145 @@ class TestDepartures:
         f.write_text(f"p1,0.5,0.5\np2,0.5,{value}\n")
         with pytest.raises(ParseError, match=r"h.csv:2: non-numeric rate$"):
             load_departures(str(f), ("p1", "p2"), 2)
+
+
+# rates whose text or value is at an edge: signed zero, subnormal, the
+# largest finite double
+EDGE_RATES = [0.0, -0.0, 5e-324, 1e-300, 1e300, 1.7976931348623157e308]
+# one edit of a written departures file: a rate replaced by a token, or a
+# change of its rows, ids or line endings
+RATE_TOKENS = ["1_0", "\uff11", '"0.5"', "", "nan", "-1", "1e400", "1e-400", " 2.5\t",
+               "0x10"]
+FILE_EDITS = ["none", "extra cell", "missing cell", "duplicate row", "missing row",
+              "unknown id", "comment row", "NUL in a comment row", "blank line", "LF",
+              "CR", "header", "path named path_id", "quoted id with a comma"]
+
+
+@st.composite
+def edited_departures(draw):
+    """(path ids, rates, edit, row, cell, reverse): a departures matrix to
+    write, one edit of the written file at a row and rate cell, and whether
+    to read it back in reversed path order."""
+    n_paths, n = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    rates = draw(st.lists(st.one_of(st.sampled_from(EDGE_RATES),
+                                    st.floats(0, 1e6, allow_nan=False)),
+                          min_size=n_paths * n, max_size=n_paths * n))
+    edit = draw(st.sampled_from(RATE_TOKENS + FILE_EDITS))
+    r, j = draw(st.integers(0, n_paths - 1)), draw(st.integers(1, n))
+    ids = [f"p{i}" for i in range(n_paths)]
+    ids[r] = {"path named path_id": "path_id", "quoted id with a comma": "a,b"}.get(edit, ids[r])
+    return ids, np.reshape(rates, (n_paths, n)), edit, r, j, draw(st.booleans())
+
+
+def edit_departures(path, edit, r, j, n):
+    """Apply one of RATE_TOKENS or FILE_EDITS to a written departures file,
+    at row r and rate cell j of N = n."""
+    with open(path, newline="") as fh:
+        lines = fh.read().split("\r\n")[:-1]
+    end = "\r\n"
+    if edit in RATE_TOKENS:
+        cells = lines[r].split(",")
+        cells[j] = edit
+        lines[r] = ",".join(cells)
+    elif edit == "extra cell":
+        lines[r] += ",0.5"
+    elif edit == "missing cell":
+        lines[r] = lines[r].rsplit(",", 1)[0]
+    elif edit == "duplicate row":
+        lines.insert(j % (len(lines) + 1), lines[r])
+    elif edit == "missing row":
+        del lines[r]
+    elif edit == "unknown id":
+        lines[r] = "q" + lines[r]
+    elif edit == "comment row":
+        lines.insert(r, "# note,1")
+    elif edit == "NUL in a comment row":
+        lines.insert(r, "#\0")
+    elif edit == "blank line":
+        lines.insert(r, "")
+    elif edit in ("LF", "CR"):
+        end = {"LF": "\n", "CR": "\r"}[edit]
+    elif edit == "header":
+        lines.insert(0, ",".join(["path_id"] + [str(k) for k in range(n)]))
+    write_text(path, end.join(lines) + end)
+
+
+def departures_outcome(load, path, order, n):
+    """The bits of the matrix `load` reads, or its refusal."""
+    try:
+        m = load(path, order, n)
+    except Exception as e:
+        return type(e), str(e)
+    return m.shape, m.view(np.int64).tolist()
+
+
+def write_text(path, text):
+    with open(path, "w", newline="") as fh:
+        fh.write(text)
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=edited_departures())
+def test_bulk_pass_reads_as_the_row_reader(case):
+    ids, h, edit, r, j, reverse = case
+    order = ids[::-1] if reverse else ids
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "h.csv")
+        write_departures(ids, h, path)
+        edit_departures(path, edit, r, j, h.shape[1])
+        assert departures_outcome(load_departures, path, order, h.shape[1]) == \
+            departures_outcome(fileio._read_departure_rows, path, order, h.shape[1])
+
+
+@pytest.mark.parametrize("case", ["plain", "h_final", "other-order", "comments"])
+def test_written_departures_take_the_bulk_pass(monkeypatch, tmp_path, case):
+    def row_reader(*args):
+        raise AssertionError("the row reader read a file the bulk pass takes")
+
+    monkeypatch.setattr(fileio, "_read_departure_rows", row_reader)
+    order = [f"p{i}" for i in range(5)]
+    h = np.random.default_rng(3).uniform(0, 1, (5, 9))
+    h[0, :3] = [0.0, -0.0, 5e-324]
+    f = str(tmp_path / "h.csv")
+    fileio._write_table(f, ["path_id"] + [str(k) for k in range(9)]
+                        if case == "h_final" else None, order, h)
+    if case == "comments":
+        with open(f, newline="") as fh:
+            lines = fh.readlines()
+        write_text(f, "# rates\r\n\r\n" + "".join(lines[:2]) + "\n#,x\n" + "".join(lines[2:]))
+    got = load_departures(f, order[::-1] if case == "other-order" else order, 9)
+    want = h[::-1] if case == "other-order" else h
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+@pytest.mark.parametrize("text,message", [
+    ("", r"missing rows for paths \['p0'\]$"),
+    ("p0\n", r"h.csv:1: row for p0 has 0 rates, expected N = 1$"),
+    ("p0,\n", r"h.csv:1: non-numeric rate$"),
+    # a quote in a comment row opens a field that holds the rows up to the
+    # next quote: here the only data row
+    ('#,"\np0,1.0\n#",\n', r"missing rows for paths \['p0'\]$"),
+], ids=["empty", "no-rates", "empty-rate", "quote-in-a-comment"])
+def test_departures_refused_without_a_warning(tmp_path, text, message):
+    f = tmp_path / "h.csv"
+    write_text(f, text)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ParseError, match=message):
+            load_departures(str(f), ["p0"], 1)
+
+
+def test_departures_field_over_the_csv_limit_is_refused_alike(tmp_path):
+    f = str(tmp_path / "h.csv")
+    limit = csv.field_size_limit(12)
+    try:
+        for text in ["#" + "x" * 12 + "\np0,1\n", "p0,1.00000000000\n",
+                     "#" + "x" * 11 + "\np0,1.0000000000\n"]:
+            write_text(f, text)
+            assert departures_outcome(load_departures, f, ["p0"], 1) == \
+                departures_outcome(fileio._read_departure_rows, f, ["p0"], 1)
+    finally:
+        csv.field_size_limit(limit)
 
 
 class TestEnumeratePaths:
