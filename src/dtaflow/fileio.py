@@ -76,7 +76,10 @@ def _read_sections(path: str, names: Sequence[str]
                 continue
             if current is None:
                 raise ParseError(f"{path}:{lineno}: data before any [section]")
-            row = next(csv.reader([line]))
+            try:
+                row = next(csv.reader([line]))
+            except csv.Error as e:
+                raise ParseError(f"{path}:{lineno}: {e}") from None
             sections[current].append((lineno, [c.strip() for c in row]))
     for name in names:
         if name not in sections:
@@ -84,12 +87,23 @@ def _read_sections(path: str, names: Sequence[str]
     return sections
 
 
+def _csv_rows(path: str, fh):
+    """(line number, row) for each row csv.reader reads from the open file
+    fh; a line csv cannot read, such as one with a field over csv's size
+    limit, is refused at its number."""
+    reader = csv.reader(fh)
+    try:
+        for row in reader:
+            yield reader.line_num, row
+    except csv.Error as e:
+        raise ParseError(f"{path}:{reader.line_num}: {e}") from None
+
+
 def _read_rows(path: str) -> List[Tuple[int, List[str]]]:
     """The non-blank rows of a plain CSV file, each with its line number;
     a file without one is refused."""
     with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        rows = [(reader.line_num, [c.strip() for c in row]) for row in reader if row]
+        rows = [(n, [c.strip() for c in row]) for n, row in _csv_rows(path, fh) if row]
     if not rows:
         raise ParseError(f"{path}: empty file, expected a header row")
     return rows
@@ -342,7 +356,7 @@ def _read_departure_rows(path: str, path_order: Sequence[str],
     first = True
     held = None  # a first row naming the path path_id: the header, or its rates
     with open(path, newline="") as fh:
-        for lineno, row in enumerate(csv.reader(fh), start=1):
+        for lineno, row in _csv_rows(path, fh):
             if not row or row[0].startswith("#"):
                 continue
             pid, values = row[0].strip(), row[1:]
@@ -367,41 +381,35 @@ def _read_departure_rows(path: str, path_order: Sequence[str],
 
 def enumerate_paths(nodes: Sequence[Node], links: Sequence[Link],
                     od_pairs: Sequence[ODPair], k: int) -> List[Path]:
-    """Up to k loopless shortest paths per O-D under free-flow link times.
+    """Up to k loopless shortest paths per O-D under free-flow link times,
+    ids origin-destination-rank.
 
-    Ties and parallel links are broken by lexicographic link ids so the
-    result is deterministic.
+    Of parallel links only the fastest, then the lowest id, is used. The
+    paths come from Yen's method as networkx.shortest_simple_paths (3.6)
+    runs it, with a bidirectional Dijkstra search for each spur: equal-cost
+    paths come in the order that search finds them, which follows the order
+    of the links. The result is deterministic.
     """
-    import networkx as nx  # only path enumeration needs it; keeps CLI start-up light
+    from . import _yen  # only path enumeration loads it
 
-    g = nx.DiGraph()
-    for n in nodes:
-        g.add_node(n.id)
-    # keep the fastest link per node pair (then lowest id) for path mapping
     best: Dict[Tuple[str, str], Link] = {}
     for l in sorted(links, key=lambda l: (l.free_flow_time_s, l.id)):
         best.setdefault((l.tail, l.head), l)
-    for (t, hd), l in best.items():
-        g.add_edge(t, hd, weight=l.free_flow_time_s, link=l.id)
+    cost = {pair: l.free_flow_time_s for pair, l in best.items()}
+    succ, pred = _yen.adjacency([n.id for n in nodes], cost)
 
     out: List[Path] = []
     for od in od_pairs:
-        if od.origin not in g or od.destination not in g or \
-                not nx.has_path(g, od.origin, od.destination):
-            raise NetworkError(
-                f"destination {od.destination} unreachable from {od.origin}"
-            )
-        gen = nx.shortest_simple_paths(g, od.origin, od.destination, weight="weight")
+        o, d = od.origin, od.destination
         count = 0
-        for node_seq in gen:
-            link_seq = tuple(
-                g.edges[a, b]["link"] for a, b in zip(node_seq, node_seq[1:])
-            )
+        for node_seq in _yen.shortest_simple_paths(succ, pred, cost, o, d):
             count += 1
-            out.append(Path(f"{od.origin}-{od.destination}-{count}",
-                            (od.origin, od.destination), link_seq))
+            out.append(Path(f"{o}-{d}-{count}", (o, d),
+                            tuple(best[a, b].id for a, b in zip(node_seq, node_seq[1:]))))
             if count >= k:
                 break
+        if not count:
+            raise NetworkError(f"destination {d} unreachable from {o}")
     return out
 
 

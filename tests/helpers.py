@@ -2,7 +2,8 @@
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Sequence, Tuple
+from collections import deque
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -114,13 +115,20 @@ def random_network(n_nodes=50, seed=7, k_paths=3, demand=40.0,
     for l in links:
         seen.setdefault((l.tail, l.head), l)
     links = list(seen.values())
-    # pair each origin with its most distant reachable node
-    import networkx as nx
-
-    g = nx.DiGraph((l.tail, l.head) for l in links)
+    # pair each origin with its most distant reachable node, in link hops
+    succ: Dict[str, list] = {}
+    for l in links:
+        succ.setdefault(l.tail, []).append(l.head)
     dest_of = {}
     for o in origin_ids:
-        hops = nx.single_source_shortest_path_length(g, f"n{o}")
+        hops = {f"n{o}": 0}
+        queue = deque(hops)  # breadth first
+        while queue:
+            v = queue.popleft()
+            for w in succ.get(v, ()):
+                if w not in hops:
+                    hops[w] = hops[v] + 1
+                    queue.append(w)
         dest_of[o] = max(hops, key=lambda n: (hops[n], n))
     nodes = [
         Node(f"n{i}", coord=tuple(coords[i]),
@@ -142,6 +150,15 @@ def grid_network(rows=4, cols=6, spacing_m=600.0, v=12.0, cap=0.7,
     """
     from dtaflow.fileio import enumerate_paths
 
+    nodes, links, ods = grid_components(rows, cols, spacing_m, v, cap, demand, target)
+    paths = enumerate_paths(nodes, links, ods, k_paths)
+    return validate_network(nodes, links, paths, ods)
+
+
+def grid_components(rows=4, cols=6, spacing_m=600.0, v=12.0, cap=0.7,
+                    demand=4.0, target=2000.0
+                    ) -> Tuple[List[Node], List[Link], List[ODPair]]:
+    """The nodes, links and O-D pairs of grid_network."""
     def nid(r, c):
         return f"n{r}_{c}"
 
@@ -163,8 +180,7 @@ def grid_network(rows=4, cols=6, spacing_m=600.0, v=12.0, cap=0.7,
         ODPair(o.id, d.id, demand, target)
         for o in nodes for d in nodes if o.id != d.id
     ]
-    paths = enumerate_paths(nodes, links, ods, k_paths)
-    return validate_network(nodes, links, paths, ods)
+    return nodes, links, ods
 
 
 def path_matrix(network: Network, grid: TimeGrid,

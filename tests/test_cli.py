@@ -1,7 +1,9 @@
 """End-to-end command-line tests: exit codes, outputs, determinism."""
 
 import contextlib
+import csv
 import filecmp
+import hashlib
 import io
 import json
 import math
@@ -207,6 +209,33 @@ class TestExitCodes:
         assert main(due_args(files, str(tmp / "out"))) == 2
         err = capsys.readouterr().err
         assert err.startswith(f"parse error: {path}:{line}: {message}")
+        assert len(err.strip().splitlines()) == 1
+
+    @pytest.mark.parametrize("name,line", [
+        ("network.txt", 3), ("departures.csv", 1), ("od_gaps.csv", 2),
+    ], ids=["sections", "departure-rows", "report-rows"])
+    def test_line_csv_cannot_read_is_2(self, tmp_path, capsys, name, line):
+        # one reader each: the sectioned files', the departure rows' and
+        # the plain tables' that report reads
+        big = "x" * (csv.field_size_limit() + 1)
+        if name == "od_gaps.csv":
+            (tmp_path / name).write_text(f"origin,destination,gap_s\n1,4,{big}\n")
+            argv = ["report", "--in", str(tmp_path)]
+        else:
+            text = open(os.path.join(DATA, name)).read()
+            if name == "network.txt":
+                rows = text.splitlines(keepends=True)
+                rows[line - 1] = rows[line - 1].replace("id,", f"{big},", 1)
+                text = "".join(rows)
+            else:
+                text = f"#{big}\n{text}"
+            (tmp_path / name).write_text(text)
+            argv = braess_replay_args(str(tmp_path / "out"))
+            argv[argv.index(os.path.join(DATA, name))] = str(tmp_path / name)
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"parse error: {tmp_path / name}:{line}: "
+                              "field larger than field limit")
         assert len(err.strip().splitlines()) == 1
 
     def test_validation_error_is_3(self, tiny, capsys):
@@ -416,6 +445,16 @@ class TestPathsCommand:
         generated = load_paths(out)
         assert {p.links for p in generated if p.od == ("1", "4")} == \
             {("1", "4"), ("2", "5"), ("1", "3", "5")}
+
+    def test_runs_without_networkx(self, tmp_path, monkeypatch):
+        """The Braess k=3 file, byte for byte as networkx's search wrote it."""
+        monkeypatch.setitem(sys.modules, "networkx", None)  # import fails
+        out = tmp_path / "paths_out.txt"
+        assert main(["paths", "--network", os.path.join(DATA, "network.txt"),
+                     "--demand", os.path.join(DATA, "demand.txt"),
+                     "--k", "3", "--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == \
+            "717fa114151c9f2fcac168cf72284d9744601a8c220b5b796baa0462df8dab21"
 
 
 class TestReportCommand:

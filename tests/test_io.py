@@ -2,6 +2,7 @@
 
 import csv
 import dataclasses
+import hashlib
 import io
 import json
 import math
@@ -38,7 +39,8 @@ from dtaflow.fileio import (
     write_dnl_results,
     write_paths,
 )
-from helpers import braess_components, path_matrix, single_link_network
+from helpers import (braess_components, grid_components, path_matrix, random_network,
+                     single_link_network)
 
 DATA = os.path.join(os.path.dirname(__file__), "..", "data", "braess")
 
@@ -483,6 +485,14 @@ def test_departures_field_over_the_csv_limit_is_refused_alike(tmp_path):
         csv.field_size_limit(limit)
 
 
+def test_departure_refusal_names_its_physical_line(tmp_path):
+    # a quoted id may hold a line break: the rows after it are a line further on
+    f = str(tmp_path / "h.csv")
+    write_text(f, '"p\n1",0.5\np2,-1\n')
+    with pytest.raises(ParseError, match=r"h\.csv:3: negative rate at \(path p2"):
+        load_departures(f, ["p\n1", "p2"], 1)
+
+
 class TestEnumeratePaths:
     def test_braess_origin1_to_4(self):
         nodes, links, _, _ = braess_components()
@@ -518,6 +528,116 @@ class TestEnumeratePaths:
         paths = enumerate_paths(nodes, links, [ODPair("a", "b", 1.0, 0.0)], 2)
         assert len(paths) == 1
         assert paths[0].links == ("fast",)
+
+
+def networkx_paths(nx, nodes, links, od_pairs, k):
+    """enumerate_paths as it was written over networkx.shortest_simple_paths:
+    the oracle of the package's own Yen search."""
+    g = nx.DiGraph()
+    for n in nodes:
+        g.add_node(n.id)
+    best = {}
+    for l in sorted(links, key=lambda l: (l.free_flow_time_s, l.id)):
+        best.setdefault((l.tail, l.head), l)
+    for (t, hd), l in best.items():
+        g.add_edge(t, hd, weight=l.free_flow_time_s, link=l.id)
+    out = []
+    for od in od_pairs:
+        if od.origin not in g or od.destination not in g or \
+                not nx.has_path(g, od.origin, od.destination):
+            raise NetworkError(
+                f"destination {od.destination} unreachable from {od.origin}")
+        count = 0
+        for seq in nx.shortest_simple_paths(g, od.origin, od.destination,
+                                            weight="weight"):
+            count += 1
+            out.append(Path(f"{od.origin}-{od.destination}-{count}",
+                            (od.origin, od.destination),
+                            tuple(g.edges[a, b]["link"] for a, b in zip(seq, seq[1:]))))
+            if count >= k:
+                break
+    return out
+
+
+def paths_outcome(find, *args):
+    """The (id, links) of each path find returns, or its refusal's message."""
+    try:
+        return [(p.id, p.links) for p in find(*args)]
+    except NetworkError as e:
+        return str(e)
+
+
+@pytest.fixture(scope="module")
+def nx():
+    return pytest.importorskip("networkx")
+
+
+@st.composite
+def digraphs(draw):
+    """Nodes, links and O-D pairs with many equal-cost paths: 4 to 15 nodes,
+    some of them link endpoints only, parallel links and self-loops, and
+    O-D pairs that are unreachable, outside the graph or their own
+    destination. Every free-flow time is a whole number of seconds, so
+    that every sum of times is exact and no Python version's sum() rounds
+    it differently."""
+    n = draw(st.integers(4, 15))
+    names = [f"v{i}" for i in range(n)]
+    nodes = [Node(v) for v in names if draw(st.integers(0, 9))]
+    ends = st.sampled_from(names)
+    specs = draw(st.lists(st.tuples(ends, ends, st.sampled_from([100.0, 200.0, 300.0]),
+                                    st.sampled_from([10.0, 20.0])),
+                          min_size=2 * n, max_size=5 * n))
+    links = [Link.create(f"l{draw(st.integers(0, 60))}.{i}", t, hd, length, v, 0.5)
+             for i, (t, hd, length, v) in enumerate(specs)]
+    ods = draw(st.lists(st.tuples(st.sampled_from(names + ["elsewhere"]), ends),
+                        min_size=1, max_size=4))
+    return nodes, links, [ODPair(o, d, 1.0, 0.0) for o, d in ods]
+
+
+@settings(max_examples=300, deadline=None)
+@given(graph=digraphs(), k=st.integers(1, 8))
+def test_enumerate_paths_as_networkx(nx, graph, k):
+    nodes, links, ods = graph
+    for od in ods:
+        assert paths_outcome(enumerate_paths, nodes, links, [od], k) == \
+            paths_outcome(lambda *a: networkx_paths(nx, *a), nodes, links, [od], k)
+
+
+def paths_digest(paths) -> str:
+    with tempfile.TemporaryDirectory() as d:
+        write_paths(paths, os.path.join(d, "paths.txt"))
+        with open(os.path.join(d, "paths.txt"), "rb") as fh:
+            return hashlib.sha256(fh.read()).hexdigest()
+
+
+GRID_K4 = "514699d20b90e35d0b529ae2644427a317e1685150a67c8cb5d4f3a7cc057248"
+GRID_K12 = "3fc87fac0dd926eacc718455503374de6294f05570b6876a6bcebae9b37aec9c"
+
+
+@pytest.mark.parametrize("k,seed,digest", [
+    (4, 0, GRID_K4), (4, 5, GRID_K4), (12, 0, GRID_K12),
+])
+def test_grid_paths_file_is_pinned(k, seed, digest):
+    """The bytes of the 4x6 grid's paths file, as networkx's search wrote
+    them (tests/test_cli.py pins Braess's); seed 5 scales the demands as the
+    benchmark does, which leaves the paths as they are."""
+    nodes, links, ods = grid_components()
+    if seed:
+        f = np.random.default_rng(seed).uniform(0.9, 1.1, size=len(ods))
+        ods = [dataclasses.replace(od, demand_veh=od.demand_veh * fi)
+               for od, fi in zip(ods, f)]
+    assert paths_digest(enumerate_paths(nodes, links, ods, k)) == digest
+
+
+@pytest.mark.parametrize("n_nodes,digest", [
+    (50, "6bf524220983b37505cd152b32c899211bb12643ec6d5f007e92ca5a5b31b66d"),
+    (10, "9ac1ab84f59e1e926aa1782b0c4fc7c08c3c08d01a582e42a92b6ec5bb0cbc05"),
+])
+def test_random_network_is_unchanged(n_nodes, digest):
+    """The O-D pairs and paths of the random networks the suite loads, as
+    they were when a networkx search picked each origin's destination."""
+    net = random_network(n_nodes=n_nodes)
+    assert paths_digest(list(net.paths.values())) == digest
 
 
 @pytest.fixture(scope="module")
