@@ -36,7 +36,11 @@ import io
 import itertools
 import json
 import math
+import numbers
 import os
+import shutil
+import sys
+import threading
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -390,6 +394,8 @@ def enumerate_paths(nodes: Sequence[Node], links: Sequence[Link],
     paths come in the order that search finds them, which follows the order
     of the links. The result is deterministic.
     """
+    if not (isinstance(k, numbers.Integral) and k >= 1):
+        raise ValueError(f"k {k!r} must be an integer >= 1")
     from . import _yen  # only path enumeration loads it
 
     best: Dict[Tuple[str, str], Link] = {}
@@ -465,12 +471,86 @@ def _write_matrix(fh, ids, matrix) -> None:
                           for row, rid in zip(cells, rid_iter)]))
 
 
-def _write_table(path: str, header: Optional[List[str]], ids, matrix) -> None:
-    """A numeric table: an optional header row, then _write_matrix's rows."""
-    with open(path, "w", newline="") as fh:
-        if header is not None:
-            csv.writer(fh).writerow(header)
-        _write_matrix(fh, ids, matrix)
+_WORKER_MIN_CELLS = 65_536  # the fewest table cells worth a forked worker
+
+
+def _workers(cells: int) -> int:
+    """How many processes format `cells` table cells: one per CPU this
+    process may run on, each with at least _WORKER_MIN_CELLS cells. One
+    wherever a fork is unsafe: off Linux, or while another Python thread
+    runs (numpy's OpenBLAS pool stops itself before a fork)."""
+    if sys.platform != "linux" or threading.active_count() > 1:
+        return 1
+    return max(1, min(len(os.sched_getaffinity(0)), cells // _WORKER_MIN_CELLS))
+
+
+def _write_tables(tables) -> None:
+    """Numeric tables, each (path, header or None, ids, matrix): the header
+    row, then _write_matrix's line per matrix row, ids[i] heading row i.
+
+    With P = _workers(all cells) > 1, each table's rows are cut into P
+    contiguous ranges. This process formats range 0 straight into the file
+    while forked children format ranges 1..P-1 into part files next to it;
+    the parts are then appended in order and removed. The bytes are the
+    same for every P. A failed worker raises OSError naming its table, and
+    no part file or child outlives the call."""
+    checked = []
+    for path, header, ids, matrix in tables:
+        m = np.ascontiguousarray(matrix, dtype=float)
+        if m.ndim != 2 or len(ids) != len(m):
+            raise ValueError(f"{path}: {len(ids)} row ids for a matrix of "
+                             f"shape {m.shape}; expected one id per row")
+        checked.append((path, header, ids, m))
+    P = _workers(sum(m.size for *_, m in checked))
+    cuts = [[len(m) * w // P for w in range(P + 1)] for *_, m in checked]
+    # part w of a table holds range w; range 0 goes straight into the file
+    parts = [[f"{path}.{w}.part" for w in range(P)] for path, *_ in checked]
+
+    children = {}  # pid -> worker, until reaped
+    try:
+        for w in range(1, P):
+            pid = os.fork()
+            if pid == 0:  # the child formats range w of every table
+                code = 1  # its exit status: 1 + the failed table, or 0
+                try:
+                    for i, (_, _, ids, m) in enumerate(checked):
+                        code = i + 1
+                        lo, hi = cuts[i][w], cuts[i][w + 1]
+                        with open(parts[i][w], "w", newline="") as fh:
+                            _write_matrix(fh, ids[lo:hi], m[lo:hi])
+                    code = 0
+                finally:
+                    os._exit(code)
+            children[pid] = w
+        for (path, header, ids, m), cut in zip(checked, cuts):
+            with open(path, "w", newline="") as fh:
+                if header is not None:
+                    csv.writer(fh).writerow(header)
+                _write_matrix(fh, ids[:cut[1]], m[:cut[1]])
+        for pid in list(children):
+            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            w = children.pop(pid)
+            if code > 0:
+                i = code - 1
+                raise OSError(f"{checked[i][0]}: the worker formatting rows "
+                              f"{cuts[i][w]}-{cuts[i][w + 1]} failed")
+            if code < 0:
+                raise OSError(f"{', '.join(t[0] for t in checked)}: "
+                              f"worker {w} died of signal {-code}")
+        for (path, *_), names in zip(checked, parts):
+            with open(path, "ab") as out:
+                for name in names[1:]:
+                    with open(name, "rb") as src:
+                        shutil.copyfileobj(src, out, 1 << 20)
+    finally:
+        for pid in children:
+            os.waitpid(pid, 0)
+        for names in parts:
+            for name in names[1:]:
+                try:
+                    os.remove(name)
+                except FileNotFoundError:
+                    pass
 
 
 def _time_header(grid) -> List[str]:
@@ -483,13 +563,11 @@ def _write_summary(out_dir: str, summary: dict) -> None:
         fh.write("\n")
 
 
-def _write_loading_tables(result, out_dir: str) -> None:
-    """travel_times.csv, and link_timeseries.csv with one row per (link,
-    step), links in id order."""
+def _loading_tables(result, out_dir: str) -> list:
+    """The _write_tables entries of travel_times.csv, and of
+    link_timeseries.csv with one row per (link, step), links in id order."""
     grid = result.grid
     N = grid.n_steps
-    _write_table(os.path.join(out_dir, "travel_times.csv"), _time_header(grid),
-                 result.path_order, result.travel_time)
 
     ids = sorted(result.link_states)
     states = [result.link_states[lid] for lid in ids]
@@ -501,12 +579,14 @@ def _write_loading_tables(result, out_dir: str) -> None:
     jam = np.array([[st.link.jam_density_vpm] for st in states])
     columns = (np.broadcast_to(grid.times()[:N], dens.shape), inflow, outflow,
                dens, dens / jam, inflow / cap, outflow / cap)
-    _write_table(
-        os.path.join(out_dir, "link_timeseries.csv"),
-        ["link_id", "time_s", "inflow_vps", "outflow_vps", "density_vpm",
-         "relative_density", "relative_inflow", "relative_outflow"],
-        np.repeat(ids, N), np.stack(columns, axis=-1).reshape(-1, 7),
-    )
+    return [
+        (os.path.join(out_dir, "travel_times.csv"), _time_header(grid),
+         result.path_order, result.travel_time),
+        (os.path.join(out_dir, "link_timeseries.csv"),
+         ["link_id", "time_s", "inflow_vps", "outflow_vps", "density_vpm",
+          "relative_density", "relative_inflow", "relative_outflow"],
+         np.repeat(ids, N), np.stack(columns, axis=-1).reshape(-1, 7)),
+    ]
 
 
 def write_dnl_results(result, out_dir: str) -> None:
@@ -515,7 +595,7 @@ def write_dnl_results(result, out_dir: str) -> None:
     summary and plot script."""
     os.makedirs(out_dir, exist_ok=True)
     grid = result.grid
-    _write_loading_tables(result, out_dir)
+    _write_tables(_loading_tables(result, out_dir))
     _write_summary(out_dir, {
         "mode": "dnl",
         "n_paths": len(result.path_order),
@@ -536,16 +616,17 @@ def write_due_results(report, out_dir: str) -> None:
     grid = report.final_dnl.grid
     header = _time_header(grid)
 
-    _write_table(os.path.join(out_dir, "h_final.csv"), header,
-                 report.path_order, report.h_final)
-    _write_table(os.path.join(out_dir, "eff_delay.csv"), header,
-                 report.path_order, report.psi_final)
+    _write_tables([
+        (os.path.join(out_dir, "h_final.csv"), header, report.path_order, report.h_final),
+        (os.path.join(out_dir, "eff_delay.csv"), header, report.path_order,
+         report.psi_final),
+        *_loading_tables(report.final_dnl, out_dir),
+    ])
     _write_csv(os.path.join(out_dir, "od_gaps.csv"), OD_GAP_FIELDS,
                [[o, d, _fmt(gap)] for (o, d), gap in sorted(report.od_gaps.items())])
     _write_csv(os.path.join(out_dir, "convergence.csv"),
                ["iteration", "relative_gap"],
                [[i + 1, _fmt(g)] for i, g in enumerate(report.relative_gap_history)])
-    _write_loading_tables(report.final_dnl, out_dir)
     _write_summary(out_dir, {
         "mode": "due",
         "converged": bool(report.converged),
@@ -624,4 +705,5 @@ def write_paths(paths: Sequence[Path], out_path: str) -> None:
 
 def write_departures(path_order: Sequence[str], matrix: np.ndarray,
                      out_path: str) -> None:
-    _write_table(out_path, None, path_order, matrix)
+    """A departures file: one row per path, path_order[i] heading row i."""
+    _write_tables([(out_path, None, path_order, matrix)])

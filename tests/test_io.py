@@ -8,7 +8,10 @@ import json
 import math
 import os
 import re
+import signal
+import sys
 import tempfile
+import threading
 import warnings
 
 import numpy as np
@@ -293,6 +296,18 @@ class TestDepartures:
         swapped = load_departures(f, ("p2", "p1"), 2)
         assert np.array_equal(swapped, h[::-1])
 
+    @pytest.mark.parametrize("order,matrix", [
+        (("p1", "p2"), np.ones((3, 2))),
+        (("p1", "p2", "p3"), np.ones((2, 2))),
+        (("p1",), np.ones(2)),
+        ((), np.zeros(0)),
+    ], ids=["fewer-ids", "more-ids", "1-D", "1-D-empty"])
+    def test_ids_not_one_per_row_refused(self, tmp_path, order, matrix):
+        out = tmp_path / "h.csv"
+        with pytest.raises(ValueError, match="expected one id per row"):
+            write_departures(order, matrix, str(out))
+        assert not out.exists()
+
     def test_wrong_column_count(self, tmp_path):
         f = self.make(tmp_path, np.zeros((2, 5)))
         with pytest.raises(ParseError, match="expected N = 6"):
@@ -444,8 +459,8 @@ def test_written_departures_take_the_bulk_pass(monkeypatch, tmp_path, case):
     h = np.random.default_rng(3).uniform(0, 1, (5, 9))
     h[0, :3] = [0.0, -0.0, 5e-324]
     f = str(tmp_path / "h.csv")
-    fileio._write_table(f, ["path_id"] + [str(k) for k in range(9)]
-                        if case == "h_final" else None, order, h)
+    fileio._write_tables([(f, ["path_id"] + [str(k) for k in range(9)]
+                           if case == "h_final" else None, order, h)])
     if case == "comments":
         with open(f, newline="") as fh:
             lines = fh.readlines()
@@ -502,6 +517,12 @@ class TestEnumeratePaths:
         assert len(paths) == 3
         assert {p.links for p in paths} == {("1", "4"), ("2", "5"), ("1", "3", "5")}
         assert [p.id for p in paths] == ["1-4-1", "1-4-2", "1-4-3"]
+
+    @pytest.mark.parametrize("k", [0, -1, 2.5, 1.0, "2", None])
+    def test_k_not_a_positive_integer_refused(self, k):
+        nodes, links, _, ods = braess_components()
+        with pytest.raises(ValueError, match=r"must be an integer >= 1"):
+            enumerate_paths(nodes, links, ods, k)
 
     def test_k_limits_output(self):
         nodes, links, _, ods = braess_components()
@@ -746,6 +767,7 @@ def assert_writes_as_reference(monkeypatch, tmp_path, write):
     write(str(tmp_path / "new"))
     with monkeypatch.context() as m:
         m.setattr(fileio, "_write_matrix", reference_write_matrix)
+        m.setattr(fileio, "_workers", lambda cells: 1)
         write(str(tmp_path / "ref"))
     names = sorted(n for n in os.listdir(tmp_path / "ref") if n.endswith(".csv"))
     assert names == sorted(n for n in os.listdir(tmp_path / "new") if n.endswith(".csv"))
@@ -764,6 +786,8 @@ SPECIAL_CELLS = [-0.0, 0.0, math.nan, -math.nan, math.inf, -math.inf, 5e-324,
 def _matrix_case(name):
     rng = np.random.default_rng(7)
     repeats = rng.choice(np.append(SPECIAL_CELLS, rng.uniform(0, 1, 40)), (10000,))
+    # an odd row count over two workers: more than two workers' minimum of cells
+    rows = 2 * fileio._WORKER_MIN_CELLS // 64 + 5
     return {
         "cells": (["p1", "p2"], np.array([SPECIAL_CELLS, SPECIAL_CELLS[::-1]])),
         "wider-than-a-block": (["p1", "p2"], repeats.reshape(2, 5000)),
@@ -771,41 +795,150 @@ def _matrix_case(name):
         "no-rows": ([], np.zeros((0, 4))),
         "quoted-ids": (["a,b", 'q"x', " lead"], rng.uniform(0, 1, (3, 3))),
         "numpy-str-ids": (np.repeat(np.array(["x", "y"]), 3), rng.uniform(0, 1, (6, 3))),
+        "two-workers": ([f"p{i}" if i % 7 else f"p,{i}" for i in range(rows)],
+                        np.resize(repeats, (rows, 64))),
     }[name]
 
 
+FORKS = sys.platform == "linux"  # the table writer forks on Linux only
+fork_linux_only = pytest.mark.skipif(not FORKS, reason="no forked table writers")
+
+
+def two_cpus(monkeypatch):
+    """Let the table writer see two CPUs; returns the list of the pids
+    it forks."""
+    forked = []
+    fork = os.fork
+
+    def counted():
+        pid = fork()
+        if pid:
+            forked.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    monkeypatch.setattr(os, "fork", counted)
+    return forked
+
+
 @pytest.mark.parametrize("case", ["cells", "wider-than-a-block", "taller-than-a-block",
-                                  "no-rows", "quoted-ids", "numpy-str-ids"])
+                                  "no-rows", "quoted-ids", "numpy-str-ids", "two-workers"])
 def test_departures_written_as_reference(monkeypatch, tmp_path, case):
     ids, matrix = _matrix_case(case)
+    forked = two_cpus(monkeypatch)
 
     def write(out):
         os.makedirs(out)
         write_departures(ids, matrix, os.path.join(out, "h.csv"))
 
     assert_writes_as_reference(monkeypatch, tmp_path, write)
+    assert len(forked) == (case == "two-workers" and FORKS)
+    assert sorted(os.listdir(tmp_path / "new")) == ["h.csv"]
 
 
 def test_dnl_results_written_as_reference(monkeypatch, outputs, tmp_path):
     # the loading's own tables, then its travel-time table replaced by the
-    # special cells under ids that csv quotes
+    # special cells under ids that csv quotes, then by more than two
+    # workers' minimum of cells, which a forked worker shares
     res, _ = outputs
     N = res.grid.n_steps
     cells = np.resize(SPECIAL_CELLS, (3, N))
     special = dataclasses.replace(res, path_order=("a,b", 'q"x', " lead"),
                                   travel_time=cells, departed=np.ones((3, N), bool))
-    for name, result in (("loading", res), ("special", special)):
+    rows = 2 * fileio._WORKER_MIN_CELLS // N + 3
+    many = np.resize(np.append(SPECIAL_CELLS, res.travel_time[0]), (rows, N))
+    forked_paths = dataclasses.replace(res, path_order=tuple(f"p{i}" for i in range(rows)),
+                                       travel_time=many, departed=np.ones((rows, N), bool))
+    forked = two_cpus(monkeypatch)
+    for name, result, forks in (("loading", res, 0), ("special", special, 0),
+                                ("forked", forked_paths, FORKS)):
         assert_writes_as_reference(monkeypatch, tmp_path / name,
                                    lambda out: write_dnl_results(result, out))
+        assert len(forked) == forks
+        forked.clear()
 
 
-@pytest.mark.parametrize("argv", [
+def test_workers_derived_from_cpus_and_cells(monkeypatch):
+    two_cpus(monkeypatch)
+    monkeypatch.setattr(sys, "platform", "linux")
+    least = fileio._WORKER_MIN_CELLS
+    assert [fileio._workers(c) for c in (0, 2 * least - 1, 2 * least, 9 * least)] == \
+        [1, 1, 2, 2]
+    done = threading.Event()
+    other = threading.Thread(target=done.wait, args=(10.0,))
+    other.start()
+    try:
+        assert fileio._workers(9 * least) == 1  # no fork while another thread runs
+    finally:
+        done.set()
+        other.join(timeout=10.0)
+    assert not other.is_alive()
+    assert fileio._workers(9 * least) == 2
+    monkeypatch.setattr(sys, "platform", "darwin")
+    assert fileio._workers(9 * least) == 1
+
+
+def failing_writer(monkeypatch, how="raises"):
+    """Make _write_matrix raise in every forked worker ("raises"), kill the
+    worker with SIGKILL ("killed"), or raise in this process ("parent")."""
+    parent, write = os.getpid(), fileio._write_matrix
+
+    def failing(fh, ids, matrix):
+        if (os.getpid() == parent) == (how == "parent"):
+            if how == "killed":
+                os.kill(os.getpid(), signal.SIGKILL)
+            raise OSError("no space left")
+        write(fh, ids, matrix)
+
+    monkeypatch.setattr(fileio, "_write_matrix", failing)
+
+
+@fork_linux_only
+@pytest.mark.parametrize("how", ["raises", "killed", "parent"])
+def test_failed_worker_raises_and_leaves_no_part_or_child(monkeypatch, tmp_path, how):
+    forked = two_cpus(monkeypatch)
+    failing_writer(monkeypatch, how)
+    ids, matrix = _matrix_case("two-workers")
+    n = len(ids)
+    message = {"raises": rf"h\.csv: the worker formatting rows {n // 2}-{n} failed$",
+               "killed": r"h\.csv: worker 1 died of signal 9$",
+               "parent": r"^no space left$"}[how]
+    with pytest.raises(OSError, match=message):
+        write_departures(ids, matrix, str(tmp_path / "h.csv"))
+    assert len(forked) == 1
+    assert os.listdir(tmp_path) == ["h.csv"]
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@fork_linux_only
+def test_failed_worker_exits_4_naming_the_table(monkeypatch, tmp_path, capsys):
+    forked = two_cpus(monkeypatch)
+    failing_writer(monkeypatch)
+    monkeypatch.setattr(fileio, "_WORKER_MIN_CELLS", 64)
+    out = tmp_path / "out"
+    code = main(["dnl", "--network", os.path.join(DATA, "network.txt"),
+                 "--paths", os.path.join(DATA, "paths.txt"),
+                 "--demand", os.path.join(DATA, "demand.txt"),
+                 "--departures", os.path.join(DATA, "departures.csv"),
+                 "--dt", "30", "--horizon", "2400", "--out", str(out)])
+    assert code == 4
+    assert len(forked) == 1
+    err = capsys.readouterr().err
+    assert re.search(r"runtime error: \S*travel_times\.csv: the worker formatting "
+                     r"rows \d+-\d+ failed", err), err
+    assert sorted(os.listdir(out)) == ["link_timeseries.csv", "travel_times.csv"]
+
+
+QUICK_STARTS = pytest.mark.parametrize("argv", [
     ["dnl", "--paths", os.path.join(DATA, "paths.txt"),
      "--departures", os.path.join(DATA, "departures.csv"), "--dt", "30"],
     ["due", "--auto-paths", "3", "--dt", "10", "--alpha", "5e-4", "--epsilon", "1e-4",
      "--max-iters", "200", "--init-window", "0:1200"],
 ], ids=["dnl", "due"])
-def test_readme_quick_starts_written_as_reference(monkeypatch, tmp_path, capsys, argv):
+
+
+def quick_start_writes_as_reference(monkeypatch, tmp_path, argv):
     common = ["--network", os.path.join(DATA, "network.txt"),
               "--demand", os.path.join(DATA, "demand.txt"), "--horizon", "2400"]
 
@@ -814,3 +947,18 @@ def test_readme_quick_starts_written_as_reference(monkeypatch, tmp_path, capsys,
 
     names = assert_writes_as_reference(monkeypatch, tmp_path, write)
     assert {"travel_times.csv", "link_timeseries.csv"} <= set(names)
+
+
+@QUICK_STARTS
+def test_readme_quick_starts_written_as_reference(monkeypatch, tmp_path, capsys, argv):
+    quick_start_writes_as_reference(monkeypatch, tmp_path, argv)
+
+
+@fork_linux_only
+@QUICK_STARTS
+def test_readme_quick_starts_forked_as_reference(monkeypatch, tmp_path, capsys, argv):
+    # every table of the run, due's four included, shared with a forked worker
+    forked = two_cpus(monkeypatch)
+    monkeypatch.setattr(fileio, "_WORKER_MIN_CELLS", 64)
+    quick_start_writes_as_reference(monkeypatch, tmp_path, argv)
+    assert len(forked) == 1
