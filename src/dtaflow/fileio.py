@@ -37,11 +37,12 @@ import itertools
 import json
 import math
 import numbers
+import operator
 import os
 import shutil
 import sys
 import threading
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -113,10 +114,12 @@ def _read_rows(path: str) -> List[Tuple[int, List[str]]]:
     return rows
 
 
-def _parse_table(path: str, rows: List[Tuple[int, List[str]]],
-                 fields: List[str]) -> List[Tuple[str, List[str]]]:
-    """The data rows of a table headed by `fields`, each with its location
-    path:line; the header and every row's field count are checked here."""
+def _records(path: str, rows: List[Tuple[int, List[str]]], fields: List[str],
+             build: Callable, kind: str, key: Callable) -> list:
+    """build(at, *cells) of each data row of a table headed by `fields`, in
+    file order, at its location path:line. The header and every row's field
+    count are checked first. Then a row is refused, at its location, when
+    an earlier row had its key(cells) or when its constructor refuses it."""
     if not rows:
         return []
     lineno, header = rows[0]
@@ -124,14 +127,28 @@ def _parse_table(path: str, rows: List[Tuple[int, List[str]]],
         raise ParseError(
             f"{path}:{lineno}: header {header} does not match expected {fields}"
         )
-    out = []
     for lineno, row in rows[1:]:
         if len(row) != len(fields):
             raise ParseError(
                 f"{path}:{lineno}: expected {len(fields)} fields, got {len(row)}"
             )
-        out.append((f"{path}:{lineno}", row))
+    out = []
+    seen = set()
+    for lineno, cells in rows[1:]:
+        at = f"{path}:{lineno}"
+        k = key(cells)
+        if k in seen:
+            raise ParseError(f"{at}: duplicate {kind} {k}")
+        seen.add(k)
+        try:
+            out.append(build(at, *cells))
+        except NetworkError as e:
+            raise ParseError(f"{at}: {e}") from e
     return out
+
+
+_ID = operator.itemgetter(0)
+_OD = operator.itemgetter(0, 1)
 
 
 def _to_float(at: str, name: str, value: str, allow_empty=False,
@@ -157,78 +174,44 @@ def load_network(path: str) -> Tuple[List[Node], List[Link]]:
     """Parse the nodes/links tables of a network file into raw records."""
     sections = _read_sections(path, ("nodes", "links"))
 
-    nodes: List[Node] = []
-    seen = set()
-    for at, (nid, x, y, origin, destination, priority) in _parse_table(
-            path, sections["nodes"], NODE_FIELDS):
-        if nid in seen:
-            raise ParseError(f"{at}: duplicate node id {nid}")
-        seen.add(nid)
+    def node(at, nid, x, y, origin, destination, priority):
         x = _to_float(at, "x", x, allow_empty=True)
         y = _to_float(at, "y", y, allow_empty=True)
-        try:
-            nodes.append(Node(
-                id=nid,
-                coord=(x, y) if x is not None and y is not None else None,
-                origin=_to_bool(at, "origin", origin),
-                destination=_to_bool(at, "destination", destination),
-                source_priority=_to_float(at, "source_priority", priority,
-                                          allow_empty=True,
-                                          default=DEFAULT_SOURCE_PRIORITY),
-            ))
-        except NetworkError as e:
-            raise ParseError(f"{at}: {e}") from e
+        return Node(nid, (x, y) if x is not None and y is not None else None,
+                    _to_bool(at, "origin", origin),
+                    _to_bool(at, "destination", destination),
+                    _to_float(at, "source_priority", priority, allow_empty=True,
+                              default=DEFAULT_SOURCE_PRIORITY))
 
-    links: List[Link] = []
-    seen = set()
-    for at, (lid, tail, head, length, speed, capacity, backward) in _parse_table(
-            path, sections["links"], LINK_FIELDS):
-        if lid in seen:
-            raise ParseError(f"{at}: duplicate link id {lid}")
-        seen.add(lid)
-        try:
-            links.append(Link.create(
-                id=lid,
-                tail=tail,
-                head=head,
-                length_m=_to_float(at, "length_m", length),
-                free_speed_mps=_to_float(at, "free_speed_mps", speed),
-                capacity_vps=_to_float(at, "capacity_vps", capacity),
-                backward_speed_mps=_to_float(at, "backward_speed_mps", backward,
-                                             allow_empty=True),
-            ))
-        except NetworkError as e:
-            raise ParseError(f"{at}: link {lid}: {e}") from e
+    def link(at, lid, tail, head, length, speed, capacity, backward):
+        return Link(lid, tail, head, _to_float(at, "length_m", length),
+                    _to_float(at, "free_speed_mps", speed),
+                    _to_float(at, "capacity_vps", capacity),
+                    _to_float(at, "backward_speed_mps", backward, allow_empty=True))
+
+    nodes = _records(path, sections["nodes"], NODE_FIELDS, node, "node id", _ID)
+    links = _records(path, sections["links"], LINK_FIELDS, link, "link id", _ID)
     if not links:
         raise ParseError(f"{path}: empty network (no links)")
     return nodes, links
 
 
 def load_paths(path: str) -> List[Path]:
-    sections = _read_sections(path, ("paths",))
-    out: List[Path] = []
-    for at, (pid, origin, destination, links) in _parse_table(
-            path, sections["paths"], PATH_FIELDS):
-        try:
-            out.append(Path(pid, (origin, destination),
-                            tuple(p for p in links.split("|") if p)))
-        except NetworkError as e:
-            raise ParseError(f"{at}: {e}") from e
+    out = _records(path, _read_sections(path, ("paths",))["paths"], PATH_FIELDS,
+                   lambda at, pid, o, d, links: Path(
+                       pid, (o, d), tuple(p for p in links.split("|") if p)),
+                   "path id", _ID)
     if not out:
         raise ParseError(f"{path}: empty path table")
     return out
 
 
 def load_demand(path: str) -> List[ODPair]:
-    sections = _read_sections(path, ("demand",))
-    out: List[ODPair] = []
-    for at, (origin, destination, demand, target) in _parse_table(
-            path, sections["demand"], DEMAND_FIELDS):
-        try:
-            out.append(ODPair(origin, destination, _to_float(at, "demand_veh", demand),
-                              _to_float(at, "target_arrival_s", target)))
-        except NetworkError as e:
-            raise ParseError(f"{at}: {e}") from e
+    out = _records(path, _read_sections(path, ("demand",))["demand"], DEMAND_FIELDS,
+                   lambda at, o, d, demand, target: ODPair(
+                       o, d, _to_float(at, "demand_veh", demand),
+                       _to_float(at, "target_arrival_s", target)),
+                   "O-D pair", _OD)
     if not out:
         raise ParseError(f"{path}: empty demand table")
     return out
@@ -236,8 +219,8 @@ def load_demand(path: str) -> List[ODPair]:
 
 def load_od_gaps(path: str) -> List[float]:
     """The gap_s column of a due run's od_gaps.csv."""
-    return [_to_float(at, "gap_s", gap)
-            for at, (_, _, gap) in _parse_table(path, _read_rows(path), OD_GAP_FIELDS)]
+    return _records(path, _read_rows(path), OD_GAP_FIELDS,
+                    lambda at, o, d, gap: _to_float(at, "gap_s", gap), "O-D pair", _OD)
 
 
 def load_curves(path: str) -> Tuple[List[str], Dict[str, List[str]]]:
@@ -245,7 +228,8 @@ def load_curves(path: str) -> Tuple[List[str], Dict[str, List[str]]]:
     as text by path id."""
     rows = _read_rows(path)
     header = rows[0][1]
-    return header, {row[0]: row for _, row in _parse_table(path, rows, header)}
+    return header, {row[0]: row for row in _records(
+        path, rows, header, lambda at, *row: row, "path id", _ID)}
 
 
 def load_departures(path: str, path_order: Sequence[str], n_steps: int) -> np.ndarray:
@@ -488,12 +472,14 @@ def _write_tables(tables) -> None:
     """Numeric tables, each (path, header or None, ids, matrix): the header
     row, then _write_matrix's line per matrix row, ids[i] heading row i.
 
-    With P = _workers(all cells) > 1, each table's rows are cut into P
-    contiguous ranges. This process formats range 0 straight into the file
-    while forked children format ranges 1..P-1 into part files next to it;
-    the parts are then appended in order and removed. The bytes are the
-    same for every P. A failed worker raises OSError naming its table, and
-    no part file or child outlives the call."""
+    With P = _workers(all cells), each table's rows are cut into P
+    contiguous ranges, each written to its own part file next to the table:
+    this process writes the header and range 0 into part 0 while forked
+    children format ranges 1..P-1. Once every child has exited cleanly,
+    parts 1..P-1 are appended in order to part 0, which then replaces the
+    table. The bytes are the same for every P. A failed worker raises
+    OSError naming its table; a failed write leaves no new table, an
+    existing table's old bytes, and no part file or child."""
     checked = []
     for path, header, ids, matrix in tables:
         m = np.ascontiguousarray(matrix, dtype=float)
@@ -503,7 +489,7 @@ def _write_tables(tables) -> None:
         checked.append((path, header, ids, m))
     P = _workers(sum(m.size for *_, m in checked))
     cuts = [[len(m) * w // P for w in range(P + 1)] for *_, m in checked]
-    # part w of a table holds range w; range 0 goes straight into the file
+    # part w of a table holds range w
     parts = [[f"{path}.{w}.part" for w in range(P)] for path, *_ in checked]
 
     children = {}  # pid -> worker, until reaped
@@ -522,8 +508,8 @@ def _write_tables(tables) -> None:
                 finally:
                     os._exit(code)
             children[pid] = w
-        for (path, header, ids, m), cut in zip(checked, cuts):
-            with open(path, "w", newline="") as fh:
+        for (_, header, ids, m), cut, names in zip(checked, cuts, parts):
+            with open(names[0], "w", newline="") as fh:
                 if header is not None:
                     csv.writer(fh).writerow(header)
                 _write_matrix(fh, ids[:cut[1]], m[:cut[1]])
@@ -537,16 +523,18 @@ def _write_tables(tables) -> None:
             if code < 0:
                 raise OSError(f"{', '.join(t[0] for t in checked)}: "
                               f"worker {w} died of signal {-code}")
-        for (path, *_), names in zip(checked, parts):
-            with open(path, "ab") as out:
+        for names in parts:
+            with open(names[0], "ab") as out:
                 for name in names[1:]:
                     with open(name, "rb") as src:
                         shutil.copyfileobj(src, out, 1 << 20)
+        for (path, *_), names in zip(checked, parts):
+            os.replace(names[0], path)
     finally:
         for pid in children:
             os.waitpid(pid, 0)
         for names in parts:
-            for name in names[1:]:
+            for name in names:
                 try:
                     os.remove(name)
                 except FileNotFoundError:

@@ -200,7 +200,11 @@ class TestExitCodes:
          "path id 'a/b' is empty or holds a path separator"),
         ("demand.txt", 3, "a,b,40,", "a,b,-40,",
          "negative or non-finite demand -40.0 or target 400.0 for O-D (a, b)"),
-    ], ids=["node", "link", "path", "path-id", "demand"])
+        ("paths.txt", 4, "p1,a,b,1", "p1,a,b,1\np1,a,b,1", "duplicate path id p1"),
+        ("demand.txt", 4, "a,b,40,", "a,b,40,400\na,b,40,",
+         "duplicate O-D pair ('a', 'b')"),
+    ], ids=["node", "link", "path", "path-id", "demand", "repeated-path-id",
+            "repeated-od-pair"])
     def test_record_refused_by_its_constructor_is_2(self, tiny, capsys, name, line,
                                                     good, bad, message):
         files, tmp = tiny
@@ -519,6 +523,24 @@ class TestReportCommand:
                    if f.startswith("curve_")]
         assert not written and not os.listdir(os.path.join(finished_run, "curve_a"))
         assert set(os.listdir(os.path.dirname(finished_run))) == before
+
+    @pytest.mark.parametrize("name,line,message", [
+        ("od_gaps.csv", 3, "duplicate O-D pair ('a', 'b')"),
+        ("h_final.csv", 3, "duplicate path id p1"),
+        ("eff_delay.csv", 3, "duplicate path id p1"),
+    ], ids=["od-gaps", "h-final", "eff-delay"])
+    def test_repeated_row_is_2(self, finished_run, capsys, name, line, message):
+        # a repeated gap would count twice in the percentiles, and a repeated
+        # curve row would hide the first one
+        path = os.path.join(finished_run, name)
+        with open(path) as fh:
+            first = fh.readlines()[1]
+        with open(path, "a") as fh:
+            fh.write(first)
+        assert main(["report", "--in", finished_run, "--paths", "p1"]) == 2
+        assert capsys.readouterr().err == f"parse error: {path}:{line}: {message}\n"
+        assert not os.path.exists(os.path.join(finished_run, "gap_percentiles.csv"))
+        assert not [f for f in os.listdir(finished_run) if f.startswith("curve_")]
 
     @pytest.mark.parametrize("name,text,message", [
         ("h_final.csv", "", "h_final.csv: empty file"),

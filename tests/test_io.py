@@ -236,6 +236,12 @@ BRAESS_REFUSALS = {
     "path id with a path separator": (
         "paths.txt", lambda t: t.replace("p1,1,3,1|3", "a/b,1,3,1|3"),
         r"paths.txt:3: path id 'a/b' is empty or holds a path separator$"),
+    "duplicate path id": (
+        "paths.txt", lambda t: t + "p3,2,3,3\n",
+        r"paths.txt:11: duplicate path id p3$"),
+    "duplicate O-D pair": (
+        "demand.txt", lambda t: t + "2,4,10,2400\n",
+        r"demand.txt:7: duplicate O-D pair \('2', '4'\)$"),
     "empty path table": (
         "paths.txt", lambda t: t.split("p1,")[0],
         r"paths.txt: empty path table$"),
@@ -903,12 +909,30 @@ def test_failed_worker_raises_and_leaves_no_part_or_child(monkeypatch, tmp_path,
     message = {"raises": rf"h\.csv: the worker formatting rows {n // 2}-{n} failed$",
                "killed": r"h\.csv: worker 1 died of signal 9$",
                "parent": r"^no space left$"}[how]
+    old = tmp_path / "h.csv"
+    old.write_bytes(b"p1,0.5\r\n")
     with pytest.raises(OSError, match=message):
-        write_departures(ids, matrix, str(tmp_path / "h.csv"))
+        write_departures(ids, matrix, str(old))
     assert len(forked) == 1
+    # the table keeps its old bytes; no part file remains
     assert os.listdir(tmp_path) == ["h.csv"]
+    assert old.read_bytes() == b"p1,0.5\r\n"
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
+
+
+def test_failed_write_in_one_process_keeps_the_old_table(monkeypatch, tmp_path):
+    # P = 1: no fork, and the table is still written under a part name first
+    failing_writer(monkeypatch, "parent")
+    monkeypatch.setattr(fileio, "_workers", lambda cells: 1)
+    old = tmp_path / "h.csv"
+    old.write_bytes(b"p1,0.5\r\n")
+    with pytest.raises(OSError, match=r"^no space left$"):
+        write_departures(["p1", "p2"], np.ones((2, 3)), str(old))
+    with pytest.raises(OSError, match=r"^no space left$"):
+        write_departures(["p1", "p2"], np.ones((2, 3)), str(tmp_path / "new.csv"))
+    assert os.listdir(tmp_path) == ["h.csv"]
+    assert old.read_bytes() == b"p1,0.5\r\n"
 
 
 @fork_linux_only
@@ -917,6 +941,9 @@ def test_failed_worker_exits_4_naming_the_table(monkeypatch, tmp_path, capsys):
     failing_writer(monkeypatch)
     monkeypatch.setattr(fileio, "_WORKER_MIN_CELLS", 64)
     out = tmp_path / "out"
+    out.mkdir()
+    old = out / "travel_times.csv"
+    old.write_bytes(b"path_id,0.0\r\np1,60.0\r\n")
     code = main(["dnl", "--network", os.path.join(DATA, "network.txt"),
                  "--paths", os.path.join(DATA, "paths.txt"),
                  "--demand", os.path.join(DATA, "demand.txt"),
@@ -927,7 +954,9 @@ def test_failed_worker_exits_4_naming_the_table(monkeypatch, tmp_path, capsys):
     err = capsys.readouterr().err
     assert re.search(r"runtime error: \S*travel_times\.csv: the worker formatting "
                      r"rows \d+-\d+ failed", err), err
-    assert sorted(os.listdir(out)) == ["link_timeseries.csv", "travel_times.csv"]
+    # the table written before keeps its bytes; no part file or new table remains
+    assert os.listdir(out) == ["travel_times.csv"]
+    assert old.read_bytes() == b"path_id,0.0\r\np1,60.0\r\n"
 
 
 QUICK_STARTS = pytest.mark.parametrize("argv", [

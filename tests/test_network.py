@@ -1,6 +1,7 @@
 import dataclasses
 import math
 
+import numpy as np
 import pytest
 
 from dtaflow import (
@@ -13,9 +14,10 @@ from dtaflow import (
     SolverConfig,
     TimeGrid,
     derive_fd,
+    run_dnl,
     validate_network,
 )
-from helpers import braess_components, braess_network
+from helpers import BRAESS_LINKS, braess_components, braess_network, path_matrix
 
 
 class TestDeriveFd:
@@ -36,6 +38,42 @@ class TestDeriveFd:
     def test_zero_length_rejected(self):
         with pytest.raises(NetworkError, match="nonpositive"):
             derive_fd(0.0, 15.0, 0.5, None)
+
+
+class TestLinkRecord:
+    def test_missing_backward_speed_resolves_to_a_third_of_v(self):
+        link = Link("a", "1", "2", 100.0, 10.0, 1.0)
+        assert link.backward_speed_mps == 10.0 / 3.0
+        assert link == Link.create("a", "1", "2", 100.0, 10.0, 1.0)
+        assert link == Link("a", "1", "2", 100.0, 10.0, 1.0, None)
+        assert dataclasses.replace(link, id="b").backward_speed_mps == 10.0 / 3.0
+
+    def test_link_without_backward_speed_loads_as_created(self):
+        nodes, created, paths, ods = braess_components()
+        plain = [Link(i, *spec) for i, spec in BRAESS_LINKS.items()]
+        assert plain == created
+        grid = TimeGrid(0.0, 2400.0, 30.0)
+        results = []
+        for links in (plain, created):
+            net = validate_network(nodes, links, paths, ods)
+            h = path_matrix(net, grid, {p.id: 0.05 for p in paths}, until_s=900.0)
+            results.append(run_dnl(net, h, grid))
+        a, b = results
+        np.testing.assert_array_equal(a.travel_time, b.travel_time)
+        for lid, st in a.link_states.items():
+            np.testing.assert_array_equal(st.n_up, b.link_states[lid].n_up)
+            np.testing.assert_array_equal(st.n_dn, b.link_states[lid].n_dn)
+
+    @pytest.mark.parametrize("args,message", [
+        ((0.0, 12.0, 0.5), "nonpositive or non-finite physical parameter: "
+                           "L=0.0, v=12.0, C=0.5"),
+        ((1200.0, 12.0, 0.5, -4.0), "nonpositive or non-finite physical parameter: "
+                                    "w=-4.0"),
+    ], ids=["length", "backward-speed"])
+    def test_refusal_names_the_link(self, args, message):
+        with pytest.raises(NetworkError) as e:
+            Link("l7", "a", "b", *args)
+        assert str(e.value) == f"link l7: {message}"
 
 
 class TestFdFlow:
