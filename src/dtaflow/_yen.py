@@ -1,7 +1,8 @@
 """Yen's k shortest loopless paths, as networkx 3.6 runs them.
 
 fileio.enumerate_paths is the only caller. It imports this module on its
-first call, so that commands that enumerate no paths do not load it.
+first call, so that commands that enumerate no paths do not load it, and
+runs the search in forked shares of the O-D pairs, one per usable CPU.
 """
 
 from __future__ import annotations

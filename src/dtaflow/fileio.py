@@ -39,6 +39,7 @@ import math
 import numbers
 import operator
 import os
+import pickle
 import shutil
 import sys
 import threading
@@ -367,6 +368,62 @@ def _read_departure_rows(path: str, path_order: Sequence[str],
     return out
 
 
+_WORKER_MIN_CELLS = 65_536  # the fewest table cells worth a forked worker
+_WORKER_MIN_PAIRS = 64  # the fewest O-D pairs worth a forked search
+
+
+def _workers(units: int, least: int) -> int:
+    """How many processes share `units` units of work: one per usable CPU,
+    each with at least `least` units. One where a fork is unsafe: off Linux,
+    or while another thread runs (numpy's OpenBLAS pool stops before one)."""
+    if sys.platform != "linux" or threading.active_count() > 1:
+        return 1
+    return max(1, min(len(os.sched_getaffinity(0)), units // least))
+
+
+def _in_workers(P: int, work: Callable[[int], object], name: str) -> list:
+    """[work(0), ..., work(P - 1)]: work(0) here, each other work(w) in a
+    forked child that pickles its result, or its exception, back through a
+    pipe. That exception is raised here, caused by OSError "<name>: worker
+    <w> raised"; a child that sends nothing raises "<name>: worker <w> died
+    of signal <s>" (or "failed"). Every child is reaped, also on a failure."""
+    children = []  # (pid, the read end of its pipe)
+    try:
+        for w in range(1, P):
+            r, wr = os.pipe()
+            pid = os.fork()
+            if pid == 0:
+                try:
+                    os.close(r)  # so that its write fails once the parent's closes
+                    try:
+                        out = (True, work(w))
+                    except BaseException as e:
+                        out = (False, e)
+                    with open(wr, "wb") as fh:
+                        pickle.dump(out, fh, pickle.HIGHEST_PROTOCOL)
+                    os._exit(0)
+                finally:
+                    os._exit(1)  # the result was not sent
+            os.close(wr)
+            children.append((pid, open(r, "rb")))
+        results = [work(0)]
+        sent = [fh.read() for _, fh in children]
+    finally:
+        for _, fh in children:  # first, so that no child waits to write
+            fh.close()
+        codes = [os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+                 for pid, _ in children]
+    for w, (code, data) in enumerate(zip(codes, sent), start=1):
+        if code:
+            raise OSError(f"{name}: worker {w} " + (
+                f"died of signal {-code}" if code < 0 else "failed"))
+        ok, value = pickle.loads(data)
+        if not ok:
+            raise value from OSError(f"{name}: worker {w} raised")
+        results.append(value)
+    return results
+
+
 def enumerate_paths(nodes: Sequence[Node], links: Sequence[Link],
                     od_pairs: Sequence[ODPair], k: int) -> List[Path]:
     """Up to k loopless shortest paths per O-D under free-flow link times,
@@ -376,7 +433,7 @@ def enumerate_paths(nodes: Sequence[Node], links: Sequence[Link],
     paths come from Yen's method as networkx.shortest_simple_paths (3.6)
     runs it, with a bidirectional Dijkstra search for each spur: equal-cost
     paths come in the order that search finds them, which follows the order
-    of the links. The result is deterministic.
+    of the links. The result is the same for any number of forked shares.
     """
     if not (isinstance(k, numbers.Integral) and k >= 1):
         raise ValueError(f"k {k!r} must be an integer >= 1")
@@ -388,18 +445,21 @@ def enumerate_paths(nodes: Sequence[Node], links: Sequence[Link],
     cost = {pair: l.free_flow_time_s for pair, l in best.items()}
     succ, pred = _yen.adjacency([n.id for n in nodes], cost)
 
+    def share(w: int) -> List[List[Tuple[str, ...]]]:  # the pairs i % P == w
+        return [[tuple(best[a, b].id for a, b in zip(seq, seq[1:]))
+                 for seq in itertools.islice(_yen.shortest_simple_paths(
+                     succ, pred, cost, od.origin, od.destination), k)]
+                for od in od_pairs[w::P]]
+
+    P = _workers(len(od_pairs), _WORKER_MIN_PAIRS)
+    shares = _in_workers(P, share, "k shortest paths")
     out: List[Path] = []
-    for od in od_pairs:
-        o, d = od.origin, od.destination
-        count = 0
-        for node_seq in _yen.shortest_simple_paths(succ, pred, cost, o, d):
-            count += 1
-            out.append(Path(f"{o}-{d}-{count}", (o, d),
-                            tuple(best[a, b].id for a, b in zip(node_seq, node_seq[1:]))))
-            if count >= k:
-                break
-        if not count:
+    for i, (o, d) in enumerate((od.origin, od.destination) for od in od_pairs):
+        found = shares[i % P][i // P]
+        if not found:
             raise NetworkError(f"destination {d} unreachable from {o}")
+        out.extend(Path(f"{o}-{d}-{rank}", (o, d), ids)
+                   for rank, ids in enumerate(found, start=1))
     return out
 
 
@@ -455,29 +515,15 @@ def _write_matrix(fh, ids, matrix) -> None:
                           for row, rid in zip(cells, rid_iter)]))
 
 
-_WORKER_MIN_CELLS = 65_536  # the fewest table cells worth a forked worker
-
-
-def _workers(cells: int) -> int:
-    """How many processes format `cells` table cells: one per CPU this
-    process may run on, each with at least _WORKER_MIN_CELLS cells. One
-    wherever a fork is unsafe: off Linux, or while another Python thread
-    runs (numpy's OpenBLAS pool stops itself before a fork)."""
-    if sys.platform != "linux" or threading.active_count() > 1:
-        return 1
-    return max(1, min(len(os.sched_getaffinity(0)), cells // _WORKER_MIN_CELLS))
-
-
 def _write_tables(tables) -> None:
     """Numeric tables, each (path, header or None, ids, matrix): the header
     row, then _write_matrix's line per matrix row, ids[i] heading row i.
 
-    With P = _workers(all cells), each table's rows are cut into P
-    contiguous ranges, each written to its own part file next to the table:
-    this process writes the header and range 0 into part 0 while forked
-    children format ranges 1..P-1. Once every child has exited cleanly,
-    parts 1..P-1 are appended in order to part 0, which then replaces the
-    table. The bytes are the same for every P. A failed worker raises
+    With P = _workers(all cells, _WORKER_MIN_CELLS), each table's rows are
+    cut into P contiguous ranges. Share w of _in_workers writes range w of
+    every table to its part w next to the table, part 0 after the header.
+    Parts 1..P-1 are then appended in order to part 0, which replaces the
+    table. The bytes are the same for every P. A failed forked share raises
     OSError naming its table; a failed write leaves no new table, an
     existing table's old bytes, and no part file or child."""
     checked = []
@@ -487,42 +533,27 @@ def _write_tables(tables) -> None:
             raise ValueError(f"{path}: {len(ids)} row ids for a matrix of "
                              f"shape {m.shape}; expected one id per row")
         checked.append((path, header, ids, m))
-    P = _workers(sum(m.size for *_, m in checked))
+    P = _workers(sum(m.size for *_, m in checked), _WORKER_MIN_CELLS)
     cuts = [[len(m) * w // P for w in range(P + 1)] for *_, m in checked]
     # part w of a table holds range w
     parts = [[f"{path}.{w}.part" for w in range(P)] for path, *_ in checked]
 
-    children = {}  # pid -> worker, until reaped
+    def share(w: int) -> None:
+        for (path, header, ids, m), cut, names in zip(checked, cuts, parts):
+            lo, hi = cut[w], cut[w + 1]
+            try:
+                with open(names[w], "w", newline="") as fh:
+                    if header is not None and not w:
+                        csv.writer(fh).writerow(header)
+                    _write_matrix(fh, ids[lo:hi], m[lo:hi])
+            except Exception:  # a forked share names its table and rows
+                if not w:
+                    raise
+                raise OSError(f"{path}: the worker formatting rows "
+                              f"{lo}-{hi} failed") from None
+
     try:
-        for w in range(1, P):
-            pid = os.fork()
-            if pid == 0:  # the child formats range w of every table
-                code = 1  # its exit status: 1 + the failed table, or 0
-                try:
-                    for i, (_, _, ids, m) in enumerate(checked):
-                        code = i + 1
-                        lo, hi = cuts[i][w], cuts[i][w + 1]
-                        with open(parts[i][w], "w", newline="") as fh:
-                            _write_matrix(fh, ids[lo:hi], m[lo:hi])
-                    code = 0
-                finally:
-                    os._exit(code)
-            children[pid] = w
-        for (_, header, ids, m), cut, names in zip(checked, cuts, parts):
-            with open(names[0], "w", newline="") as fh:
-                if header is not None:
-                    csv.writer(fh).writerow(header)
-                _write_matrix(fh, ids[:cut[1]], m[:cut[1]])
-        for pid in list(children):
-            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-            w = children.pop(pid)
-            if code > 0:
-                i = code - 1
-                raise OSError(f"{checked[i][0]}: the worker formatting rows "
-                              f"{cuts[i][w]}-{cuts[i][w + 1]} failed")
-            if code < 0:
-                raise OSError(f"{', '.join(t[0] for t in checked)}: "
-                              f"worker {w} died of signal {-code}")
+        _in_workers(P, share, ", ".join(t[0] for t in checked))
         for names in parts:
             with open(names[0], "ab") as out:
                 for name in names[1:]:
@@ -531,8 +562,6 @@ def _write_tables(tables) -> None:
         for (path, *_), names in zip(checked, parts):
             os.replace(names[0], path)
     finally:
-        for pid in children:
-            os.waitpid(pid, 0)
         for names in parts:
             for name in names:
                 try:

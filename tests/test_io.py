@@ -1,5 +1,6 @@
 """Data-file parsing, round-trips and result export."""
 
+import contextlib
 import csv
 import dataclasses
 import hashlib
@@ -773,7 +774,7 @@ def assert_writes_as_reference(monkeypatch, tmp_path, write):
     write(str(tmp_path / "new"))
     with monkeypatch.context() as m:
         m.setattr(fileio, "_write_matrix", reference_write_matrix)
-        m.setattr(fileio, "_workers", lambda cells: 1)
+        m.setattr(fileio, "_workers", lambda units, least: 1)
         write(str(tmp_path / "ref"))
     names = sorted(n for n in os.listdir(tmp_path / "ref") if n.endswith(".csv"))
     assert names == sorted(n for n in os.listdir(tmp_path / "new") if n.endswith(".csv"))
@@ -806,13 +807,13 @@ def _matrix_case(name):
     }[name]
 
 
-FORKS = sys.platform == "linux"  # the table writer forks on Linux only
-fork_linux_only = pytest.mark.skipif(not FORKS, reason="no forked table writers")
+FORKS = sys.platform == "linux"  # the package forks workers on Linux only
+fork_linux_only = pytest.mark.skipif(not FORKS, reason="no forked workers")
 
 
 def two_cpus(monkeypatch):
-    """Let the table writer see two CPUs; returns the list of the pids
-    it forks."""
+    """Let forked workers see two CPUs; returns the list of the pids the
+    package forks."""
     forked = []
     fork = os.fork
 
@@ -868,20 +869,20 @@ def test_workers_derived_from_cpus_and_cells(monkeypatch):
     two_cpus(monkeypatch)
     monkeypatch.setattr(sys, "platform", "linux")
     least = fileio._WORKER_MIN_CELLS
-    assert [fileio._workers(c) for c in (0, 2 * least - 1, 2 * least, 9 * least)] == \
+    assert [fileio._workers(c, least) for c in (0, 2 * least - 1, 2 * least, 9 * least)] == \
         [1, 1, 2, 2]
     done = threading.Event()
     other = threading.Thread(target=done.wait, args=(10.0,))
     other.start()
     try:
-        assert fileio._workers(9 * least) == 1  # no fork while another thread runs
+        assert fileio._workers(9 * least, least) == 1  # no fork while another thread runs
     finally:
         done.set()
         other.join(timeout=10.0)
     assert not other.is_alive()
-    assert fileio._workers(9 * least) == 2
+    assert fileio._workers(9 * least, least) == 2
     monkeypatch.setattr(sys, "platform", "darwin")
-    assert fileio._workers(9 * least) == 1
+    assert fileio._workers(9 * least, least) == 1
 
 
 def failing_writer(monkeypatch, how="raises"):
@@ -924,7 +925,7 @@ def test_failed_worker_raises_and_leaves_no_part_or_child(monkeypatch, tmp_path,
 def test_failed_write_in_one_process_keeps_the_old_table(monkeypatch, tmp_path):
     # P = 1: no fork, and the table is still written under a part name first
     failing_writer(monkeypatch, "parent")
-    monkeypatch.setattr(fileio, "_workers", lambda cells: 1)
+    monkeypatch.setattr(fileio, "_workers", lambda units, least: 1)
     old = tmp_path / "h.csv"
     old.write_bytes(b"p1,0.5\r\n")
     with pytest.raises(OSError, match=r"^no space left$"):
@@ -957,6 +958,138 @@ def test_failed_worker_exits_4_naming_the_table(monkeypatch, tmp_path, capsys):
     # the table written before keeps its bytes; no part file or new table remains
     assert os.listdir(out) == ["travel_times.csv"]
     assert old.read_bytes() == b"path_id,0.0\r\np1,60.0\r\n"
+
+
+def no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@contextlib.contextmanager
+def within(seconds):
+    """Fail the block, rather than hang, when it runs past `seconds`."""
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    old = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, old)
+
+
+@pytest.mark.parametrize("P", [1, 2, 3])
+def test_paths_searched_in_shares_as_in_one_process(monkeypatch, P):
+    # the pinned grid files, and the random network's paths as one process finds them
+    nodes, links, ods = grid_components()
+    net = random_network()
+    inputs = list(net.nodes.values()), list(net.links.values()), list(net.od_pairs), 3
+    serial = enumerate_paths(*inputs)
+    forked = two_cpus(monkeypatch)
+    monkeypatch.setattr(fileio, "_workers", lambda units, least: P)
+    assert paths_digest(enumerate_paths(nodes, links, ods, 4)) == GRID_K4
+    assert paths_digest(enumerate_paths(nodes, links, ods, 12)) == GRID_K12
+    assert enumerate_paths(*inputs) == serial
+    assert len(forked) == 3 * (P - 1)
+    no_child_left()
+
+
+def test_paths_forked_only_for_enough_pairs_and_no_thread(monkeypatch):
+    forked = two_cpus(monkeypatch)
+    monkeypatch.setattr(sys, "platform", "linux")
+    nodes, links, _, ods = braess_components()
+    assert len(enumerate_paths(nodes, links, ods, 3)) == 8
+    assert forked == []  # Braess's 4 pairs are searched in this process
+    nodes, links, ods = grid_components()
+    assert len(ods) >= 2 * fileio._WORKER_MIN_PAIRS
+    done = threading.Event()
+    other = threading.Thread(target=done.wait, args=(10.0,))
+    other.start()
+    try:
+        assert paths_digest(enumerate_paths(nodes, links, ods, 4)) == GRID_K4
+        assert forked == []  # no fork while another thread runs
+    finally:
+        done.set()
+        other.join(timeout=10.0)
+    assert not other.is_alive()
+    assert paths_digest(enumerate_paths(nodes, links, ods, 4)) == GRID_K4
+    assert len(forked) == 1
+
+
+@fork_linux_only
+def test_unreachable_pair_of_a_forked_share_refused_as_in_one_process(monkeypatch):
+    # pair 1 falls in worker 1's share and pair 2 in this process's: the
+    # first unreachable pair in O-D order is refused, with the serial text
+    nodes, links, ods = grid_components()
+    ods = [ods[0], ODPair("n0_1", "island", 1.0, 0.0),
+           ODPair("n0_2", "island", 1.0, 0.0), *ods[1:]]
+    nodes = [*nodes, Node("island", destination=True)]
+    monkeypatch.setattr(fileio, "_workers", lambda units, least: 1)
+    with pytest.raises(NetworkError) as serial:
+        enumerate_paths(nodes, links, ods, 4)
+    assert str(serial.value) == "destination island unreachable from n0_1"
+    forked = two_cpus(monkeypatch)
+    monkeypatch.setattr(fileio, "_workers", lambda units, least: 2)
+    with pytest.raises(NetworkError) as shared:
+        enumerate_paths(nodes, links, ods, 4)
+    assert str(shared.value) == str(serial.value)
+    assert len(forked) == 1
+    no_child_left()
+
+
+def share_of(failing=None):
+    """A share that returns a large result, except in worker 2, which
+    raises ("raises"), dies of SIGKILL ("killed") or returns what pickle
+    refuses ("unpicklable")."""
+    def share(w):
+        if w == 2 and failing == "raises":
+            raise NetworkError("no route")
+        if w == 2 and failing == "killed":
+            os.kill(os.getpid(), signal.SIGKILL)
+        if w == 2 and failing == "unpicklable":
+            return lambda: None
+        return [w] * 100_000
+
+    return share
+
+
+@fork_linux_only
+def test_shares_return_in_worker_order():
+    assert [r[:2] for r in fileio._in_workers(3, share_of(), "test")] == \
+        [[0, 0], [1, 1], [2, 2]]
+    assert fileio._in_workers(1, share_of(), "test")[0][0] == 0
+    no_child_left()
+
+
+@fork_linux_only
+@pytest.mark.parametrize("failing,error,message", [
+    ("raises", NetworkError, r"^no route$"),
+    ("killed", OSError, r"^test: worker 2 died of signal 9$"),
+    ("unpicklable", OSError, r"^test: worker 2 failed$"),
+])
+def test_failed_share_names_its_worker_and_leaves_no_child(failing, error, message):
+    # a share's own exception is raised as it was, caused by an error naming
+    # its worker; a worker that sends nothing is named by the error itself
+    with within(60), pytest.raises(error, match=message) as failed:
+        fileio._in_workers(4, share_of(failing), "test")
+    if failing == "raises":
+        assert str(failed.value.__cause__) == "test: worker 2 raised"
+    no_child_left()
+
+
+@fork_linux_only
+def test_failure_in_this_process_reaps_workers_with_results_to_send():
+    # each worker's result fills more than a pipe's buffer while nothing reads it
+    def share(w):
+        if w == 0:
+            raise ValueError("this process failed")
+        return [w] * 1_000_000
+
+    with within(60), pytest.raises(ValueError, match=r"^this process failed$"):
+        fileio._in_workers(3, share, "test")
+    no_child_left()
 
 
 QUICK_STARTS = pytest.mark.parametrize("argv", [
