@@ -1,7 +1,7 @@
 """Text-based data files and result export.
 
-Formats (normative for this package; the bundled Braess fixture is the
-reference example):
+Formats, all UTF-8 text (normative for this package; the bundled Braess
+fixture is the reference example):
 
 network file, sectioned CSV::
 
@@ -62,42 +62,49 @@ DEMAND_FIELDS = ["origin", "destination", "demand_veh", "target_arrival_s"]
 OD_GAP_FIELDS = ["origin", "destination", "gap_s"]
 
 
+def _lines(path: str):
+    """The lines of a UTF-8 text file, line endings kept; any other is refused."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        try:
+            yield from fh
+        except UnicodeDecodeError:
+            raise ParseError(f"{path}: not UTF-8 text") from None
+
+
 def _read_sections(path: str, names: Sequence[str]
                    ) -> Dict[str, List[Tuple[int, List[str]]]]:
     """The rows of each [section] of a file that holds each of `names` once."""
     sections: Dict[str, List[Tuple[int, List[str]]]] = {}
     current = None
-    with open(path, newline="") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            if line.startswith("[") and line.endswith("]"):
-                current = line[1:-1].strip().lower()
-                if current not in names:
-                    raise ParseError(f"{path}:{lineno}: unknown section [{current}]")
-                if current in sections:
-                    raise ParseError(f"{path}:{lineno}: repeated section [{current}]")
-                sections[current] = []
-                continue
-            if current is None:
-                raise ParseError(f"{path}:{lineno}: data before any [section]")
-            try:
-                row = next(csv.reader([line]))
-            except csv.Error as e:
-                raise ParseError(f"{path}:{lineno}: {e}") from None
-            sections[current].append((lineno, [c.strip() for c in row]))
+    for lineno, raw in enumerate(_lines(path), start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        if line.startswith("[") and line.endswith("]"):
+            current = line[1:-1].strip().lower()
+            if current not in names:
+                raise ParseError(f"{path}:{lineno}: unknown section [{current}]")
+            if current in sections:
+                raise ParseError(f"{path}:{lineno}: repeated section [{current}]")
+            sections[current] = []
+            continue
+        if current is None:
+            raise ParseError(f"{path}:{lineno}: data before any [section]")
+        try:
+            row = next(csv.reader([line]))
+        except csv.Error as e:
+            raise ParseError(f"{path}:{lineno}: {e}") from None
+        sections[current].append((lineno, [c.strip() for c in row]))
     for name in names:
         if name not in sections:
             raise ParseError(f"{path}: missing [{name}] section")
     return sections
 
 
-def _csv_rows(path: str, fh):
-    """(line number, row) for each row csv.reader reads from the open file
-    fh; a line csv cannot read, such as one with a field over csv's size
-    limit, is refused at its number."""
-    reader = csv.reader(fh)
+def _csv_rows(path: str):
+    """(line number, row) of each row csv.reader reads from the file; a line
+    it cannot read (a field over csv's size limit) is refused at its number."""
+    reader = csv.reader(_lines(path))
     try:
         for row in reader:
             yield reader.line_num, row
@@ -108,8 +115,7 @@ def _csv_rows(path: str, fh):
 def _read_rows(path: str) -> List[Tuple[int, List[str]]]:
     """The non-blank rows of a plain CSV file, each with its line number;
     a file without one is refused."""
-    with open(path, newline="") as fh:
-        rows = [(n, [c.strip() for c in row]) for n, row in _csv_rows(path, fh) if row]
+    rows = [(n, [c.strip() for c in row]) for n, row in _csv_rows(path) if row]
     if not rows:
         raise ParseError(f"{path}: empty file, expected a header row")
     return rows
@@ -239,54 +245,42 @@ def load_departures(path: str, path_order: Sequence[str], n_steps: int) -> np.nd
     header whose first cell is path_id; when a path has that id, only if a
     later row names path_id too.
 
-    A file that _bulk_departures takes whole is read in one conversion; any
-    other file is read, and judged, by _read_departure_rows. Both give the
-    same matrix for every file the bulk pass takes."""
+    A file as dtaflow writes it, one row per path in path_order, is read in
+    one bulk conversion by _bulk_departures; any other file is read, and
+    judged, row by row by _read_departure_rows. Both give the same matrix
+    for every file the bulk pass takes."""
     out = _bulk_departures(path, path_order, n_steps)
     return out if out is not None else _read_departure_rows(path, path_order, n_steps)
 
 
-_BLANK_LINES = ("\n", "\r\n", "\r")
-
-
 def _bulk_departures(path: str, path_order: Sequence[str],
                      n_steps: int) -> Optional[np.ndarray]:
-    """The departure matrix in one np.loadtxt call over the rates of every
-    line, or None for a file that only the row reader may judge: a quote
-    (csv unquotes, and may join lines) or NUL anywhere, a field longer than
-    csv's field size limit, a rate float() reads and loadtxt does not (1_0,
-    non-ASCII digits), a wrong cell count, a duplicate, unknown or missing
-    id, a negative or non-finite rate, a path path_id whose rates come
-    first, an empty table. Rows in path_order are the result as parsed; the
-    same rows in another order are copied into it."""
-    row_of = {p: i for i, p in enumerate(path_order)}
-    ids: List[str] = []
+    """One np.loadtxt call over the rates of a file as dtaflow writes it: an
+    optional first row whose first cell is path_id (h_final.csv's header),
+    then one row per path of path_order, in its order. None for any other
+    file, and where the readers could differ: a quote (csv unquotes, and may
+    join lines) or NUL, a field over csv's size limit, a rate float() reads
+    and loadtxt does not (1_0, non-ASCII digits), a negative or non-finite
+    rate, a row without rates, no rows, a repeated id, text not UTF-8."""
+    expected = iter(path_order)
     limit = csv.field_size_limit()
 
     def rates(fh):
-        """The rates of each data line, as text, and its id into `ids`. It
-        skips what the row reader skips, and raises ValueError on a line
-        that only csv.reader may split."""
-        first = True
-        for line in fh:
+        """The rates of each row after the header, as text; ValueError for a
+        row not of the next path, or that only csv.reader may split."""
+        for n, line in enumerate(fh):
             if '"' in line or "\0" in line:  # csv before 3.11 refuses NUL
                 raise ValueError
             if len(line) > limit and max(map(len, line.rstrip("\r\n").split(","))) > limit:
                 raise ValueError  # csv.reader refuses the field
-            cell, _, rest = line.partition(",")
-            if line in _BLANK_LINES or cell.startswith("#"):
+            pid, _, rest = line.partition(",")
+            if not n and pid == "path_id":  # the header
                 continue
-            pid = cell.strip()
-            if first:
-                first = False
-                if pid == "path_id":  # the header, or rates the row reader takes
-                    continue
-            if not rest or rest.isspace():  # loadtxt would skip the line
-                raise ValueError
-            ids.append(pid)
+            if pid != next(expected, None) or not rest or rest.isspace():
+                raise ValueError  # loadtxt would skip a line without rates
             yield rest
 
-    with open(path, newline="") as fh:
+    with open(path, newline="", encoding="utf-8") as fh:
         lines = rates(fh)
         try:
             head = next(lines, None)
@@ -294,16 +288,10 @@ def _bulk_departures(path: str, path_order: Sequence[str],
                 return None
             m = np.loadtxt(itertools.chain((head,), lines), delimiter=",",
                            comments=None, ndmin=2)
-        except ValueError:
+        except ValueError:  # a UnicodeDecodeError too
             return None
-    if not (m.shape == (len(ids), n_steps) and len(ids) == len(row_of) == len(path_order)
-            and row_of.keys() == set(ids) and m.min() >= 0 and m.max() < np.inf):
-        return None
-    if ids == list(path_order):
-        return m
-    out = np.empty_like(m)
-    out[[row_of[p] for p in ids]] = m
-    return out
+    ok = m.shape == (len(path_order), n_steps) and len(set(path_order)) == len(m)
+    return m if ok and m.min() >= 0 and m.max() < np.inf else None
 
 
 def _read_departure_rows(path: str, path_order: Sequence[str],
@@ -344,20 +332,19 @@ def _read_departure_rows(path: str, path_order: Sequence[str],
 
     first = True
     held = None  # a first row naming the path path_id: the header, or its rates
-    with open(path, newline="") as fh:
-        for lineno, row in _csv_rows(path, fh):
-            if not row or row[0].startswith("#"):
+    for lineno, row in _csv_rows(path):
+        if not row or row[0].startswith("#"):
+            continue
+        pid, values = row[0].strip(), row[1:]
+        if first:
+            first = False
+            if pid == "path_id":
+                if pid in row_of:
+                    held = (lineno, pid, values)
                 continue
-            pid, values = row[0].strip(), row[1:]
-            if first:
-                first = False
-                if pid == "path_id":
-                    if pid in row_of:
-                        held = (lineno, pid, values)
-                    continue
-            elif pid == "path_id":
-                held = None
-            take(lineno, pid, values)
+        elif pid == "path_id":
+            held = None
+        take(lineno, pid, values)
     if held:
         take(*held)
     missing = [p for p in path_order if p not in seen]
@@ -391,7 +378,12 @@ def _in_workers(P: int, work: Callable[[int], object], name: str) -> list:
     try:
         for w in range(1, P):
             r, wr = os.pipe()
-            pid = os.fork()
+            try:
+                pid = os.fork()
+            except OSError:
+                os.close(r)
+                os.close(wr)
+                raise
             if pid == 0:
                 try:
                     os.close(r)  # so that its write fails once the parent's closes
@@ -467,7 +459,7 @@ def enumerate_paths(nodes: Sequence[Node], links: Sequence[Link],
 
 
 def _write_csv(path: str, header: List[str], rows) -> None:
-    with open(path, "w", newline="") as fh:
+    with open(path, "w", newline="", encoding="utf-8") as fh:
         w = csv.writer(fh)
         w.writerow(header)
         w.writerows(rows)
@@ -542,7 +534,7 @@ def _write_tables(tables) -> None:
         for (path, header, ids, m), cut, names in zip(checked, cuts, parts):
             lo, hi = cut[w], cut[w + 1]
             try:
-                with open(names[w], "w", newline="") as fh:
+                with open(names[w], "w", newline="", encoding="utf-8") as fh:
                     if header is not None and not w:
                         csv.writer(fh).writerow(header)
                     _write_matrix(fh, ids[lo:hi], m[lo:hi])
@@ -575,7 +567,7 @@ def _time_header(grid) -> List[str]:
 
 
 def _write_summary(out_dir: str, summary: dict) -> None:
-    with open(os.path.join(out_dir, "summary.json"), "w") as fh:
+    with open(os.path.join(out_dir, "summary.json"), "w", encoding="utf-8") as fh:
         json.dump(summary, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
@@ -707,12 +699,12 @@ print("wrote plots to", here)
 
 
 def _write_plot_script(out_dir: str) -> None:
-    with open(os.path.join(out_dir, "plot_results.py"), "w") as fh:
+    with open(os.path.join(out_dir, "plot_results.py"), "w", encoding="utf-8") as fh:
         fh.write(_PLOT_SCRIPT)
 
 
 def write_paths(paths: Sequence[Path], out_path: str) -> None:
-    with open(out_path, "w", newline="") as fh:
+    with open(out_path, "w", newline="", encoding="utf-8") as fh:
         fh.write("[paths]\n")
         w = csv.writer(fh)
         w.writerow(PATH_FIELDS)
