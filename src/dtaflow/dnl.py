@@ -5,22 +5,22 @@ Link dynamics are tracked purely through cumulative boundary counts
 and exit curves are the cumulative departures and service; it feeds its
 node's junction like one more incoming link, demanding q/dt plus the
 step's departure rate. Each step is one pass over the whole network:
-demands and supplies come from lagged lookups on the link curves (read
-positions tabulated once per layout, which a solve builds once for all its
-loadings), the flows of every junction from one call of the junction
-kernel junctions.resolve_unchecked, and path labels from FIFO compositions
-at every element's exit (the composition of the step its exiting vehicles
+demands and supplies come from lagged lookups on the link curves, made
+once per block of steps that the lags allow (positions and blocks are
+tabulated once per layout, which a solve builds once for its loadings),
+the flows of every junction from one call of the junction kernel
+junctions.resolve_unchecked, and path labels from FIFO compositions at
+every element's exit (the composition of the step its exiting vehicles
 entered in, or of its latest step with one where the element is empty),
 mixed into link entry shares by one call of propagate_composition. Path
 travel times are chained horizontal differences between the curves (origin
-queue first, then links in path order). Paths that share a prefix of
-elements share its exit times, so each distinct prefix is chained once, a
-path depth at a time: one call per (depth, element) over all the prefixes
-of that depth that end there. A step checks nothing. The junction inputs
-(as resolve_network checks them), the composition mass (composition_fault),
-junction conservation and the vehicle balance are checked once per
-loading, after the steps, from tables that record every step's inputs,
-carried totals and flows.
+queue first, then links in path order; free flow past a drained knot),
+each distinct path prefix once, by one call per (depth, element) over the
+prefixes of that depth that end there. A step checks nothing. The junction
+inputs (as resolve_network checks them), the composition mass
+(composition_fault), junction conservation and the vehicle balance are
+checked once per loading, after the steps, from tables that record every
+step's inputs, carried totals and flows.
 """
 
 from __future__ import annotations
@@ -239,12 +239,20 @@ def _lag_table(times: np.ndarray, dt_s: float, params: np.ndarray, k,
                  np.where(den > 0, den, 1.0))
 
 
-def _boundary_flows(lags: _Lags, curves: np.ndarray, params: np.ndarray, dt_s: float,
-                    out: Optional[np.ndarray] = None):
-    """(rates, capped) at the steps of `lags` of its links, whose entry and
-    exit curves are curves[0] and curves[1]; params as from _link_params.
-    Each has the steps' shape, then two rows, the demand's and the supply's,
-    then one entry per link; `capped` is written to `out` if given.
+def _lagged_terms(lags: _Lags, curves: np.ndarray, params: np.ndarray):
+    """lags.across, then what _capped_flows takes from the lagged reads: the
+    gated rates and capacities, and the lagged sides of the test and the cap."""
+    read = _read_at(curves, *lags[:4])
+    lagged, lagged1 = read[..., ::2, :], read[..., 1::2, :]  # at s, at s1
+    return (lags.across, np.where(lags.gate, (lagged1 - lagged) / lags.den, _ZERO),
+            np.where(lags.gate, params[2], _ZERO),
+            lagged + params[3:5] - _TOL_LAGGED, lagged1 + params[3:5])
+
+
+def _capped_flows(curves, across, rate, capacity, test, cap_base, dt_s, out=None):
+    """(rates, capped) of the links whose entry and exit curves are curves[0]
+    and curves[1], from their _lagged_terms, shaped as those (steps, demand
+    and supply row, link); `capped` is written to `out` if given.
 
     Demand is the inflow lagged by the free-flow time while the exit is
     uncongested (N_up(s_up) <= N_dn(t)), the capacity otherwise; supply is
@@ -253,14 +261,13 @@ def _boundary_flows(lags: _Lags, curves: np.ndarray, params: np.ndarray, dt_s: f
     what one step can pass: vehicles at the exit by s1, room under the
     storage bound at s1.
     """
-    read = _read_at(curves, *lags[:4])
-    lagged, lagged1 = read[..., ::2, :], read[..., 1::2, :]  # at s, at s1
-    across = curves.take(lags.across)
-    lagging = lagged + params[3:5] - _TOL_LAGGED <= across + _TOL_ACROSS
-    rates = np.where(lags.gate,
-                     np.where(lagging, (lagged1 - lagged) / lags.den, params[2]), _ZERO)
-    caps = np.maximum(_ZERO, lagged1 + params[3:5] - across) / dt_s
-    return rates, np.minimum(rates, caps, out=out)
+    across = curves.take(across)
+    rates = np.where(test <= across + _TOL_ACROSS, rate, capacity)
+    return rates, np.minimum(rates, np.maximum(_ZERO, cap_base - across) / dt_s, out=out)
+
+
+def _boundary_flows(lags: _Lags, curves: np.ndarray, params: np.ndarray, dt_s: float):
+    return _capped_flows(curves, *_lagged_terms(lags, curves, params), dt_s)
 
 
 def _one_link(link: Link, state: LinkState, grid: TimeGrid, t: float):
@@ -364,8 +371,10 @@ def _extraction_depths(path_elems: Sequence[Sequence[int]]) -> List[_Depth]:
 
 class _Layout:
     """What every loading of a network on a time grid shares: the element,
-    slot and movement tables, the link parameters, the lagged-read table and
-    the path prefixes that travel-time extraction chains, depth by depth. It
+    slot and movement tables, the link parameters, the lagged-read table
+    `lags` and its blocks (block_end[k] ends the block of steps from k whose
+    reads after step k's lie on knots up to k; it is at least k + 1), and the
+    path prefixes that travel-time extraction chains, depth by depth. It
     holds no state of a loading, so a solve builds it once and passes it to
     each of its loadings.
 
@@ -464,8 +473,11 @@ class _Layout:
             len(self.node_ids))
         self.no_entry = np.full(nE, N)  # per element, the all-zero row of `shares`
         self.min_delay = np.append(self.link_params[0], np.zeros(nO))
-        lags = _lag_table(self.times, grid.dt_s, self.link_params, np.arange(N), nE)
-        self.step_lags = [lags.at(k) for k in range(N)]
+        steps = np.arange(N)
+        self.lags = lags = _lag_table(self.times, grid.dt_s, self.link_params, steps, nE)
+        # the last knot each step reads, idx1 too where off is 0: nondecreasing
+        need = np.maximum(lags.idx % (N + 1), lags.idx1 % (N + 1)).max(axis=(1, 2), initial=0)
+        self.block_end = np.maximum(np.searchsorted(need, steps, side="right"), steps + 1)
         self.depths = _extraction_depths(self.path_elems)
 
 
@@ -486,9 +498,9 @@ class _Loader:
     what _check tests once the steps are done: its junction inputs, the
     demands and supplies (`demand_supply[k]`: row 0 the demands, row 1 the
     supplies) and the split fractions (`alpha[k]`), and the total rate each
-    link's entry composition carries (`carried[k]`).
-    Every array here belongs to this loading alone: the result's states are
-    views of them.
+    link's entry composition carries (`carried[k]`). Every array here
+    belongs to this loading alone: the result's states are views of them.
+    A block of steps reads its lagged link counts as its first step starts.
     """
 
     def __init__(self, network: Network, departures: np.ndarray, grid: TimeGrid,
@@ -613,13 +625,15 @@ class _Loader:
         n_moves = len(lay.moves.src)
         queue, n_up, dn = self.queue, self.n_up, self.dn
         latest_org = self.latest[nL:]
-        step_lags = lay.step_lags
+        curves, params, end = self.curves, lay.link_params, k0
 
         k = k0 - 1  # so that k + 1 is the last knot stepped to, also with no step
         try:
             for k in range(k0, N):
-                _boundary_flows(step_lags[k], self.curves, lay.link_params, dt,
-                                out=link_flows)
+                if k == end:  # a block's lagged reads are on the curves as it starts
+                    end = lay.block_end[k]
+                    block = zip(*_lagged_terms(lay.lags.at(slice(k, end)), curves, params))
+                _capped_flows(curves, *next(block), dt, out=link_flows)
                 q_k = queue[:, k]
                 dep_k = self.dep_rate[:, k]
                 # an origin demands its queue and this step's departures; its
@@ -652,7 +666,7 @@ class _Loader:
             self._check(k0, k + 1, k)
             raise
         self._check(k0, k + 1, k + 1)
-        return self._extract_result()
+        return self._extract_result(k + 1)
 
     def _check(self, k0: int, stop: int, last: int) -> None:
         """Check the steps k0 .. stop - 1, all at once: their junction inputs
@@ -733,7 +747,7 @@ class _Loader:
 
     # -- travel-time extraction -------------------------------------------------
 
-    def _extract_result(self) -> DNLResult:
+    def _extract_result(self, K: int) -> DNLResult:
         lay = self.layout
         N = self.grid.n_steps
         tf = self.grid.tf_s
@@ -743,11 +757,17 @@ class _Loader:
         # exit times of the previous depth's prefixes; before the first
         # element, the departure times
         prev = dep_times[None]
+        # curves are flat from K on: from K, an element whose exit count reaches its
+        # entry count less COUNT_TOL (every link, by _drained) passes at free flow
+        searched = np.where(self.dn[:, K] >= self.up[:, K] - COUNT_TOL, K, N)
         for depth in lay.depths:
             cur = np.empty((len(depth.parent), N))
             for e, lo, hi in depth.groups:
-                cur[lo:hi] = _exit_times(times, self.up[e], self.dn[e],
-                                         prev[depth.parent[lo:hi]], lay.min_delay[e], tf)
+                m, a = searched[e], prev[depth.parent[lo:hi]]
+                cur[lo:hi, :m] = _exit_times(times, self.up[e], self.dn[e], a[:, :m],
+                                             lay.min_delay[e], tf)
+                cur[lo:hi, m:] = a[:, m:] + lay.min_delay[e]
+            cur[cur > tf + 1e-9] = np.nan  # as _exit_times marks an exit past tf
             tt[depth.ends] = cur[depth.end_rows] - dep_times
             prev = cur
         origin_states = {

@@ -8,6 +8,7 @@ import io
 import json
 import math
 import os
+import pathlib
 import subprocess
 import sys
 import tempfile
@@ -226,7 +227,7 @@ class TestExitCodes:
             (tmp_path / name).write_text(f"origin,destination,gap_s\n1,4,{big}\n")
             argv = ["report", "--in", str(tmp_path)]
         else:
-            text = open(os.path.join(DATA, name)).read()
+            text = pathlib.Path(DATA, name).read_text(encoding="utf-8")
             if name == "network.txt":
                 rows = text.splitlines(keepends=True)
                 rows[line - 1] = rows[line - 1].replace("id,", f"{big},", 1)

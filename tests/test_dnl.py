@@ -1366,3 +1366,139 @@ def test_settled_loading_equals_stepping_every_step(monkeypatch, case):
     full = run_dnl(net, h, grid)
     assert settled_steps < steps == grid.n_steps - np.flatnonzero(h.any(axis=0))[0]
     assert_results_equal(settled, full)
+
+
+# -- lagged reads a block of steps at a time -----------------------------------
+
+
+def _serial_short_lag():
+    # a 2 s free-flow (6 s backward-wave) link between longer ones at dt 5 s,
+    # ahead of a bottleneck whose queue spills back across it
+    net = serial_network([(1200.0, 12.0, 0.8), (24.0, 12.0, 0.6), (1200.0, 12.0, 0.3)])
+    grid = TimeGrid(0.0, 2400.0, 5.0)
+    return net, grid, path_matrix(net, grid, {"p1": 0.7}, until_s=600.0)
+
+
+def _serial_odd_lag():
+    # lags of 1000/12 s and 250 s at dt 7 s fall between knots, and the
+    # second link's queue spills back onto the first
+    net = serial_network([(1000.0, 12.0, 0.8), (1000.0, 12.0, 0.3)])
+    grid = TimeGrid(0.0, 2400.0, 7.0)
+    return net, grid, path_matrix(net, grid, {"p1": 0.6}, until_s=700.0)
+
+
+def block_sizes(block_end):
+    """The lengths of the blocks a loading that starts at step 0 reads."""
+    sizes, k0 = [], 0
+    while k0 < len(block_end):
+        sizes.append(block_end[k0] - k0)
+        k0 = block_end[k0]
+    return sizes
+
+
+@pytest.mark.parametrize("case, longest", [
+    # a block is as long as the shortest free-flow time allows: 100 s, 50 s,
+    # 14.3 s, 2 s and 83.3 s at dt 5, 20, 5, 5 and 7 s
+    (_criterion_10_final, 19), (_grid_k4, 2), (_random_dt5, 2), (_serial_short_lag, 1),
+    (_serial_odd_lag, 11)])
+def test_block_reads_equal_per_step_reads(case, longest):
+    # the step's lagged reads, taken for a block of steps at once, are
+    # bit for bit those of a block per step
+    net, grid, h = case()
+    N = grid.n_steps
+    blocked, per_step = (_Loader(net, h, grid, _Layout(net, grid)) for _ in range(2))
+    per_step.layout.block_end = np.arange(N) + 1
+    res, ref = blocked.run(), per_step.run()
+    for name in ("demand_supply", "alpha", "f_out", "f_in", "carried", "shares",
+                 "curves", "queue"):
+        np.testing.assert_array_equal(getattr(blocked, name), getattr(per_step, name),
+                                      err_msg=name)
+    assert_results_equal(res, ref)
+    assert max(block_sizes(blocked.layout.block_end)) == longest
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_block_table_reads_only_knots_stepped_to(seed):
+    # on random lags and grids, no step of a block reads a knot after the
+    # block's first step k, except k itself (its own end knot, with weight
+    # 0); a block ends at the first later step that would
+    rng = np.random.default_rng(seed)
+    specs = [(float(rng.uniform(10.0, 3000.0)), float(rng.choice([8.0, 12.0, 30.0])), 0.5)
+             for _ in range(rng.integers(1, 4))]
+    dt = float(rng.choice([1.0, 3.0, 5.0, 7.5, 20.0, 60.0]))
+    t0 = float(rng.choice([0.0, -40.0, 123.4]))
+    grid = TimeGrid(t0, t0 + dt * int(rng.integers(20, 300)), dt)
+    lay = _Layout(serial_network(specs), grid)
+    N = grid.n_steps
+    # the last knot of each step's reads, idx and idx1 alike
+    knots = np.concatenate([lay.lags.idx, lay.lags.idx1], axis=1) % (N + 1)
+    last = knots.reshape(N, -1).max(axis=1)
+    for k in range(N):
+        end = lay.block_end[k]
+        assert k < end <= N
+        assert (last[k + 1:end] <= k).all()
+        assert end == N or end == k + 1 or last[end] > k
+
+
+def _single_link_1e9_veh():
+    # 1e9 veh through a 1e7 veh/s link: at this scale the drained origin's
+    # service trails its departures by more than COUNT_TOL
+    net = single_link_network(cap=1e7, demand=1e9)
+    grid = TimeGrid(0.0, 1200.0, 5.0)
+    return net, grid, init_departures(net, grid, window=(0.0, 300.0))
+
+
+def _random_serial(seed):
+    # a random chain of links and a random departure profile; the seeds
+    # used below drain before the horizon
+    def case():
+        rng = np.random.default_rng(seed)
+        specs = [(float(rng.uniform(100.0, 3000.0)), float(rng.choice([8.0, 12.0, 30.0])),
+                  float(rng.uniform(0.2, 1.0))) for _ in range(rng.integers(1, 5))]
+        net = serial_network(specs, demand=float(rng.uniform(50.0, 500.0)))
+        grid = TimeGrid(0.0, 4000.0, float(rng.choice([3.0, 5.0, 7.0, 10.0])))
+        h = init_departures(net, grid, window=(0.0, 900.0))
+        return net, grid, h * rng.uniform(0.5, 1.5, grid.n_steps)
+    return case
+
+
+def _random_light():
+    # a random network with merges and diverges, loaded lightly on one path
+    # per O-D pair: it drains (most random_network loadings keep rounding
+    # residue on some link and never do)
+    net = random_network(n_nodes=20, seed=0, demand=5.0, k_paths=1)
+    grid = TimeGrid(0.0, 3600.0, 5.0)
+    return net, grid, init_departures(net, grid, window=(0.0, 900.0))
+
+
+@pytest.mark.parametrize("case", [_random_serial(3), _random_serial(6), _random_serial(8),
+                                  _random_light, _grid_k4, _criterion_10_final,
+                                  _single_link_1e9_veh])
+def test_free_flow_fill_after_the_drain_equals_the_full_search(monkeypatch, case):
+    # past the drained knot K the loader fills exit times at free flow, for
+    # every element whose exit count there reaches its entry count less
+    # COUNT_TOL, and searches the other elements' every column: the travel
+    # times are those of a full search of every path, NaN pattern included
+    net, grid, h = case()
+    N = grid.n_steps
+    stops, widths = [], {}
+    extract = _Loader._extract_result
+    monkeypatch.setattr(_Loader, "_extract_result",
+                        lambda self, K: stops.append(K) or extract(self, K))
+
+    def recorded(times, n_in, n_out, a, min_delay_s, tf_s):
+        widths.setdefault(min_delay_s, set()).add(a.shape[-1])
+        return _exit_times(times, n_in, n_out, a, min_delay_s, tf_s)
+
+    monkeypatch.setattr(dnl, "_exit_times", recorded)
+    loader = _Loader(net, h, grid)
+    res = loader.run()
+    K, = stops
+    assert np.flatnonzero(h.any(axis=0))[-1] < K < N
+    np.testing.assert_array_equal(res.travel_time, reference_travel_times(loader))
+    # every link is searched up to K only
+    assert {w for delay, ws in widths.items() if delay > 0 for w in ws} == {K}
+    if case is _single_link_1e9_veh:
+        # the origin (no minimum delay) is searched over every column
+        assert loader.cum_dep[0, K] - loader.cum_srv[0, K] > COUNT_TOL
+        assert widths[0.0] == {N}
