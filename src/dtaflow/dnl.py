@@ -132,7 +132,7 @@ def _exit_times(times: np.ndarray, n_in: np.ndarray, n_out: np.ndarray,
     len(times); a count reached at the first knot exits at times[0]."""
     y = np.interp(a, times, n_in) - COUNT_TOL
     idx = np.searchsorted(n_out, y)
-    i = np.clip(idx, 1, len(times) - 1)
+    i = np.minimum(np.maximum(idx, 1), len(times) - 1)
     t0, c0 = times[i - 1], n_out[i - 1]
     # only the clipped ends, replaced below, can divide by 0 or overflow
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
@@ -490,8 +490,8 @@ class _Loader:
     shares in the vehicles entering in step k, all zero when none enter.
     Row N of `shares` stays 0. A link's fill in as it loads; an origin's are
     the path shares of its departures. latest[e] is the latest step so far
-    whose composition of e is not zero (N if none): during step k, k itself
-    for an origin that departs in it, and a step before k for a link.
+    whose composition of e is not zero (N if none): in step k, an origin's
+    latest departure step (`dep_latest[k]`), and a step before k for a link.
     f_out[k] and f_in[k] are step k's outflow of each element and inflow of
     each output (0 in steps not stepped); a link state's inflow and outflow
     are views of their columns. Next to them, each stepped step records
@@ -561,6 +561,8 @@ class _Loader:
             tot = rates.sum(axis=1)
             cells = np.flatnonzero(tot > 0)
             self.comp[nL + oi][cells] = rates[cells] / tot[cells, None]
+        latest = np.maximum.accumulate(np.where(self.dep_rate > 0, np.arange(N), -1), axis=1)
+        self.dep_latest = np.ascontiguousarray(np.where(latest < 0, N, latest).T)
         self.queue = np.zeros((nO, N + 1))
         self.balance = np.zeros(N + 1)
 
@@ -570,21 +572,21 @@ class _Loader:
         """Per slot, the path share of the vehicles now at its element's exit:
         that of the step they entered in; 0 for elements that demand no flow.
         The entry knot `at` is the last knot at or before k whose entry count
-        the exit count has reached. Before k, the entry count rose in step
-        `at`, and every positive flow is labelled, so that step has a
-        composition. At k the element is empty to within COUNT_TOL, and its
-        latest composition is read; an element that never had one would
-        read the all-zero row N, which the junction input check refuses as a
-        split row that does not sum to 1."""
+        the exit count has reached. Counts never fall, so the knots that
+        reach it are a prefix, holding the last `at` found: when some element
+        demands flow, all search from the lowest of those. Before k, the
+        entry count rose in step `at`, and every positive flow is labelled,
+        so that step has a composition. At k the element is empty to within
+        COUNT_TOL, and its latest composition is read, or the all-zero row N
+        if none, which the input check refuses as a split row not summing to 1."""
         lay = self.layout
-        row = lay.no_entry.copy()
-        dem = (D > _FLOW_EPS_A).nonzero()[0]
-        if dem.size:
-            # the entry knot only moves forward: search from the last one
-            lo = min(self.at_exit[dem].tolist())
-            passed = self.up[dem, lo:k + 1] <= (self.dn[dem, k] + _COUNT_TOL_A)[:, None]
-            at = self.at_exit[dem] = lo - 1 + passed.sum(axis=1)
-            row[dem] = np.where(at < k, at, self.latest[dem])
+        dem = D > _FLOW_EPS_A
+        if not np.count_nonzero(dem):
+            return self.shares[-1]  # row N
+        lo = min(self.at_exit.tolist())
+        passed = self.up[:, lo:k + 1] <= (self.dn[:, k] + _COUNT_TOL_A)[:, None]
+        at = self.at_exit = k - passed[:, ::-1].argmax(axis=1)  # the last knot passed
+        row = np.where(dem, np.where(at < k, at, self.latest), lay.no_entry)
         return self.shares[row[lay.slot_elem], lay.slot_range]
 
     def _enter(self, exit_shares: np.ndarray, f_out: np.ndarray, f_in: np.ndarray,
@@ -639,7 +641,7 @@ class _Loader:
                 # an origin demands its queue and this step's departures; its
                 # junction caps what it sends
                 np.add(q_k / dt, dep_k, out=D_org)
-                latest_org[dep_k > _ZERO] = k
+                latest_org[:] = self.dep_latest[k]
                 exit_shares = self._exit_shares(D, k)
                 alpha = np.bincount(lay.slot_move, exit_shares, minlength=n_moves)
                 # recorded whole, just before the kernel: a step that fails
@@ -742,8 +744,8 @@ class _Loader:
         - N_dn(t)) / dt), s1 <= t, is 0 up to the rounding of one
         interpolated read, below the 1e-12 veh/s at which an element
         demands flow."""
-        return bool(np.all(self.n_up[:, k] == self.n_dn[:, k])
-                    and np.all(self.queue[:, k] / self.grid.dt_s <= _FLOW_EPS))
+        return bool((self.n_up[:, k] == self.n_dn[:, k]).all()
+                    and (self.queue[:, k] / self.grid.dt_s <= _FLOW_EPS).all())
 
     # -- travel-time extraction -------------------------------------------------
 

@@ -49,15 +49,15 @@ def _water_fill(supply: np.ndarray, demand: np.ndarray,
     ranked = priority > 0
     # [tier, row, feeder]: the feeders of positive priority, then those of 0
     weight = np.array([priority, ~ranked])
-    level = np.array([supply, supply - (m * ranked).sum(axis=1)])
+    level = np.array([supply, supply - np.add.reduce(m * ranked, axis=1)])
     level = np.where(level > _EPS_A, level, _ZERO)
     # [..., i, j]: m_j / w_j < m_i / w_i, so feeder j is served in full first
     below = m[:, None, :] * weight[..., :, None] < m[:, :, None] * weight[..., None, :]
     served = (below @ m[:, :, None])[..., 0]
     rest = (~below @ weight[..., None])[..., 0]  # 0 where every weight is below
-    mu = np.divide(level[..., None] - served, rest, out=np.zeros(rest.shape),
-                   where=rest > 0).max(axis=-1, initial=0.0)
-    return np.minimum(m, mu[..., None] * weight).sum(axis=0)
+    mu = np.maximum.reduce(np.divide(level[..., None] - served, rest, out=np.zeros(rest.shape),
+                                     where=rest > 0), axis=-1, initial=0.0)
+    return np.add.reduce(np.minimum(m, mu[..., None] * weight), axis=0)
 
 
 # -- whole-network resolution -------------------------------------------------
@@ -69,13 +69,12 @@ class Movements:
 
     Inputs and outputs are numbered network-wide, and each belongs to one of
     `n_junctions` junctions. A movement is an (input, output) pair that flow
-    can take. Movements may come in any order (the loader and
-    resolve_junction list them in ascending (input, output) order): the
-    kernel takes each input's worst ratio over its movements with
-    np.minimum.at. Priorities are checked here, once per table. The feeder
-    table has a row per output, its movements padded, with their inputs'
-    priorities; only a jam at an output whose feeders differ in priority
-    (`mixed`) can make its junction ration by priority.
+    can take. Movements may come in any order: sorted here by input, they
+    let the kernel take each input's worst ratio over its movements with
+    np.minimum.reduceat. Priorities are checked here, once per table. The
+    feeder table has a row per output, its movements padded, with their
+    inputs' priorities; only a jam at an output whose feeders differ in
+    priority (`mixed`) can make its junction ration by priority.
     """
 
     src: np.ndarray  # input of each movement
@@ -84,6 +83,10 @@ class Movements:
     out_junction: np.ndarray  # junction of each output
     priority: np.ndarray  # merge weight of each input, summing to 1 per junction
     n_junctions: int
+    by_input: np.ndarray = field(init=False)  # movements, sorted by input
+    moved: np.ndarray = field(init=False)  # inputs that have a movement
+    starts: np.ndarray = field(init=False)  # where each of those begins in by_input
+    ones: np.ndarray = field(init=False)  # 1 per input, then 1 per output
     mixed: np.ndarray = field(init=False)  # outputs fed by inputs of differing priority
     feeders: np.ndarray = field(init=False)  # per output, its movements, padded
     feeding: np.ndarray = field(init=False)  # where `feeders` holds a movement
@@ -97,6 +100,8 @@ class Movements:
         for j in np.flatnonzero(fed & ~(np.abs(sums - 1.0) <= 1e-12)):
             raise JunctionError(f"priorities sum to {sums[j]}, expected 1")
 
+        by_input = np.argsort(self.src, kind="stable")
+        moved, starts = np.unique(self.src[by_input], return_index=True)
         into = np.argsort(self.dst, kind="stable")  # movements by output
         count = np.bincount(self.dst, minlength=len(self.out_junction))
         col = np.arange(len(into)) - np.repeat(np.cumsum(count) - count, count)
@@ -107,7 +112,9 @@ class Movements:
         pri = self.priority[self.src[feeders]]
         spread = (np.where(feeding, pri, -np.inf).max(axis=1, initial=-np.inf)
                   - np.where(feeding, pri, np.inf).min(axis=1, initial=np.inf))
-        for name, value in (("mixed", np.flatnonzero(spread > 1e-12)), ("feeders", feeders),
+        for name, value in (("by_input", by_input), ("moved", moved), ("starts", starts),
+                            ("ones", np.ones(len(self.in_junction) + len(count))),
+                            ("mixed", np.flatnonzero(spread > 1e-12)), ("feeders", feeders),
                             ("feeding", feeding), ("feeder_priority", pri)):
             object.__setattr__(self, name, value)
 
@@ -179,15 +186,19 @@ def resolve_unchecked(mv: Movements, D: np.ndarray, S: np.ndarray,
     checks: the loader's kernel, which checks a loading's inputs once, after
     its steps. On inputs that the checks refuse (NaN, negative) it returns
     some flows, and neither raises nor warns."""
-    m, n = len(mv.in_junction), len(mv.out_junction)
     busy = np.bincount(mv.in_junction, D, minlength=mv.n_junctions) > _EPS_A
     D = np.where(busy[mv.in_junction], D, _ZERO)
     move = alpha * D[mv.src]  # movement demand at full service
-    oriented = np.bincount(mv.dst, move, minlength=n)
+    oriented = np.bincount(mv.dst, move, minlength=len(S))
+    short = (S < oriented) & (oriented > _EPS_A)
+    if not np.count_nonzero(short):  # every input sends its demand
+        return D, oriented
     # min(1, S / oriented), dividing only where that is below 1: no overflow
-    beta = np.divide(S, oriented, out=np.ones(n), where=(S < oriented) & (oriented > _EPS_A))
-    gamma = np.ones(m)  # each input's worst ratio over its movements
-    np.minimum.at(gamma, mv.src, np.where(alpha > _EPS_A, beta[mv.dst], _ONE))
+    ones = mv.ones.copy()
+    gamma, beta = ones[:len(D)], ones[len(D):]
+    np.divide(S, oriented, out=beta, where=short)
+    gamma[mv.moved] = np.minimum.reduceat(  # each input's worst ratio, or 1 with no movement
+        np.where(alpha > _EPS_A, beta[mv.dst], _ONE)[mv.by_input], mv.starts)
 
     if mv.mixed.size:
         jam = mv.mixed[beta[mv.mixed] < _BELOW_ONE]
@@ -211,7 +222,7 @@ def resolve_unchecked(mv: Movements, D: np.ndarray, S: np.ndarray,
                 take, fmove, out=np.ones(take.shape), where=fmove > _EPS_A))
 
     f_out = gamma * D
-    return f_out, np.bincount(mv.dst, alpha * f_out[mv.src], minlength=n)
+    return f_out, np.bincount(mv.dst, alpha * f_out[mv.src], minlength=len(S))
 
 
 # resolve_network's own reference to the kernel: a wrapper patched over

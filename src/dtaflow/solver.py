@@ -126,10 +126,12 @@ def fixed_point_update(h: np.ndarray, psi: np.ndarray, network: Network,
         if len(rows) == 0 or od.demand_veh <= 0:
             out[rows] = 0.0
             continue
-        hb = h[rows]
-        pb = psi[rows]
-        eta = config.br_tolerance
-        keep = pb <= pb.min() + eta if eta > 0 else np.zeros(pb.shape, bool)
+        hb, pb = h[rows], psi[rows]
+        if config.br_tolerance == 0:  # no band: the whole block is re-projected
+            v = solve_dual(hb, pb, od.demand_veh, config.alpha, dt)
+            out[rows] = np.maximum(hb - config.alpha * pb + v, 0.0)
+            continue
+        keep = pb <= pb.min() + config.br_tolerance
         kept_demand = float(hb[keep].sum() * dt)
         q_rest = od.demand_veh - kept_demand
         upd = out[rows]

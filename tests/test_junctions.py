@@ -246,12 +246,12 @@ class TestPriorityAllocate:
 
 
 @st.composite
-def feeder_rows(draw):
+def feeder_rows(draw, rows=st.integers(1, 4), widths=st.integers(1, 5)):
     """(supply, demand, priority) rows of exits' feeders, each padded with
     zero demands to the widest: priorities that include 0, demands that
     include ones at or below 1e-12, and supplies from none to more than the
     row's whole demand."""
-    rows, width = draw(st.integers(1, 4)), draw(st.integers(1, 5))
+    rows, width = draw(rows), draw(widths)
     demand, priority = np.zeros((rows, width)), np.zeros((rows, width))
     supply = np.zeros(rows)
     for r in range(rows):
@@ -279,6 +279,32 @@ def test_water_fill_matches_priority_allocate(rows):
     for s, m, p, t in zip(supply, demand, priority, take):
         np.testing.assert_allclose(t, _priority_allocate(s, m, p), rtol=1e-12,
                                    atol=len(m) * _EPS)
+
+
+def water_fill_oracle(supply, demand, priority):
+    """The closed form of junctions._water_fill, summed and maximised through
+    ndarray methods in place of ufunc reductions: its arithmetic is the
+    same, so the two agree bit for bit."""
+    m = np.where(demand > _EPS, demand, 0.0)
+    ranked = priority > 0
+    weight = np.array([priority, ~ranked])
+    level = np.array([supply, supply - (m * ranked).sum(axis=1)])
+    level = np.where(level > _EPS, level, 0.0)
+    below = m[:, None, :] * weight[..., :, None] < m[:, :, None] * weight[..., None, :]
+    served = (below @ m[:, :, None])[..., 0]
+    rest = (~below @ weight[..., None])[..., 0]
+    mu = np.divide(level[..., None] - served, rest, out=np.zeros(rest.shape),
+                   where=rest > 0).max(axis=-1, initial=0.0)
+    return np.minimum(m, mu[..., None] * weight).sum(axis=0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(feeder_rows(rows=st.integers(0, 3), widths=st.integers(1, 4)))
+@example((np.zeros(0), np.zeros((0, 2)), np.zeros((0, 2))))
+@example((np.array([1e-12, 1.0]), np.array([[1e-12, 2.0], [1e-13, 3.0]]),
+          np.array([[0.0, 0.5], [0.0, 0.0]])))
+def test_water_fill_is_bit_for_bit_the_oracle(rows):
+    np.testing.assert_array_equal(_water_fill(*rows), water_fill_oracle(*rows), strict=True)
 
 
 @st.composite
@@ -586,3 +612,39 @@ def test_huge_supply_over_tiny_oriented_demand_warns_nothing():
 def test_movement_priorities_checked_once(priorities, message):
     with pytest.raises(JunctionError, match=message):
         network_table([MERGE_2X1[:2] + (np.array(priorities),) + MERGE_2X1[3:]])
+
+
+def _keeping_output_order(dst, rng):
+    """A random order of the movements in which the movements into each
+    output keep their order: the kernel adds an output's movements in table
+    order, so only that order holds its sums bit for bit."""
+    order = rng.permutation(len(dst))
+    for o in np.unique(dst):
+        order[dst[order] == o] = np.flatnonzero(dst == o)
+    return order
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(junction_block(), min_size=1, max_size=4), st.integers(0, 2**32 - 1),
+       st.integers(0, 3), st.sampled_from([0.0, 1e-13, 1e-12]))
+@example([UNEQUAL_MERGE, DIVERGE, RATIONED_PAIR], 0, 0, 1e-12)
+def test_movements_resolve_in_any_order(junctions, seed, where, idle_demand):
+    # Movements promises any order; the kernel sorts them by input once, for
+    # its per-input minimum. An extra input, of priority 0, has no movement
+    # and demands at most 1e-12: it keeps gamma = 1, so it sends its whole
+    # demand where its junction passes anything
+    junctions = list(junctions)
+    d, s, p, a, used = junctions[where % len(junctions)]
+    junctions[where % len(junctions)] = (
+        np.append(d, idle_demand), s, np.append(p, 0.0),
+        np.vstack([a, np.zeros(a.shape[1])]), np.vstack([used, np.zeros(a.shape[1], bool)]))
+    mv, D, S, alpha = network_table(junctions)
+    order = _keeping_output_order(mv.dst, np.random.default_rng(seed))
+    shuffled = Movements(mv.src[order], mv.dst[order], mv.in_junction, mv.out_junction,
+                         mv.priority, mv.n_junctions)
+    f_out, f_in = resolve_network(mv, D, S, alpha)
+    for got, want in zip(resolve_network(shuffled, D, S, alpha[order]), (f_out, f_in)):
+        np.testing.assert_array_equal(got, want, strict=True)
+    idle = np.flatnonzero(~np.isin(np.arange(len(D)), mv.src))
+    busy = np.bincount(mv.in_junction, D)[mv.in_junction[idle]] > _EPS
+    assert f_out[idle].tolist() == np.where(busy, D[idle], 0.0).tolist()
