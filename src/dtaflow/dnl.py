@@ -7,7 +7,8 @@ node's junction like one more incoming link, demanding q/dt plus the
 step's departure rate. Each step is one pass over the whole network:
 demands and supplies come from lagged lookups on the link curves, made
 once per block of steps that the lags allow (positions and blocks are
-tabulated once per layout, which a solve builds once for its loadings),
+tabulated once per layout, which a solve builds once for its loadings, and
+whose slot tables come from one sort of the paths' element runs),
 the flows of every junction from one call of the junction kernel
 junctions.resolve_unchecked, and path labels from FIFO compositions at
 every element's exit (the composition of the step its exiting vehicles
@@ -266,16 +267,12 @@ def _capped_flows(curves, across, rate, capacity, test, cap_base, dt_s, out=None
     return rates, np.minimum(rates, np.maximum(_ZERO, cap_base - across) / dt_s, out=out)
 
 
-def _boundary_flows(lags: _Lags, curves: np.ndarray, params: np.ndarray, dt_s: float):
-    return _capped_flows(curves, *_lagged_terms(lags, curves, params), dt_s)
-
-
 def _one_link(link: Link, state: LinkState, grid: TimeGrid, t: float):
     k = int(round((t - grid.t0_s) / grid.dt_s))  # reads are at the nearest knot
     params = _link_params([link])
     lags = _lag_table(grid.times(), grid.dt_s, params, k, 1)
-    return _boundary_flows(lags, np.stack([state.n_up, state.n_dn])[:, None], params,
-                           grid.dt_s)[0]
+    curves = np.stack([state.n_up, state.n_dn])[:, None]
+    return _capped_flows(curves, *_lagged_terms(lags, curves, params), grid.dt_s)[0]
 
 
 def link_demand(link: Link, state: LinkState, grid: TimeGrid, t: float) -> float:
@@ -343,26 +340,27 @@ class _Depth(NamedTuple):
     end_rows: np.ndarray  # and their rows
 
 
-def _extraction_depths(path_elems: Sequence[Sequence[int]]) -> List[_Depth]:
-    """Per depth d, the prefixes of length d + 1 of the paths `path_elems`.
-    Paths that share a prefix reach its last element at the same times, so
-    each distinct prefix is one row; depth 0's only parent row is the
-    departure times."""
+def _extraction_depths(elem: np.ndarray, sizes: np.ndarray) -> List[_Depth]:
+    """Per depth d, the prefixes of length d + 1 of the paths whose elements
+    are `elem`, path after path, `sizes[p]` for path p. Paths that share a
+    prefix reach its last element at the same times, so each distinct
+    prefix is one row; one np.unique per depth ranks the rows by (last
+    element, parent row). Depth 0's only parent row is the departure times."""
     depths = []
-    row = [0] * len(path_elems)  # each path's prefix row at the depth before
-    for d in range(max(map(len, path_elems), default=0)):
-        live = [p for p, elems in enumerate(path_elems) if len(elems) > d]
-        keys = sorted({(path_elems[p][d], row[p]) for p in live})
-        rank = {k: i for i, k in enumerate(keys)}
-        for p in live:
-            row[p] = rank[path_elems[p][d], row[p]]
-        elems, parent = np.array(keys, dtype=np.int64).reshape(-1, 2).T
+    start = np.cumsum(sizes) - sizes
+    row = np.zeros(len(sizes), dtype=np.int64)  # each path's prefix row at the depth before
+    n_rows = 1
+    for d in range(sizes.max(initial=0)):
+        live = np.flatnonzero(sizes > d)
+        keys, row[live] = np.unique(elem[start[live] + d] * n_rows + row[live],
+                                    return_inverse=True)
+        elems, parent = np.divmod(keys, n_rows)
         group_elems, lo = np.unique(elems, return_index=True)
         hi = np.append(lo[1:], len(keys))
-        ends = [p for p in live if len(path_elems[p]) == d + 1]
+        ends = live[sizes[live] == d + 1]
         depths.append(_Depth(list(zip(group_elems.tolist(), lo.tolist(), hi.tolist())),
-                             parent, np.array(ends, dtype=np.int64),
-                             np.array([row[p] for p in ends], dtype=np.int64)))
+                             parent, ends, row[ends]))
+        n_rows = len(keys)
     return depths
 
 
@@ -389,7 +387,10 @@ class _Layout:
     dense over each element's own paths: one slot per (element, path),
     element by element and paths ascending, so that slot_paths[e] lists e's
     paths and columns bounds[e]:bounds[e + 1] of a loading's `shares` are
-    e's slots.
+    e's slots. The slots are the positions of the run of every path's
+    elements end to end (path_elems), put in that order by one sort; each
+    slot's move and, on a link, its source slot are read off the run, so
+    the tables grow with the slots, not with elements x paths.
     """
 
     def __init__(self, network: Network, grid: TimeGrid):
@@ -421,44 +422,36 @@ class _Layout:
         sink_of = {n: nL + i for i, n in enumerate(sinks)}
         self.n_outputs = nL + len(sinks)
 
-        # route[e, p]: the output path p takes at e's downstream junction, -1
-        # where p does not use e; prev[l, p]: the element p leaves to enter l
-        route = np.full((nE, nP), -1, dtype=np.int64)
-        prev = np.full((nL, nP), -1, dtype=np.int64)
         paths = [network.paths[pid] for pid in self.path_ids]
         self.path_elems: List[List[int]] = [  # origin queue, then links
             [nL + self.oidx[path.od[0]]] + [lidx[l] for l in path.links]
             for path in paths]
-        # every path's elements end to end, one scatter per table: an element
-        # routes to the next one of its path, and a path's last link to its sink
+        # every path's elements end to end: each moves to the next element of
+        # its path, and a path's last link to the sink of its destination
         sizes = np.array([len(elems) for elems in self.path_elems], dtype=np.int64)
         elem = np.fromiter(itertools.chain.from_iterable(self.path_elems),
                            dtype=np.int64, count=int(sizes.sum()))
         col = np.repeat(np.arange(nP), sizes)
-        last = np.cumsum(sizes) - 1
         nxt = np.roll(elem, -1)
-        nxt[last] = [sink_of[network.links[path.links[-1]].head] for path in paths]
-        route[elem, col] = nxt
-        inner = np.ones(len(elem), dtype=bool)
-        inner[last] = False  # each step from an element to the next of its path
-        prev[nxt[inner], col[inner]] = elem[inner]
-        self.slot_elem, slot_path = np.nonzero(route >= 0)
+        nxt[np.cumsum(sizes) - 1] = [sink_of[network.links[path.links[-1]].head]
+                                     for path in paths]
+        # a path visits an element once, so each run position is one slot;
+        # slot s is run position run[s]
+        run = np.lexsort((col, elem))
+        self.slot_elem, slot_path = elem[run], col[run]
         slot_path.setflags(write=False)  # every loading's link states share it
-        n_slots = len(self.slot_elem)
-        self.slot_range = np.arange(n_slots)
+        self.slot_range = np.arange(len(run))
         self.bounds = np.searchsorted(self.slot_elem, np.arange(nE + 1))
         self.slot_paths = [slot_path[a:b] for a, b in zip(self.bounds[:-1], self.bounds[1:])]
-        moves, self.slot_move = np.unique(
-            self.slot_elem * self.n_outputs + route[self.slot_elem, slot_path],
-            return_inverse=True)
-        # each link slot is fed by one slot: the same path on the element before
-        slot_of = np.full((nE, nP), -1, dtype=np.int64)
-        slot_of[self.slot_elem, slot_path] = self.slot_range
+        moves, self.slot_move = np.unique(self.slot_elem * self.n_outputs + nxt[run],
+                                          return_inverse=True)
+        # each link slot is fed by the slot of the run position before it: the
+        # same path on the element before (a path's first is its origin queue)
+        slot_at = np.empty_like(run)
+        slot_at[run] = self.slot_range
         self.n_link_slots = self.bounds[nL]
-        link_slots = slice(0, self.n_link_slots)
-        self.link_slot_elem = self.slot_elem[link_slots]
-        self.src_slot = slot_of[prev[self.link_slot_elem, slot_path[link_slots]],
-                                slot_path[link_slots]]
+        self.link_slot_elem = self.slot_elem[:self.n_link_slots]
+        self.src_slot = slot_at[run[:self.n_link_slots] - 1]
         self.src_elem = self.slot_elem[self.src_slot]
 
         node = {n: i for i, n in enumerate(self.node_ids)}
@@ -478,7 +471,7 @@ class _Layout:
         # the last knot each step reads, idx1 too where off is 0: nondecreasing
         need = np.maximum(lags.idx % (N + 1), lags.idx1 % (N + 1)).max(axis=(1, 2), initial=0)
         self.block_end = np.maximum(np.searchsorted(need, steps, side="right"), steps + 1)
-        self.depths = _extraction_depths(self.path_elems)
+        self.depths = _extraction_depths(elem, sizes)
 
 
 class _Loader:
@@ -488,10 +481,11 @@ class _Loader:
     Entry compositions are one table `shares` whose columns are the layout's
     slots: comp[e] is the view of element e's columns and comp[e][k] their
     shares in the vehicles entering in step k, all zero when none enter.
-    Row N of `shares` stays 0. A link's fill in as it loads; an origin's are
-    the path shares of its departures. latest[e] is the latest step so far
-    whose composition of e is not zero (N if none): in step k, an origin's
-    latest departure step (`dep_latest[k]`), and a step before k for a link.
+    Row N of `shares` stays 0. A link's columns fill in as it loads; an
+    origin's are the path shares of its departures. latest[e] is the latest
+    step so far whose composition of e is not zero (N if none): in step k,
+    an origin's latest departure step (`dep_latest[k]`), and a step before
+    k for a link.
     f_out[k] and f_in[k] are step k's outflow of each element and inflow of
     each output (0 in steps not stepped); a link state's inflow and outflow
     are views of their columns. Next to them, each stepped step records

@@ -226,7 +226,8 @@ def resolve_unchecked(mv: Movements, D: np.ndarray, S: np.ndarray,
 
 
 # resolve_network's own reference to the kernel: a wrapper patched over
-# resolve_unchecked, which may call resolve_network, does not replace it
+# resolve_unchecked that calls resolve_network, as the tests' audits and
+# fault injections do, would otherwise call itself without end
 _kernel = resolve_unchecked
 
 

@@ -3,6 +3,7 @@
 import math
 import os
 import re
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -1062,9 +1063,10 @@ def _grid_k4_random_rates():
     return net, grid, h
 
 
-@pytest.mark.parametrize("case", [_braess_dt7, _random_dt5, _grid_k4])
+@pytest.mark.parametrize("case", [_braess_dt7, _random_dt5, _grid_k4,
+                                  _prefix_network_shuffled])
 def test_layout_tables_follow_each_path(case):
-    # the per-path rule that the layout scatters for all paths at once: a
+    # the per-path rule that the layout builds for all paths at once: a
     # path's slot on an element moves to the path's next element, or to the
     # sink of its destination after its last link, and its slot on a link
     # is fed by its slot on the element before
@@ -1075,6 +1077,11 @@ def test_layout_tables_follow_each_path(case):
     sinks = [n for n in layout.node_ids if net.nodes[n].destination]
     sink = {n: nL + i for i, n in enumerate(sinks)}
     slot_path = np.concatenate(layout.slot_paths)
+    # slots go element by element, paths ascending within each: `bounds`
+    # and a loading's per-element `comp` views rely on that order
+    assert (np.diff(layout.slot_elem) >= 0).all()
+    for paths in layout.slot_paths:
+        assert (np.diff(paths) > 0).all()
     slot = {(e, p): s for s, (e, p) in
             enumerate(zip(layout.slot_elem.tolist(), slot_path.tolist()))}
     assert len(slot) == sum(map(len, layout.path_elems))
@@ -1087,6 +1094,68 @@ def test_layout_tables_follow_each_path(case):
             assert (layout.moves.src[m], layout.moves.dst[m]) == (a, b)
         for a, b in zip(elems, elems[1:]):
             assert layout.src_slot[slot[b, p]] == slot[a, p]
+
+
+def reference_depths(path_elems):
+    """Per depth d, the distinct prefixes of length d + 1 of the paths, by
+    sets and dicts over the paths: (groups, parent, ends, end_rows) as
+    _Depth holds them, rows ranked by (last element, parent row)."""
+    depths = []
+    row = [0] * len(path_elems)  # each path's prefix row at the depth before
+    for d in range(max(map(len, path_elems), default=0)):
+        live = [p for p, elems in enumerate(path_elems) if len(elems) > d]
+        keys = sorted({(path_elems[p][d], row[p]) for p in live})
+        rank = {k: i for i, k in enumerate(keys)}
+        for p in live:
+            row[p] = rank[path_elems[p][d], row[p]]
+        groups = {}
+        for i, (e, _) in enumerate(keys):
+            groups.setdefault(e, [i, i])[1] = i + 1
+        ends = [p for p in live if len(path_elems[p]) == d + 1]
+        depths.append(([(e, lo, hi) for e, (lo, hi) in groups.items()],
+                       [parent for _, parent in keys], ends, [row[p] for p in ends]))
+    return depths
+
+
+@pytest.mark.parametrize("case", [_grid_k4, _random_dt5, _prefix_network,
+                                  _prefix_network_shuffled])
+def test_extraction_depths_match_per_path_prefixes(case):
+    net, grid, _ = case()
+    layout = _Layout(net, grid)
+    expected = reference_depths(layout.path_elems)
+    assert len(layout.depths) == len(expected)
+    for depth, (groups, parent, ends, end_rows) in zip(layout.depths, expected):
+        assert depth.groups == groups
+        np.testing.assert_array_equal(depth.parent, parent)
+        np.testing.assert_array_equal(depth.ends, ends)
+        np.testing.assert_array_equal(depth.end_rows, end_rows)
+
+
+def _corridors(n):
+    """n disjoint one-link O-D corridors: 2n elements, n paths, 2n slots."""
+    nodes, links, paths, ods = [], [], [], []
+    for i in range(n):
+        nodes += [Node(f"o{i}", origin=True), Node(f"d{i}", destination=True)]
+        links.append(Link.create(f"l{i}", f"o{i}", f"d{i}", 1000.0, 10.0, 0.5))
+        paths.append(Path(f"p{i}", (f"o{i}", f"d{i}"), (f"l{i}",)))
+        ods.append(ODPair(f"o{i}", f"d{i}", 10.0, 100.0))
+    return validate_network(nodes, links, paths, ods)
+
+
+def test_layout_memory_is_linear_in_the_slots():
+    # doubling the corridors doubles the slots and the elements, and so
+    # quadruples any elements x paths table: the layout's peak must not
+    grid = TimeGrid(0.0, 200.0, 10.0)
+    peaks = []
+    for n in (400, 800):
+        net = _corridors(n)
+        tracemalloc.start()
+        try:
+            _Layout(net, grid)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] < 2.5 * peaks[0], peaks
 
 
 @pytest.mark.parametrize("case", [_grid_k4, _grid_k4_random_rates])
